@@ -124,6 +124,12 @@ class CyclicSystem:
     def mean(self) -> Fraction:
         return F(sum(self.table), self.P)
 
+    def table_array(self) -> np.ndarray:
+        """The table as int64 when every entry is an integer, else as floats."""
+        if all(F(v).denominator == 1 for v in self.table):
+            return np.array([int(v) for v in self.table], dtype=np.int64)
+        return np.array([float(v) for v in self.table])
+
 
 @dataclass(frozen=True)
 class BernoulliSystem:
@@ -203,10 +209,8 @@ def sample_orbit(system, x0, n_max: int, observable: StepObservable | None = Non
     if isinstance(system, CyclicSystem):
         x0 = int(x0) % system.P
         idx = (x0 + np.arange(n_max, dtype=np.int64)) % system.P
-        table = np.array([int(v) for v in system.table], dtype=np.int64) \
-            if all(F(v).denominator == 1 for v in system.table) \
-            else np.array([float(v) for v in system.table])
-        return OrbitSignal(table[idx], system.mean, system.tag, str(x0), "residue table")
+        return OrbitSignal(system.table_array()[idx], system.mean, system.tag,
+                           str(x0), "residue table")
     if isinstance(system, BernoulliSystem):
         thr = system.threshold
         out = np.fromiter(
@@ -258,8 +262,7 @@ def sample_at(system, x0, positions, observable: StepObservable | None = None) -
             out[i] = piece_vals[bisect.bisect_right(thr, cur) - 1]
         return out
     if isinstance(system, CyclicSystem):
-        table = np.array([int(v) for v in system.table], dtype=np.int64)
-        return table[(int(x0) + positions) % system.P]
+        return system.table_array()[(int(x0) + positions) % system.P]
     if isinstance(system, BernoulliSystem):
         thr = system.threshold
         return np.fromiter(

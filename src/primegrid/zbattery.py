@@ -186,6 +186,8 @@ def battery_deviation_l2(base_seed: int, trials: int,
 
 def run_all(base_seed: int, trials: int = 1000) -> dict:
     """All four batteries; returns records plus a summary."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     batteries = {
         "window_weak": battery_window_weak(base_seed, trials),
         "window_strong": battery_window_strong(base_seed, trials),

@@ -234,11 +234,6 @@ def smeared_at(sig: FiniteSignal, ctx: GridContext, j: int, x: int):
     return _div(total, ctx.qtil[j])
 
 
-def smear_plus(sig: FiniteSignal, ctx: GridContext, j: int, x: int):
-    """The lattice kernel of the progression mean at x (own-block smear)."""
-    return smeared_at(sig, ctx, j, x)
-
-
 def smear_minus(sig: FiniteSignal, ctx: GridContext, j: int, x: int):
     """Own-block smear minus the grid-interval mean at x."""
     return smeared_at(sig, ctx, j, x) - block_average(sig, ctx, x)
@@ -340,7 +335,7 @@ def lattice_mean_j(sig: FiniteSignal, ctx: GridContext, n: int, N: int, j: int):
     Np = ctx.nprime(n, N)
     total = 0
     for k in range(Np):
-        total = total + smear_plus(sig, ctx, j, n + k * ctx.p)
+        total = total + smeared_at(sig, ctx, j, n + k * ctx.p)
     return _div(total, Np)
 
 
@@ -374,7 +369,7 @@ def lattice_mean(sig: FiniteSignal, ctx: GridContext, n: int, N: int):
         x = n + k * ctx.p
         acc = 0
         for j in range(ctx.K):
-            acc = acc + ctx.qtil[j] * smear_plus(sig, ctx, j, x)
+            acc = acc + ctx.qtil[j] * smeared_at(sig, ctx, j, x)
         total = total + _div(acc, ctx.pQ)
     return total / Np
 
@@ -410,7 +405,7 @@ def lattice_mean_over_j_sup(sig: FiniteSignal, ctx: GridContext, n: int):
         x = n + k * ctx.p
         s = 0
         for j in range(ctx.K):
-            s = s + smear_plus(sig, ctx, j, x)
+            s = s + smeared_at(sig, ctx, j, x)
         acc = acc + _div(s, ctx.K)
         partials.append(acc)
     for Np in range(lo, top + 1):
@@ -469,7 +464,7 @@ def lattice_sup_j(sig: FiniteSignal, ctx: GridContext, n: int, j: int,
     kind "minus": absolute deviation kernel.  The sweep covers the same window
     counts reachable for this n as the definitional supremum.
     """
-    fn = smear_plus if kind == "plus" else smear_minus
+    fn = smeared_at if kind == "plus" else smear_minus
     vals = []
     cover = ctx.t(sig.hi) - ctx.t(n) + 1
     lo = ctx.nprime_min(n)
@@ -489,6 +484,33 @@ def lattice_sup_j(sig: FiniteSignal, ctx: GridContext, n: int, j: int,
 
 # ---------------------------------------------------------------------------
 # fast float profiles over n-ranges (shared by the inequality batteries)
+#
+# sup_profile and the float window checks evaluate one (n, N') matrix (in
+# blocks of bounded size) instead of looping over n or over residues, and
+# sup_sq_tail takes every residue row at once.  Columns shared across rows
+# reach past some rows' own range; there the window index is clipped to the
+# end of the table, so the numerator is frozen while the denominator grows,
+# and under correctly rounded division no such entry exceeds one already in
+# the row's own range: every row maximum equals the one the row alone would
+# give.  Sums keep the order of the row-at-a-time evaluation, so results are
+# bit-for-bit the same.
+
+# entries per (n, N') matrix block: keeps the temporaries near 8 MB each
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _row_blocks(n_lo: int, n_hi: int, width: int, fn) -> np.ndarray:
+    """fn(a, b) over consecutive sub-ranges [a, b] of [n_lo, n_hi], joined.
+
+    `width` bounds the row length of every block fn builds; each block holds
+    at most _BLOCK_ENTRIES entries.
+    """
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    if n_hi - n_lo < step:
+        return fn(n_lo, n_hi)
+    return np.concatenate([fn(a, min(a + step - 1, n_hi))
+                           for a in range(n_lo, n_hi + 1, step)])
+
 
 def _lattice_tables(sig: FiniteSignal, ctx: GridContext, kind: str):
     """Per-residue cumulative sums of the lattice kernel over the support.
@@ -529,77 +551,104 @@ def sup_profile(sig: FiniteSignal, ctx: GridContext, n_lo: int, n_hi: int,
     """Float suprema (mean for "plus", deviation for "minus") on [n_lo, n_hi].
 
     For each n the supremum over window block counts N' reduces to a maximum
-    over the cumulative kernel table: values with the window beyond the
-    support keep a frozen numerator and only dilute, so columns past the
-    support never raise the maximum and the finite matrix is exact.
+    over the cumulative kernel table row r = n mod p from lattice offset
+    j0 = (n - blk_lo - r)/p: values with the window beyond the support keep a
+    frozen numerator and only dilute, so columns past the support never raise
+    the maximum and the finite matrix is exact.  N' = 1 is unreachable at
+    r = p - 1 and is masked there.
     """
     p = ctx.p
     blk_lo, T, CH = tables if tables is not None \
         else _lattice_tables(sig, ctx, kind)
-    out = np.empty(n_hi - n_lo + 1)
-    for r in range(p):
-        first = n_lo + ((r - n_lo) % p)
-        if first > n_hi:
-            continue
-        rows = (n_hi - first) // p + 1
-        j0s = (first - blk_lo - r) // p + np.arange(rows)
-        npmin = 2 if r == p - 1 else 1
-        npmax = max(T - int(j0s[0]), npmin)
-        Nps = np.arange(npmin, npmax + 1)
-        base = CH[r, np.clip(j0s, 0, T)]
-        hi_idx = np.clip(j0s[:, None] + Nps[None, :], 0, T)
-        vals = np.abs(CH[r, hi_idx] - base[:, None]) / Nps[None, :]
-        out[(first - n_lo) + np.arange(rows) * p] = vals.max(axis=1)
+
+    def block(a: int, b: int) -> np.ndarray:
+        n = np.arange(a, b + 1)
+        r = n % p
+        j0 = (n - blk_lo) // p
+        Nps = np.arange(1, max(T - int(j0[0]), 2) + 1)
+        base = CH[r, np.clip(j0, 0, T)]
+        hi_idx = np.clip(j0[:, None] + Nps, 0, T)
+        vals = np.abs(CH[r[:, None], hi_idx] - base[:, None]) / Nps
+        vals[r == p - 1, 0] = -np.inf
+        return vals.max(axis=1)
+
+    return _row_blocks(n_lo, n_hi, max(T - (n_lo - blk_lo) // p, 2), block)
+
+
+def _hyperbola_sq_sums(KS: np.ndarray, lengths: np.ndarray, k_start: int,
+                       shift: int) -> np.ndarray:
+    """Per row i, np.sum over k in [k_start, k_start + lengths[i]) of
+    (max_c KS[i, c-1] / (k + c + shift))^2, where -inf entries drop out.
+
+    The rows are flattened into one (row, k) array; each sum is taken as one
+    2-D np.sum over the rows of equal length, which adds in the same
+    (pairwise) order as np.sum on the row alone.
+    """
+    starts = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    ks = (k_start + np.arange(owner.size) - starts[owner]).astype(float)
+    grid = np.full(owner.size, -np.inf)
+    for c in range(1, KS.shape[1] + 1):
+        grid = np.maximum(grid, KS[owner, c - 1] / (ks + c + shift))
+    sq = grid ** 2
+    out = np.zeros(lengths.size)
+    for L in np.unique(lengths[lengths > 0]).tolist():
+        sel = np.flatnonzero(lengths == L)
+        out[sel] = np.sum(sq[starts[sel][:, None] + np.arange(L)], axis=1)
     return out
 
 
-def _prune_hyperbolas(S: np.ndarray) -> list[tuple[int, float]]:
-    """Keep (c, S_c) pairs not dominated by an earlier (smaller-c) value."""
-    kept: list[tuple[int, float]] = []
-    best = 0.0
-    for c, s in enumerate(S, start=1):
-        if s > best:
-            kept.append((c, float(s)))
-            best = float(s)
-    return kept
-
-
-def sup_sq_tail(S: np.ndarray, k_start: int, shift: int = 0,
-                cap: int = 200_000) -> float:
+def sup_sq_tail(S, k_start: int, shift: int = 0, cap: int = 200_000):
     """Exact sum over k >= k_start of max(0, max_c S_c/(k+c+shift))^2.
 
-    The maximum of finitely many hyperbolas stabilizes to the largest-S one
-    beyond the last pairwise crossing; from there the series is a Hurwitz
-    zeta value (polygamma).  If crossings exceed `cap`, the remainder is
-    over-bounded by the largest-S hyperbola at the smallest kept offset, which
-    keeps the result a valid upper bound.
+    S is one row S_1..S_C (returns a float) or a 2-D array of such rows
+    (returns one sum per row).  Per row, the maximum of finitely many
+    hyperbolas stabilizes to the largest-S one beyond the last pairwise
+    crossing; from there the series is a Hurwitz zeta value (polygamma).  If
+    crossings exceed `cap`, the remainder is over-bounded by the largest-S
+    hyperbola at the smallest kept offset, which keeps the result a valid
+    upper bound.
     """
-    kept = _prune_hyperbolas(np.asarray(S, dtype=float))
-    if not kept or k_start < 0:
-        return 0.0
-    k_star = k_start
-    for (c1, s1), (c2, s2) in zip(kept, kept[1:]):
-        # beyond this k, the (c2, s2) hyperbola dominates (s2 > s1)
-        cross = (s1 * (c2 + shift) - s2 * (c1 + shift)) / (s2 - s1)
-        k_star = max(k_star, int(np.floor(cross)) + 1)
-    exact_beyond = True
-    if k_star - k_start > cap:
-        k_star = k_start + cap
-        exact_beyond = False
-    total = 0.0
-    if k_star > k_start:
-        ks = np.arange(k_start, k_star, dtype=float)
-        grid = np.max(
-            [s / (ks + c + shift) for c, s in kept], axis=0)
-        total += float(np.sum(grid ** 2))
-    if exact_beyond:
-        c_last, s_last = kept[-1]
-        total += s_last ** 2 * float(polygamma(1, k_star + c_last + shift))
-    else:
-        c_min = kept[0][0]
-        s_max = kept[-1][1]
-        total += s_max ** 2 * float(polygamma(1, k_star + c_min + shift))
-    return total
+    S = np.asarray(S, dtype=float)
+    if S.ndim == 1:
+        return float(sup_sq_tail(S[None, :], k_start, shift, cap)[0])
+    out = np.zeros(S.shape[0])
+    if k_start < 0 or S.shape[1] == 0:
+        return out
+    best = np.maximum.accumulate(np.maximum(S, 0.0), axis=1)
+    kr = np.flatnonzero(best[:, -1] > 0)       # rows with a positive value
+    S, best = S[kr], best[kr]
+    # keep (c, S_c) when S_c beats 0 and every smaller-c value of its row
+    kept = S > np.c_[np.zeros(kr.size), best[:, :-1]]
+    rows, cols = np.nonzero(kept)              # row-major: c ascending
+    # beyond a crossing of consecutive kept pairs the larger-S one dominates;
+    # clipping keeps the int conversion in range and the cap test unchanged
+    pair = np.flatnonzero(rows[1:] == rows[:-1])
+    r1, c1, c2 = rows[pair], cols[pair], cols[pair + 1]
+    s1, s2 = S[r1, c1], S[r1, c2]
+    cross = (s1 * (c2 + 1 + shift) - s2 * (c1 + 1 + shift)) / (s2 - s1)
+    cross = np.clip(cross, k_start - 1, k_start + cap + 1)
+    k_star = np.full(kr.size, k_start, dtype=np.int64)
+    np.maximum.at(k_star, r1, np.floor(cross).astype(np.int64) + 1)
+    capped = k_star - k_start > cap
+    k_star[capped] = k_start + cap
+    # the finite part k < k_star, in row groups of bounded total length
+    lengths = k_star - k_start
+    group = (np.cumsum(lengths) - lengths) // _BLOCK_ENTRIES
+    KS = np.where(kept, S, -np.inf)
+    finite = np.zeros(kr.size)
+    for g in np.unique(group).tolist():
+        sel = group == g
+        finite[sel] = _hyperbola_sq_sums(KS[sel], lengths[sel], k_start, shift)
+    # the tail from k_star: the last kept hyperbola (the first c reaching the
+    # row maximum), or past the cap the row maximum at the first kept offset
+    s_max = best[:, -1]
+    c_tail = np.where(capped, np.argmax(S > 0, axis=1), np.argmax(S, axis=1)) + 1
+    # square through Python floats (libm pow): numpy's square rounds some
+    # exact ties the other way
+    coef = np.array([v ** 2 for v in s_max.tolist()])
+    out[kr] = finite + coef * polygamma(1, k_star + c_tail + shift)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +692,9 @@ def deviation_sup_l2_bound(sig: FiniteSignal, ctx: GridContext) -> dict:
     blk_lo, T, CH = tables
     lhs = float(np.sum(sup_profile(sig, ctx, blk_lo, blk_lo + T * p - 1,
                                    "minus", tables=tables) ** 2))
-    for r in range(p):
-        S = CH[r][1:]
-        lhs += sup_sq_tail(S, k_start=1)   # n = blk_lo + r - k*p, k >= 1
+    # row r: n = blk_lo + r - k*p, k >= 1; added residue by residue
+    for tail in sup_sq_tail(CH[:, 1:], k_start=1).tolist():
+        lhs += tail
     M = float(sig.bound_M)
     rhs = 32.0 / ctx.K * M * float(sig.l1)
     # the unsquared norm form is recorded alongside; the squared-sum bound is
@@ -680,13 +729,16 @@ def level_count_window_sup(sig: FiniteSignal, lam, exact: bool = False) -> dict:
     else:
         vals = np.array([float(v) for v in sig.values])
         P = np.concatenate([[0.0], np.cumsum(vals)])
-        for n in range(n_lo, n_hi + 1):
-            Ns = np.arange(1, sig.hi - n + 2)
-            idx = np.clip(n + Ns - sig.lo, 0, len(vals))
-            base = np.clip(n - sig.lo, 0, len(vals))
-            sup = np.max(np.abs(P[idx] - P[base]) / Ns)
-            if sup > float(lam):
-                count += 1
+
+        def block(a: int, b: int) -> np.ndarray:
+            off = np.arange(a, b + 1) - sig.lo
+            Ns = np.arange(1, sig.hi - a + 2)
+            idx = np.clip(off[:, None] + Ns, 0, len(vals))
+            base = P[np.clip(off, 0, len(vals))]
+            return np.max(np.abs(P[idx] - base[:, None]) / Ns, axis=1)
+
+        sup = _row_blocks(n_lo, n_hi, sig.hi - n_lo + 1, block)
+        count = int(np.sum(sup > float(lam)))
     bound = 2 * (float(l1) / float(lam))
     return {"count": count, "bound": bound, "lambda": lam, "ok": count <= bound}
 
@@ -701,13 +753,21 @@ def strong_l2_window_sup(sig: FiniteSignal) -> dict:
         raise TypeError("one-sided strong bound is implemented for real signals")
     vals = np.array([float(v) for v in sig.values])
     P = np.concatenate([[0.0], np.cumsum(vals)])
-    lhs_sq = 0.0
+
+    def block(a: int, b: int) -> np.ndarray:
+        off = np.arange(a, b + 1) - sig.lo + 1
+        Ns = np.arange(1, sig.hi - a + 1)
+        idx = np.clip(off[:, None] + Ns, 0, len(vals))
+        base = P[np.clip(off, 0, len(vals))]
+        return np.max((P[idx] - base[:, None]) / Ns, axis=1)
+
     # n+1 ranges over [lo - 0, hi]: window [n+1, n+N] meets support iff n < hi
-    for n in range(sig.lo - 1, sig.hi):
-        Ns = np.arange(1, sig.hi - n + 1)
-        idx = np.clip(n + Ns - sig.lo + 1, 0, len(vals))
-        sup = max(0.0, float(np.max((P[idx] - P[np.clip(n + 1 - sig.lo, 0, len(vals))]) / Ns)))
-        lhs_sq += sup ** 2
+    sups = _row_blocks(sig.lo - 1, sig.hi - 1, len(vals), block)
+    lhs_sq = 0.0
+    for sup in sups.tolist():
+        # in n order and through Python floats (libm pow): np.sum of numpy
+        # squares would move the last bit
+        lhs_sq += max(0.0, sup) ** 2
     # far left: n = lo - 1 - k, k >= 1; value max(0, max_c P_c/(k + c))
     lhs_sq += sup_sq_tail(P[1:], k_start=1)
     rhs = 2.0 * float(sig.l2sq) ** 0.5

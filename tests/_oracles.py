@@ -1,11 +1,18 @@
 """Independent brute-force oracles shared by the test modules.
 
-These deliberately re-derive block contents from the literal rule text with a
-different algorithm family (per-point bisection over sorted member lists)
-than the library's vectorized residue arithmetic.
+`oracle_block` deliberately re-derives block contents from the literal rule
+text with a different algorithm family (per-point bisection over sorted
+member lists) than the library's vectorized residue arithmetic.  The float
+kernel oracles below evaluate one row at a time what the library evaluates
+as one array operation.
 """
 
 from bisect import bisect_left
+
+import numpy as np
+from scipy.special import polygamma
+
+from primegrid.zops import _lattice_tables
 
 
 def oracle_block(moduli, d, lo, hi):
@@ -32,3 +39,111 @@ def oracle_block(moduli, d, lo, hi):
             if not doomed:
                 out.add(n)
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# row-at-a-time forms of the batched float kernels in primegrid.zops: one
+# residue, one n or one hyperbola row per step.  The batched kernels must
+# agree with these to the last bit.
+
+def sup_profile_by_residue(sig, ctx, n_lo, n_hi, kind):
+    """Float progression suprema on [n_lo, n_hi], one residue class at a time."""
+    p = ctx.p
+    blk_lo, T, CH = _lattice_tables(sig, ctx, kind)
+    out = np.empty(n_hi - n_lo + 1)
+    for r in range(p):
+        first = n_lo + ((r - n_lo) % p)
+        if first > n_hi:
+            continue
+        rows = (n_hi - first) // p + 1
+        j0s = (first - blk_lo - r) // p + np.arange(rows)
+        npmin = 2 if r == p - 1 else 1
+        npmax = max(T - int(j0s[0]), npmin)
+        Nps = np.arange(npmin, npmax + 1)
+        base = CH[r, np.clip(j0s, 0, T)]
+        hi_idx = np.clip(j0s[:, None] + Nps[None, :], 0, T)
+        vals = np.abs(CH[r, hi_idx] - base[:, None]) / Nps[None, :]
+        out[(first - n_lo) + np.arange(rows) * p] = vals.max(axis=1)
+    return out
+
+
+def prune_hyperbolas(S):
+    """Keep (c, S_c) pairs not dominated by an earlier (smaller-c) value."""
+    kept = []
+    best = 0.0
+    for c, s in enumerate(S, start=1):
+        if s > best:
+            kept.append((c, float(s)))
+            best = float(s)
+    return kept
+
+
+def sup_sq_tail_row(S, k_start, shift=0, cap=200_000):
+    """Scalar hyperbola-tail sum for one row S_1..S_C."""
+    kept = prune_hyperbolas(np.asarray(S, dtype=float))
+    if not kept or k_start < 0:
+        return 0.0
+    k_star = k_start
+    for (c1, s1), (c2, s2) in zip(kept, kept[1:]):
+        cross = (s1 * (c2 + shift) - s2 * (c1 + shift)) / (s2 - s1)
+        k_star = max(k_star, int(np.floor(cross)) + 1)
+    exact_beyond = True
+    if k_star - k_start > cap:
+        k_star = k_start + cap
+        exact_beyond = False
+    total = 0.0
+    if k_star > k_start:
+        ks = np.arange(k_start, k_star, dtype=float)
+        grid = np.max([s / (ks + c + shift) for c, s in kept], axis=0)
+        total += float(np.sum(grid ** 2))
+    if exact_beyond:
+        c_last, s_last = kept[-1]
+        total += s_last ** 2 * float(polygamma(1, k_star + c_last + shift))
+    else:
+        c_min = kept[0][0]
+        s_max = kept[-1][1]
+        total += s_max ** 2 * float(polygamma(1, k_star + c_min + shift))
+    return total
+
+
+def deviation_lhs_by_residue(sig, ctx):
+    """Summed squared deviation suprema with one tail per residue."""
+    p = ctx.p
+    blk_lo, T, CH = _lattice_tables(sig, ctx, "minus")
+    lhs = float(np.sum(sup_profile_by_residue(
+        sig, ctx, blk_lo, blk_lo + T * p - 1, "minus") ** 2))
+    for r in range(p):
+        lhs += sup_sq_tail_row(CH[r][1:], k_start=1)
+    return lhs
+
+
+def window_count_by_n(sig, lam):
+    """Float level count of the two-sided window supremum, one n at a time."""
+    l1 = sig.l1
+    W = int(np.ceil(float(l1) / lam)) + 1
+    vals = np.array([float(v) for v in sig.values])
+    P = np.concatenate([[0.0], np.cumsum(vals)])
+    count = 0
+    for n in range(sig.lo - W, sig.hi + 1):
+        Ns = np.arange(1, sig.hi - n + 2)
+        idx = np.clip(n + Ns - sig.lo, 0, len(vals))
+        base = np.clip(n - sig.lo, 0, len(vals))
+        sup = np.max(np.abs(P[idx] - P[base]) / Ns)
+        if sup > float(lam):
+            count += 1
+    return count
+
+
+def strong_l2_lhs_by_n(sig):
+    """l2 norm of the one-sided window supremum, one n at a time."""
+    vals = np.array([float(v) for v in sig.values])
+    P = np.concatenate([[0.0], np.cumsum(vals)])
+    lhs_sq = 0.0
+    for n in range(sig.lo - 1, sig.hi):
+        Ns = np.arange(1, sig.hi - n + 1)
+        idx = np.clip(n + Ns - sig.lo + 1, 0, len(vals))
+        base = P[np.clip(n + 1 - sig.lo, 0, len(vals))]
+        sup = max(0.0, float(np.max((P[idx] - base) / Ns)))
+        lhs_sq += sup ** 2
+    lhs_sq += sup_sq_tail_row(P[1:], k_start=1)
+    return lhs_sq ** 0.5

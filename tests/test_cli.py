@@ -97,6 +97,15 @@ def test_ops_test_deterministic(tmp_path):
     assert {"test", "seed", "trial", "lhs", "rhs", "ratio", "pass"} <= set(rec)
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_ops_test_rejects_nonpositive_trials(tmp_path, capsys, trials):
+    out = tmp_path / "b.jsonl"
+    assert main(["ops-test", "--seed", "5", "--trials", trials,
+                 "--out", str(out)]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_constant_observable(tmp_path, demo_ledger_file):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("system=rotation\nalpha=golden\nf_lo=0\nf_hi=1\nx0=1/7\n")

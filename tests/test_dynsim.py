@@ -109,6 +109,15 @@ def test_sample_at_matches_dense():
     assert (sample_at(sysb, 0, pos) == orb.values[pos]).all()
 
 
+def test_sample_at_cyclic_keeps_fractional_table():
+    sysc = CyclicSystem(3, (F(1, 2), F(3, 2), F(0)))
+    pos = np.arange(4)
+    dense = sample_orbit(sysc, 0, 4).values
+    assert list(dense) == [0.5, 1.5, 0.0, 0.5]
+    assert list(sample_at(sysc, 0, pos)) == list(dense)
+    assert list(sample_at(sysc, 2, pos)) == list(sample_orbit(sysc, 2, 4).values)
+
+
 def test_bad_specs():
     with pytest.raises(BadSpec):
         RotationSystem.from_fraction(F(3, 2))
