@@ -272,8 +272,6 @@ def cmd_simulate(args) -> int:
         x0 = F(rng.next_u64(), 1 << 64)
     else:
         x0 = _frac(x0_text)
-    if isinstance(system, CyclicSystem):
-        x0 = int(x0)
     orbit = sample_orbit(system, x0, store.horizon, obs)
     checkpoints = None
     if "checkpoints" in cfg and cfg["checkpoints"] not in ("blocks+log", ""):

@@ -14,6 +14,7 @@ onto the grid operators, and the per-block count-bound records.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ledger import Ledger
-from .rng import index_u64
+from .rng import index_u64_array
 from .sequence import SequenceStore
 from .zops import FiniteSignal, GridContext, progression_mean, progression_mean_j
 
@@ -29,9 +30,10 @@ F = Fraction
 
 FIXED_BITS = 128
 _ONE = 1 << FIXED_BITS
+_U64_MAX = (1 << 64) - 1
 
 
-class BadSpec(Exception):
+class BadSpec(ValueError):
     pass
 
 
@@ -152,21 +154,6 @@ class BernoulliSystem:
         return F(self.threshold, 1 << 64)    # the exactly realized rate
 
 
-@dataclass(frozen=True)
-class OrbitSignal:
-    """Observable values along one orbit: values[n] = f(T^n x0)."""
-
-    values: np.ndarray
-    mean_true: Fraction
-    system_tag: str
-    x0_repr: str
-    f_repr: str
-
-    @property
-    def n_max(self) -> int:
-        return int(self.values.size)
-
-
 def _x0_fixed(x0) -> int:
     x0 = F(x0)
     if not 0 <= x0 < 1:
@@ -174,50 +161,78 @@ def _x0_fixed(x0) -> int:
     return (x0.numerator << FIXED_BITS) // x0.denominator
 
 
-def _rotation_piece_values(obs: StepObservable):
-    ints = all(v.denominator == 1 for v in obs.values)
-    vals = [int(v) if ints else float(v) for v in obs.values]
-    dtype = np.int64 if ints else np.float64
-    return vals, dtype
+def _residue(system: CyclicSystem, x0) -> int:
+    x0 = F(x0)
+    if x0.denominator != 1:
+        raise BadSpec(f"cyclic x0 must be an integer residue, got {x0}")
+    return int(x0) % system.P
 
 
-def sample_orbit(system, x0, n_max: int, observable: StepObservable | None = None) -> OrbitSignal:
-    """Dense orbit values for n in [0, n_max)."""
-    if n_max < 1:
-        raise BadSpec("n_max must be >= 1")
+def sample_at(system, x0, positions, observable: StepObservable | None = None) -> np.ndarray:
+    """Observable values f(T^n x0) at the orbit positions n in `positions`.
+
+    The only code that evaluates an observable along an orbit.  The dtype is
+    int64 when every value f can take is an integer (Bernoulli symbols
+    always), float64 otherwise, also for an empty `positions`.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
     if isinstance(system, RotationSystem):
         if observable is None:
             raise BadSpec("rotation systems need a step observable")
         thr = observable.thresholds_fixed()
-        piece_vals, dtype = _rotation_piece_values(observable)
-        out = np.empty(n_max, dtype=dtype)
-        cur = _x0_fixed(x0)
+        ints = all(v.denominator == 1 for v in observable.values)
+        piece_vals = [int(v) if ints else float(v) for v in observable.values]
+        x0f = _x0_fixed(x0)
         alpha = system.alpha_fixed
-        if len(piece_vals) == 3 and piece_vals[0] == 0 and piece_vals[2] == 0:
-            lo_t, hi_t = thr[1], thr[2]          # plain indicator fast path
-            one, zero = piece_vals[1], 0
-            for n in range(n_max):
-                out[n] = one if lo_t <= cur < hi_t else zero
-                cur = (cur + alpha) & (_ONE - 1)
-        else:
-            import bisect
-            for n in range(n_max):
-                out[n] = piece_vals[bisect.bisect_right(thr, cur) - 1]
-                cur = (cur + alpha) & (_ONE - 1)
-        return OrbitSignal(out, observable.mean, system.tag, str(F(x0)),
-                           f"step{tuple(map(str, observable.values))}")
+        mask = _ONE - 1
+        vals = [piece_vals[bisect.bisect_right(thr, (x0f + n * alpha) & mask) - 1]
+                for n in positions.tolist()]
+        return np.array(vals, dtype=np.int64 if ints else np.float64)
     if isinstance(system, CyclicSystem):
-        x0 = int(x0) % system.P
-        idx = (x0 + np.arange(n_max, dtype=np.int64)) % system.P
-        return OrbitSignal(system.table_array()[idx], system.mean, system.tag,
-                           str(x0), "residue table")
+        return system.table_array()[(_residue(system, x0) + positions) % system.P]
     if isinstance(system, BernoulliSystem):
         thr = system.threshold
-        out = np.fromiter(
-            (1 if index_u64(system.seed, n) < thr else 0 for n in range(n_max)),
-            dtype=np.int64, count=n_max)
-        return OrbitSignal(out, system.mean, system.tag, "seeded", f"bern({system.prob})")
+        if thr > _U64_MAX:                   # prob = 1
+            return np.ones(positions.size, dtype=np.int64)
+        return (index_u64_array(system.seed, positions) < np.uint64(thr)).astype(np.int64)
     raise BadSpec(f"unknown system {system!r}")
+
+
+@dataclass(frozen=True)
+class Orbit:
+    """The orbit n -> f(T^n x0), 0 <= n < n_max, evaluated on demand.
+
+    Nothing is sampled up front: `at` evaluates the observable at the
+    positions asked for, so a subsequence average costs one evaluation per
+    sequence element, not one per orbit position.
+    """
+
+    system: object
+    x0: object
+    observable: StepObservable | None
+    n_max: int
+    mean_true: Fraction
+    system_tag: str
+    x0_repr: str
+    f_repr: str
+
+    def at(self, positions) -> np.ndarray:
+        return sample_at(self.system, self.x0, positions, self.observable)
+
+
+def sample_orbit(system, x0, n_max: int, observable: StepObservable | None = None) -> Orbit:
+    """The orbit of x0 through n_max positions; bad specs fail here, not later."""
+    if n_max < 1:
+        raise BadSpec("n_max must be >= 1")
+    sample_at(system, x0, (), observable)    # the system, x0 and observable checks
+    if isinstance(system, RotationSystem):
+        mean, x0_repr = observable.mean, str(F(x0))
+        f_repr = f"step{tuple(map(str, observable.values))}"
+    elif isinstance(system, CyclicSystem):
+        mean, x0_repr, f_repr = system.mean, str(_residue(system, x0)), "residue table"
+    else:
+        mean, x0_repr, f_repr = system.mean, "seeded", f"bern({system.prob})"
+    return Orbit(system, x0, observable, n_max, mean, system.tag, x0_repr, f_repr)
 
 
 def fragile_positions(system: RotationSystem, x0, positions,
@@ -244,41 +259,20 @@ def fragile_positions(system: RotationSystem, x0, positions,
     return out
 
 
-def sample_at(system, x0, positions, observable: StepObservable | None = None) -> np.ndarray:
-    """Observable values at scattered orbit positions (same generators)."""
-    positions = np.asarray(positions, dtype=np.int64)
-    if isinstance(system, RotationSystem):
-        if observable is None:
-            raise BadSpec("rotation systems need a step observable")
-        thr = observable.thresholds_fixed()
-        piece_vals, dtype = _rotation_piece_values(observable)
-        x0f = _x0_fixed(x0)
-        alpha = system.alpha_fixed
-        mask = _ONE - 1
-        import bisect
-        out = np.empty(len(positions), dtype=dtype)
-        for i, n in enumerate(positions):
-            cur = (x0f + int(n) * alpha) & mask
-            out[i] = piece_vals[bisect.bisect_right(thr, cur) - 1]
-        return out
-    if isinstance(system, CyclicSystem):
-        return system.table_array()[(int(x0) + positions) % system.P]
-    if isinstance(system, BernoulliSystem):
-        thr = system.threshold
-        return np.fromiter(
-            (1 if index_u64(system.seed, int(n)) < thr else 0 for n in positions),
-            dtype=np.int64, count=len(positions))
-    raise BadSpec(f"unknown system {system!r}")
-
-
 # ---------------------------------------------------------------------------
 # subsequence averages
+#
+# Integer samples give exact Fraction averages, float samples float ones;
+# the result type follows the samples' dtype, also when no element is below N.
 
-def _element_prefix(values_at_elements):
-    arr = np.asarray(values_at_elements)
-    if arr.dtype == np.int64:
-        return np.concatenate([[0], np.cumsum(arr, dtype=np.int64)])
-    return np.concatenate([[0.0], np.cumsum(arr)])
+def _is_exact(samples: np.ndarray) -> bool:
+    return samples.dtype.kind in "biu"
+
+
+def _element_prefix(samples: np.ndarray) -> np.ndarray:
+    if _is_exact(samples):
+        return np.concatenate([[0], np.cumsum(samples, dtype=np.int64)])
+    return np.concatenate([[0.0], np.cumsum(samples)])
 
 
 def average_from_samples(samples, store: SequenceStore, N: int):
@@ -286,39 +280,39 @@ def average_from_samples(samples, store: SequenceStore, N: int):
     if N > store.horizon:
         raise HorizonExceeded(f"N={N} beyond store horizon {store.horizon}")
     k = store.count_range(0, N)
+    samples = np.asarray(samples)
+    exact = _is_exact(samples)
     if k == 0:
-        return F(0)
-    total = np.asarray(samples)[:k].sum()
-    if isinstance(total, (np.integer, int)):
-        return F(int(total), k)
-    return float(total) / k
+        return F(0) if exact else 0.0
+    total = samples[:k].sum()
+    return F(int(total), k) if exact else float(total) / k
 
 
-def subseq_average(orbit: OrbitSignal, store: SequenceStore, N: int):
+def subseq_average(orbit: Orbit, store: SequenceStore, N: int):
     """A(f, x, N): average of f over the orbit at the sequence points < N."""
     if N > orbit.n_max:
         raise HorizonExceeded(f"N={N} beyond orbit horizon {orbit.n_max}")
-    k = store.count_range(0, min(N, store.horizon))
-    samples = orbit.values[store.elements[:k]]
+    if N > store.horizon:
+        raise HorizonExceeded(f"N={N} beyond store horizon {store.horizon}")
+    samples = orbit.at(store.elements[:store.count_range(0, N)])
     return average_from_samples(samples, store, N)
 
 
-def subseq_max(orbit: OrbitSignal, store: SequenceStore, n_max: int):
+def subseq_max(orbit: Orbit, store: SequenceStore, n_max: int):
     """sup over 1 <= N <= n_max of |A(f, x, N)|."""
     if n_max > orbit.n_max:
         raise HorizonExceeded(n_max)
     k_top = store.count_range(0, min(n_max, store.horizon))
-    samples = orbit.values[store.elements[:k_top]]
-    pref = _element_prefix(samples)
-    ks = np.arange(1, k_top + 1)
+    samples = orbit.at(store.elements[:k_top])
+    exact = _is_exact(samples)
     if k_top == 0:
-        return F(0)
-    vals = np.abs(pref[1:]) / ks
+        return F(0) if exact else 0.0
+    pref = _element_prefix(samples)
+    vals = np.abs(pref[1:]) / np.arange(1, k_top + 1)
+    if not exact:
+        return float(vals.max())
     best_k = int(np.argmax(vals)) + 1
-    total = pref[best_k]
-    if isinstance(total, (np.integer, int)):
-        return abs(F(int(total), best_k))
-    return float(vals.max())
+    return abs(F(int(pref[best_k]), best_k))
 
 
 def default_checkpoints(store: SequenceStore, n_points: int = 24) -> list[int]:
@@ -352,7 +346,7 @@ class ConvergenceReport:
                 fh.write(f"{r.N},{r.average!r},{r.deviation!r},{r.block_m}\n")
 
 
-def convergence_report(orbit: OrbitSignal, store: SequenceStore,
+def convergence_report(orbit: Orbit, store: SequenceStore,
                        checkpoints=None) -> ConvergenceReport:
     if checkpoints is None:
         checkpoints = default_checkpoints(store)
@@ -360,8 +354,7 @@ def convergence_report(orbit: OrbitSignal, store: SequenceStore,
     if checkpoints and checkpoints[-1] > min(orbit.n_max, store.horizon):
         raise HorizonExceeded(checkpoints[-1])
     k_top = store.count_range(0, checkpoints[-1]) if checkpoints else 0
-    samples = orbit.values[store.elements[:k_top]]
-    pref = _element_prefix(samples)
+    pref = _element_prefix(orbit.at(store.elements[:k_top]))
     mean = float(orbit.mean_true)
     rows = []
     for N in checkpoints:

@@ -8,6 +8,8 @@ counterexample dumps written by the inequality batteries reference these seeds.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -76,3 +78,17 @@ def index_u64(seed: int, n: int) -> int:
     every intermediate draw.
     """
     return mix64((seed + (n + 1) * _GAMMA) & _MASK)
+
+
+def index_u64_array(seed: int, positions) -> np.ndarray:
+    """`index_u64(seed, n)` for every n in `positions`, as a uint64 array.
+
+    The same splitmix64 step in numpy's wrapping uint64 arithmetic: every
+    product and sum of `mix64` is taken mod 2^64, so the outputs are
+    bit-for-bit those of the scalar form.
+    """
+    z = np.asarray(positions, dtype=np.int64).astype(np.uint64) + np.uint64(1)
+    z = z * np.uint64(_GAMMA) + np.uint64(seed & _MASK)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))

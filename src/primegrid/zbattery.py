@@ -36,18 +36,21 @@ L2_CONTEXTS = ((2, 3), (3, 5), (5, 7), (5, 7, 11))
 
 def random_signal(rng: SplitMix64, span_scale: int, nonneg: bool = False,
                   as_float: bool = True) -> FiniteSignal:
-    """Random rational-valued signal; span and offset scale with the context."""
+    """Random rational-valued signal; span and offset scale with the context.
+
+    With `as_float` the values are the floats num / den, which equal the
+    rationals exactly: |num| <= 8 and den is a power of two.
+    """
     length = rng.randint(1, 4 * span_scale)
     lo = rng.randint(-2 * span_scale, span_scale)
     vals = []
     for _ in range(length):
         num = rng.randint(0 if nonneg else -8, 8)
         den = (1, 2, 4)[rng.randint(0, 2)]
-        vals.append(F(num, den))
+        vals.append(num / den if as_float else F(num, den))
     if all(v == 0 for v in vals):
-        vals[rng.randint(0, length - 1)] = F(1)
-    sig = FiniteSignal(lo, vals)
-    return sig.as_floats() if as_float else sig
+        vals[rng.randint(0, length - 1)] = 1.0 if as_float else F(1)
+    return FiniteSignal(lo, vals)
 
 
 def signal_json(sig: FiniteSignal) -> dict:

@@ -4,14 +4,18 @@
 text with a different algorithm family (per-point bisection over sorted
 member lists) than the library's vectorized residue arithmetic.  The float
 kernel oracles below evaluate one row at a time what the library evaluates
-as one array operation.
+as one array operation.  `dense_orbit` walks an orbit step by step, where
+the library evaluates it only at the positions asked for.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from fractions import Fraction as F
 
 import numpy as np
 from scipy.special import polygamma
 
+from primegrid.dynsim import FIXED_BITS, BernoulliSystem, CyclicSystem, RotationSystem
+from primegrid.rng import index_u64
 from primegrid.zops import _lattice_tables
 
 
@@ -147,3 +151,40 @@ def strong_l2_lhs_by_n(sig):
         lhs_sq += sup ** 2
     lhs_sq += sup_sq_tail_row(P[1:], k_start=1)
     return lhs_sq ** 0.5
+
+
+# ---------------------------------------------------------------------------
+# dense orbits: f(T^n x0) for every n in [0, n_max), one step at a time
+
+def dense_orbit(system, x0, n_max, observable=None):
+    """Observable values along the whole orbit prefix, by iterating T.
+
+    A rotation adds the fixed-point angle once per step (the library
+    multiplies it by n), a cyclic system steps its residue, and a Bernoulli
+    stream draws the scalar splitmix64 output of every index.
+    """
+    if isinstance(system, RotationSystem):
+        one = 1 << FIXED_BITS
+        x0 = F(x0)
+        cur = (x0.numerator << FIXED_BITS) // x0.denominator
+        thr = observable.thresholds_fixed()
+        ints = all(v.denominator == 1 for v in observable.values)
+        pieces = [int(v) if ints else float(v) for v in observable.values]
+        out = np.empty(n_max, dtype=np.int64 if ints else np.float64)
+        for n in range(n_max):
+            out[n] = pieces[bisect_right(thr, cur) - 1]
+            cur = (cur + system.alpha_fixed) % one
+        return out
+    if isinstance(system, CyclicSystem):
+        table = system.table_array()
+        out = np.empty(n_max, dtype=table.dtype)
+        r = int(x0) % system.P
+        for n in range(n_max):
+            out[n] = table[r]
+            r = (r + 1) % system.P
+        return out
+    if isinstance(system, BernoulliSystem):
+        thr = system.threshold
+        return np.array([1 if index_u64(system.seed, n) < thr else 0
+                         for n in range(n_max)], dtype=np.int64)
+    raise TypeError(system)

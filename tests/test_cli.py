@@ -1,8 +1,20 @@
 import json
+from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from _oracles import dense_orbit
+from primegrid import cli, dynsim
 from primegrid.cli import main, read_config
+from primegrid.dynsim import (
+    BernoulliSystem,
+    CyclicSystem,
+    RotationSystem,
+    StepObservable,
+    indicator,
+)
+from primegrid.rng import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +165,92 @@ def test_simulate_config_errors(tmp_path, demo_ledger_file):
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "system=rotation\nx0=3/2\n",
+    "system=rotation\nf_lo=1/2\nf_hi=1/2\nx0=0\n",
+    "system=bernoulli\nprob=3/2\nseed=1\n",
+    "system=cyclic\ncyclic_p=7\nresidues=0\nx0=1/2\n",
+], ids=["x0-outside-unit", "empty-indicator", "prob-outside-unit",
+        "fractional-residue"])
+def test_simulate_rejects_bad_spec(tmp_path, capsys, demo_ledger_file, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg),
+                 "--ledger", str(demo_ledger_file), "--out", str(out)]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _oracle_rows(csv_lines, store, system, x0, obs, mean):
+    """The convergence CSV rebuilt from a dense orbit at the CSV's horizons."""
+    Ns = [int(line.split(",")[0]) for line in csv_lines[1:]]
+    dense = dense_orbit(system, x0, max(Ns), obs)
+    pref = np.cumsum(dense[store.elements[store.elements < max(Ns)]])
+    rows = [csv_lines[0]]
+    for N in Ns:
+        k = int(np.searchsorted(store.elements, N))
+        a = float(pref[k - 1]) / k if k else 0.0
+        rows.append(f"{N},{a!r},{abs(a - float(mean))!r},{store.block_of(N - 1)}")
+    return rows
+
+
+STEP3_VALUES = (F(1, 2), F(-7, 4), F(5, 2))
+P_CYC = 4087
+CYC_TABLE = tuple(1 if r <= 6 or r == 100 else 0 for r in range(P_CYC))
+ORACLE_CASES = {
+    "indicator": ("system=rotation\nalpha=golden\nf_lo=1/4\nf_hi=2/3\nx0=1/7\n",
+                  RotationSystem.golden(), F(1, 7), indicator(F(1, 4), F(2, 3))),
+    "step3": ("system=rotation\nalpha=377/610\nf_lo=1/3\nf_hi=3/4\nx0=2/9\n",
+              RotationSystem.from_fraction(F(377, 610)), F(2, 9),
+              StepObservable((F(0), F(1, 3), F(3, 4), F(1)), STEP3_VALUES)),
+    "cyclic": ("system=cyclic\ncyclic_p=4087\nresidues=0-6,100\nx0=5\n",
+               CyclicSystem(P_CYC, CYC_TABLE), 5, None),
+    "bernoulli": ("system=bernoulli\nprob=1/3\nseed=7\n",
+                  BernoulliSystem(F(1, 3), derive_seed(7, "orbit")), 0, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_simulate_csv_matches_dense_oracle(tmp_path, monkeypatch, demo_store,
+                                           demo_ledger_file, case):
+    text, system, x0, obs = ORACLE_CASES[case]
+    if case == "step3":
+        # the config language has only indicators: keep the CLI's breaks
+        # (1/3, 3/4) and give the three pieces fractional values
+        monkeypatch.setattr(cli, "indicator", lambda lo, hi: StepObservable(
+            (F(0), lo, hi, F(1)), STEP3_VALUES))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "checkpoints=1,17,1000,8174,51709,200000\n")
+    out = tmp_path / "conv.csv"
+    assert main(["simulate", "--config", str(cfg),
+                 "--ledger", str(demo_ledger_file), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    mean = obs.mean if obs is not None else system.mean
+    assert lines == _oracle_rows(lines, demo_store, system, x0, obs, mean)
+    assert len(lines) == 7
+
+
+def test_simulate_samples_only_sequence_elements(tmp_path, monkeypatch, demo_store,
+                                                 demo_ledger_file):
+    evaluated = []
+    sample_at = dynsim.sample_at
+
+    def counting(system, x0, positions, observable=None):
+        values = sample_at(system, x0, positions, observable)
+        evaluated.append(values.size)
+        return values
+
+    monkeypatch.setattr(dynsim, "sample_at", counting)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system=rotation\nalpha=golden\nf_lo=0\nf_hi=1/2\n"
+                   "x0=random\nseed=20250809\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--ledger", str(demo_ledger_file),
+                 "--out", str(tmp_path / "conv.csv")]) == 0
+    assert 0 < sum(evaluated) <= demo_store.total
 
 
 def test_export_jsonl_to_csv(tmp_path):

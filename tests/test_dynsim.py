@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from _oracles import dense_orbit
 from primegrid.dynsim import (
     BadSpec,
     BernoulliSystem,
@@ -35,9 +36,11 @@ from primegrid.zops import GridContext
 
 
 def test_rotation_half_alternates():
-    orb = sample_orbit(RotationSystem.from_fraction(F(1, 2)), 0, 8,
-                       indicator(F(0), F(1, 2)))
-    assert list(orb.values) == [1, 0, 1, 0, 1, 0, 1, 0]
+    sysh = RotationSystem.from_fraction(F(1, 2))
+    obs = indicator(F(0), F(1, 2))
+    orb = sample_orbit(sysh, 0, 8, obs)
+    assert list(orb.at(np.arange(8))) == [1, 0, 1, 0, 1, 0, 1, 0]
+    assert list(dense_orbit(sysh, 0, 8, obs)) == [1, 0, 1, 0, 1, 0, 1, 0]
     assert orb.mean_true == F(1, 2)
 
 
@@ -45,25 +48,25 @@ def test_cyclic_orbit_periodic():
     sys35 = CyclicSystem(35, tuple(1 if r < 7 else 0 for r in range(35)))
     orb = sample_orbit(sys35, 0, 105)
     assert orb.mean_true == F(1, 5)
-    assert orb.values[:35].sum() == 7
-    assert (orb.values[:35] == orb.values[35:70]).all()
+    vals = orb.at(np.arange(105))
+    assert (vals == dense_orbit(sys35, 0, 105)).all()
+    assert vals[:35].sum() == 7
+    assert (vals[:35] == vals[35:70]).all()
 
 
 def test_bernoulli_orbit_deterministic_and_unbiased():
     sysb = BernoulliSystem(F(1, 2), seed=99)
-    orb = sample_orbit(sysb, 0, 20000)
-    orb2 = sample_orbit(sysb, 0, 20000)
-    assert (orb.values == orb2.values).all()
-    assert abs(orb.values.mean() - 0.5) < 0.02
+    vals = sample_orbit(sysb, 0, 20000).at(np.arange(20000))
+    assert (vals == sample_orbit(sysb, 0, 20000).at(np.arange(20000))).all()
+    assert abs(vals.mean() - 0.5) < 0.02
     assert sysb.mean == F(1, 2)               # dyadic rate realized exactly
 
 
 def test_golden_birkhoff_small_deviation():
     # high-precision summation oracle: the Birkhoff average of the indicator
     # of [0, 1/3) after 10^6 steps sits within 5e-6 of 1/3
-    orb = sample_orbit(RotationSystem.golden(), 0, 10**6,
-                       indicator(F(0), F(1, 3)))
-    dev = abs(float(F(int(orb.values.sum()), 10**6)) - 1 / 3)
+    vals = sample_at(RotationSystem.golden(), 0, np.arange(10**6), indicator(F(0), F(1, 3)))
+    dev = abs(float(F(int(vals.sum()), 10**6)) - 1 / 3)
     assert dev < 5e-6
 
 
@@ -75,7 +78,7 @@ def test_rotation_precision_vs_256bit_oracle():
     sys128 = RotationSystem.golden()
     obs = indicator(F(0), F(1, 2))
     n_max = 20000
-    orb = sample_orbit(sys128, 0, n_max, obs)
+    vals = sample_at(sys128, 0, np.arange(n_max), obs)
     fragile = fragile_positions(sys128, 0, np.arange(n_max), obs)
     # x0 = 0 sits exactly on a breakpoint; nothing else comes close
     assert fragile[0] and fragile.sum() == 1
@@ -84,7 +87,7 @@ def test_rotation_precision_vs_256bit_oracle():
     cur = 0
     for n in range(n_max):
         if not fragile[n]:
-            assert orb.values[n] == (1 if cur < half else 0), n
+            assert vals[n] == (1 if cur < half else 0), n
         cur = (cur + alpha256) & (one - 1)
 
 
@@ -97,25 +100,36 @@ def test_fragile_positions_detects_boundary():
     assert not mask[1] and not mask[3]
 
 
+STEP3 = StepObservable((F(0), F(1, 3), F(3, 4), F(1)), (F(1, 2), F(-7, 4), F(5, 2)))
+
+
 def test_sample_at_matches_dense():
-    obs = indicator(F(1, 4), F(2, 3))
-    sysg = RotationSystem.golden()
-    orb = sample_orbit(sysg, F(1, 7), 3000, obs)
-    pos = np.array([0, 1, 17, 100, 999, 2998], dtype=np.int64)
-    assert (sample_at(sysg, F(1, 7), pos, obs) == orb.values[pos]).all()
-    sysb = BernoulliSystem(F(1, 3), seed=5)
-    orb = sample_orbit(sysb, 0, 500)
-    pos = np.arange(0, 500, 7)
-    assert (sample_at(sysb, 0, pos) == orb.values[pos]).all()
+    cases = [
+        (RotationSystem.golden(), F(1, 7), indicator(F(1, 4), F(2, 3))),
+        (RotationSystem.golden(), F(2, 9), STEP3),
+        (RotationSystem.from_fraction(F(5, 13)), 0, STEP3),
+        (CyclicSystem(35, tuple(r % 3 for r in range(35))), 33, None),
+        (BernoulliSystem(F(1, 3), seed=5), 0, None),
+        (BernoulliSystem(F(1), seed=5), 0, None),
+        (BernoulliSystem(F(0), seed=5), 0, None),
+    ]
+    for system, x0, obs in cases:
+        dense = dense_orbit(system, x0, 3000, obs)
+        pos = np.array([0, 1, 17, 100, 999, 2998], dtype=np.int64)
+        got = sample_at(system, x0, pos, obs)
+        assert got.dtype == dense.dtype, system
+        assert (got == dense[pos]).all(), system
+        pos = np.arange(0, 3000, 7)
+        assert (sample_orbit(system, x0, 3000, obs).at(pos) == dense[pos]).all(), system
 
 
 def test_sample_at_cyclic_keeps_fractional_table():
     sysc = CyclicSystem(3, (F(1, 2), F(3, 2), F(0)))
     pos = np.arange(4)
-    dense = sample_orbit(sysc, 0, 4).values
+    dense = dense_orbit(sysc, 0, 4)
     assert list(dense) == [0.5, 1.5, 0.0, 0.5]
     assert list(sample_at(sysc, 0, pos)) == list(dense)
-    assert list(sample_at(sysc, 2, pos)) == list(sample_orbit(sysc, 2, 4).values)
+    assert list(sample_at(sysc, 2, pos)) == list(dense_orbit(sysc, 2, 4))
 
 
 def test_bad_specs():
@@ -129,6 +143,15 @@ def test_bad_specs():
         StepObservable((F(0), F(1, 2)), (F(1),))
     with pytest.raises(BadSpec):
         sample_orbit(RotationSystem.golden(), 0, 0, indicator(F(0), F(1, 2)))
+    # sample_orbit evaluates nothing, but still rejects a bad spec at once
+    with pytest.raises(BadSpec):
+        sample_orbit(RotationSystem.golden(), 0, 10)
+    with pytest.raises(BadSpec):
+        sample_orbit(RotationSystem.golden(), F(3, 2), 10, indicator(F(0), F(1, 2)))
+    with pytest.raises(BadSpec):
+        sample_orbit(CyclicSystem(3, (1, 0, 0)), F(1, 2), 10)
+    with pytest.raises(BadSpec):
+        BernoulliSystem(F(3, 2), seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +161,11 @@ def test_bad_specs():
 def test_first_block_agreement_exact(demo_store):
     obs = indicator(F(0), F(1, 2))
     orb = sample_orbit(RotationSystem.golden(), 0, 9000, obs)
+    dense = dense_orbit(RotationSystem.golden(), 0, 9000, obs)
     beta1 = demo_store.blocks[0].beta
     for N in (1, 2, 17, 1000, beta1):
         a = subseq_average(orb, demo_store, N)
-        birkhoff = F(int(orb.values[:N].sum()), N)
+        birkhoff = F(int(dense[:N].sum()), N)
         assert a == birkhoff
 
 
@@ -181,17 +205,45 @@ def test_subseq_max_dominates_averages(demo_store):
         assert sup >= abs(subseq_average(orb, demo_store, N))
 
 
-def test_average_zero_before_first_element():
-    # a store whose second block starts late: horizons before any element
-    # average to 0 by convention
+def _late_store():
+    """Elements 9 and 12 only: the first block is empty."""
     empty_b1 = SequenceBlock(1, 0, 5, 1, (1,),
                              np.arange(0, dtype=np.int64), (0,))
     b2 = SequenceBlock(2, 5, 20, 1, (3, 5),
                        np.array([9, 12], dtype=np.int64), (0, 0))
-    store = SequenceStore([empty_b1, b2])
+    return SequenceStore([empty_b1, b2])
+
+
+def test_average_zero_before_first_element():
+    # horizons before any element average to 0 by convention
+    store = _late_store()
     orb = sample_orbit(CyclicSystem(4, (1, 1, 0, 1)), 0, 20)
     assert subseq_average(orb, store, 3) == 0
     assert average_from_samples(np.array([], dtype=np.int64), store, 2) == 0
+
+
+def test_average_type_follows_sample_dtype():
+    # integer samples give exact Fractions, float samples floats, and the
+    # empty prefix (N at or before the first element) is no exception
+    store = _late_store()
+    ints = sample_orbit(CyclicSystem(4, (1, 1, 0, 1)), 0, 20)
+    floats = sample_orbit(CyclicSystem(4, (F(1, 2), F(-3, 2), 0, 1)), 0, 20)
+    cases = [
+        (average_from_samples(np.array([1, 0]), store, 2), F(0)),
+        (average_from_samples(np.array([1, 0]), store, 13), F(1, 2)),
+        (average_from_samples(np.array([0.5, 1.5]), store, 2), 0.0),
+        (average_from_samples(np.array([0.5, 1.5]), store, 13), 1.0),
+        (subseq_average(ints, store, 9), F(0)),
+        (subseq_average(ints, store, 20), F(1)),
+        (subseq_average(floats, store, 9), 0.0),
+        (subseq_average(floats, store, 20), -0.5),
+        (subseq_max(ints, store, 3), F(0)),
+        (subseq_max(ints, store, 20), F(1)),
+        (subseq_max(floats, store, 3), 0.0),
+        (subseq_max(floats, store, 20), 1.5),
+    ]
+    for got, want in cases:
+        assert type(got) is type(want) and got == want, (got, want)
 
 
 # ---------------------------------------------------------------------------

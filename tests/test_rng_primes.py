@@ -1,5 +1,8 @@
+import numpy as np
+import pytest
+
 from primegrid.primes import consecutive_primes, is_prime, next_prime
-from primegrid.rng import SplitMix64, derive_seed, index_u64
+from primegrid.rng import SplitMix64, derive_seed, index_u64, index_u64_array
 
 
 def test_splitmix64_reference_vectors():
@@ -33,6 +36,19 @@ def test_index_u64_is_stateless_random_access():
     seq = [index_u64(99, n) for n in range(10)]
     assert seq[3] == index_u64(99, 3)
     assert len(set(seq)) == 10
+
+
+@pytest.mark.parametrize("seed", [0, 99, derive_seed(20250809, "orbit"),
+                                  2**64 - 2, 2**64 - 1])
+def test_index_u64_array_bit_exact(seed, demo_store):
+    # the uint64 form wraps where the scalar form masks: same bits, including
+    # seeds whose first additions overflow and indices near 2^62
+    near_top = 2**62 + np.array([-3, -1, 0, 1, 12345], dtype=np.int64)
+    for pos in (np.array([0]), demo_store.elements, near_top):
+        got = index_u64_array(seed, pos)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [index_u64(seed, n) for n in pos.tolist()]
+    assert index_u64_array(seed, []).size == 0
 
 
 def _sieve(n):
