@@ -100,6 +100,9 @@ class GridContext:
         return n // self.p + 1
 
     def t1(self, n: int, N: int) -> int:
+        """Index of the grid interval holding the window end n + N (N >= 1)."""
+        if N < 1:
+            raise ValueError("N must be >= 1")
         return (n + N) // self.p + 1
 
     def nprime(self, n: int, N: int) -> int:
@@ -207,16 +210,8 @@ def periodized_block(sig: FiniteSignal, ctx: GridContext, t: int) -> list:
 
 
 def block_average(sig: FiniteSignal, ctx: GridContext, n: int):
-    """Mean of phi over the grid interval containing n (cached per interval)."""
-    t = ctx.t(n)
-    cache = getattr(sig, "_avg_cache", None)
-    if cache is None:
-        cache = {}
-        sig._avg_cache = cache
-    key = (ctx.primes, t)
-    if key not in cache:
-        cache[key] = _div(sum(periodized_block(sig, ctx, t)), ctx.p)
-    return cache[key]
+    """Mean of phi over the grid interval containing n."""
+    return _div(sum(periodized_block(sig, ctx, ctx.t(n))), ctx.p)
 
 
 def smeared_at(sig: FiniteSignal, ctx: GridContext, j: int, x: int):
@@ -239,38 +234,6 @@ def smear_minus(sig: FiniteSignal, ctx: GridContext, j: int, x: int):
     return smeared_at(sig, ctx, j, x) - block_average(sig, ctx, x)
 
 
-@dataclass(frozen=True)
-class GridParts:
-    """All grid-local derived signals for one grid interval t, on [0, p)."""
-
-    t: int
-    periodized: list            # p-periodic extension of the block
-    average: object             # scalar block mean
-    smeared: list[list]         # per j, q_j-periodic smear
-    smeared_minus: list[list]   # smear minus the block mean
-    periodized_minus: list      # periodized minus the block mean
-
-
-def grid_parts(sig: FiniteSignal, ctx: GridContext, t: int) -> GridParts:
-    per = periodized_block(sig, ctx, t)
-    avg = _div(sum(per), ctx.p)
-    smeared = []
-    for j, q in enumerate(ctx.primes):
-        qt = ctx.qtil[j]
-        row = []
-        for i in range(ctx.p):
-            row.append(_div(sum(per[(i + k * q) % ctx.p] for k in range(qt)), qt))
-        smeared.append(row)
-    return GridParts(
-        t=t,
-        periodized=per,
-        average=avg,
-        smeared=smeared,
-        smeared_minus=[[v - avg for v in row] for row in smeared],
-        periodized_minus=[v - avg for v in per],
-    )
-
-
 # ---------------------------------------------------------------------------
 # the averaging operators (definitional sums)
 
@@ -281,8 +244,6 @@ def _multiples(q: int, lo: int, hi: int):
 
 def progression_mean_j(sig: FiniteSignal, ctx: GridContext, n: int, N: int, j: int):
     """Average of phi(n + l q_j) over the q_j-multiples of the window."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     lo, hi = ctx.window(n, N)
     q = ctx.primes[j]
     total = 0
@@ -293,8 +254,6 @@ def progression_mean_j(sig: FiniteSignal, ctx: GridContext, n: int, N: int, j: i
 
 def progression_mean(sig: FiniteSignal, ctx: GridContext, n: int, N: int):
     """nu-weighted combination of the per-progression means."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     lo, hi = ctx.window(n, N)
     total = 0
     for q in ctx.primes:
@@ -305,17 +264,15 @@ def progression_mean(sig: FiniteSignal, ctx: GridContext, n: int, N: int):
 
 def progression_deviation_j(sig: FiniteSignal, ctx: GridContext, n: int, N: int, j: int):
     """Blockwise |sum of (phi - block mean)| along progression j, averaged."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     p, q = ctx.p, ctx.primes[j]
     t0, t1 = ctx.t(n), ctx.t1(n, N)
     total = 0
     for t in range(t0, t1 + 1):
         blo, bhi = (t - 1) * p - n, t * p - n
+        avg = block_average(sig, ctx, (t - 1) * p)
         inner = 0
         for off in _multiples(q, blo, bhi):
-            x = n + off
-            inner = inner + sig(x) - block_average(sig, ctx, x)
+            inner = inner + sig(n + off) - avg
         total = total + abs(inner)
     return _div(total, (t1 - t0 + 1) * ctx.qtil[j])
 
@@ -382,45 +339,6 @@ def mean_over_j(sig: FiniteSignal, ctx: GridContext, n: int, N: int):
     return total / ctx.K
 
 
-def mean_over_j_sup(sig: FiniteSignal, ctx: GridContext, n: int):
-    """sup over N of the unweighted j-average of progression means."""
-    best = None
-    for Np in _sweep_nprimes(sig, ctx, n):
-        v = mean_over_j(sig, ctx, n, _n_for_nprime(ctx, n, Np))
-        if best is None or v > best:
-            best = v
-    return best
-
-
-def lattice_mean_over_j_sup(sig: FiniteSignal, ctx: GridContext, n: int):
-    """Representation route for the same supremum: lattice averages of the
-    j-averaged own-block smear."""
-    cover = ctx.t(sig.hi) - ctx.t(n) + 1
-    lo = ctx.nprime_min(n)
-    top = max(cover, lo) + 1
-    acc = 0
-    best = None
-    partials = []
-    for k in range(top):
-        x = n + k * ctx.p
-        s = 0
-        for j in range(ctx.K):
-            s = s + smeared_at(sig, ctx, j, x)
-        acc = acc + _div(s, ctx.K)
-        partials.append(acc)
-    for Np in range(lo, top + 1):
-        v = partials[min(Np, top) - 1] / Np
-        if best is None or v > best:
-            best = v
-    return best
-
-
-def _sweep_nprimes(sig: FiniteSignal, ctx: GridContext, n: int):
-    cover = ctx.t(sig.hi) - ctx.t(n) + 1
-    lo = ctx.nprime_min(n)
-    return range(lo, max(cover, lo) + 2)
-
-
 def _n_for_nprime(ctx: GridContext, n: int, Np: int) -> int:
     """Some N >= 1 realizing the given window block count at n."""
     if Np == ctx.nprime_min(n) == 1:
@@ -428,58 +346,55 @@ def _n_for_nprime(ctx: GridContext, n: int, Np: int) -> int:
     return (Np - 1) * ctx.p - n % ctx.p
 
 
-def progression_mean_sup(sig: FiniteSignal, ctx: GridContext, n: int):
-    """sup over N >= 1 of |combined progression mean|.
+def window_sup(sig: FiniteSignal, ctx: GridContext, n: int, value):
+    """sup over N >= 1 of value(N), the N -> infinity limit 0 included.
 
-    Window block counts change only at grid crossings and the numerators
-    freeze once the window covers the support, so the finite sweep is exact.
+    value(N) is an operator at (n, N): it depends on N only through the
+    window block count, so one N per reachable count nprime_min(n), ... is
+    evaluated.  Once the window covers the support the numerator is frozen,
+    so larger counts only dilute toward the limit 0 and the sweep stops at
+    the covering count.
     """
-    best = 0
-    for Np in _sweep_nprimes(sig, ctx, n):
-        v = abs(progression_mean(sig, ctx, n, _n_for_nprime(ctx, n, Np)))
-        if v > best:
-            best = v
-    return best
+    lo = ctx.nprime_min(n)
+    cover = ctx.t(sig.hi) - ctx.t(n) + 1
+    return max([0] + [value(_n_for_nprime(ctx, n, Np))
+                      for Np in range(lo, max(cover, lo) + 1)])
+
+
+def mean_over_j_sup(sig: FiniteSignal, ctx: GridContext, n: int):
+    """sup over N >= 1 of the unweighted j-average of progression means.
+
+    The values are signed, so the supremum includes the N -> infinity limit 0.
+    """
+    return window_sup(sig, ctx, n, lambda N: mean_over_j(sig, ctx, n, N))
+
+
+def lattice_mean_over_j_sup(sig: FiniteSignal, ctx: GridContext, n: int):
+    """Representation route for the same supremum: lattice averages of the
+    j-averaged own-block smear."""
+    return window_sup(sig, ctx, n, lambda N: sum(
+        lattice_mean_j(sig, ctx, n, N, j) for j in range(ctx.K)) / ctx.K)
+
+
+def progression_mean_sup(sig: FiniteSignal, ctx: GridContext, n: int):
+    """sup over N >= 1 of |combined progression mean|."""
+    return window_sup(sig, ctx, n,
+                      lambda N: abs(progression_mean(sig, ctx, n, N)))
 
 
 def progression_deviation_sup(sig: FiniteSignal, ctx: GridContext, n: int,
                               j: int | None = None):
     """sup over N >= 1 of the (per-j or combined) progression deviation."""
-    best = 0
-    for Np in _sweep_nprimes(sig, ctx, n):
-        N = _n_for_nprime(ctx, n, Np)
-        v = (progression_deviation(sig, ctx, n, N) if j is None
-             else progression_deviation_j(sig, ctx, n, N, j))
-        v = abs(v)
-        if v > best:
-            best = v
-    return best
+    return window_sup(sig, ctx, n, lambda N: (
+        progression_deviation(sig, ctx, n, N) if j is None
+        else progression_deviation_j(sig, ctx, n, N, j)))
 
 
-def lattice_sup_j(sig: FiniteSignal, ctx: GridContext, n: int, j: int,
-                  kind: str):
-    """sup over reachable window counts of the lattice average at n.
-
-    kind "plus": own-block smear (nonnegative signals give the mean identity);
-    kind "minus": absolute deviation kernel.  The sweep covers the same window
-    counts reachable for this n as the definitional supremum.
-    """
-    fn = smeared_at if kind == "plus" else smear_minus
-    vals = []
-    cover = ctx.t(sig.hi) - ctx.t(n) + 1
-    lo = ctx.nprime_min(n)
-    top = max(cover, lo) + 1
-    acc = 0
-    for k in range(top):
-        v = fn(sig, ctx, j, n + k * ctx.p)
-        acc = acc + (abs(v) if kind == "minus" else v)
-        vals.append(acc)
-    best = 0
-    for Np in range(lo, top + 1):
-        v = abs(vals[min(Np, top) - 1] / Np)
-        if v > best:
-            best = v
-    return best
+def lattice_sup_j(sig: FiniteSignal, ctx: GridContext, n: int, j: int):
+    """Representation route for the per-j deviation supremum: lattice
+    averages of |own-block smear minus block mean|."""
+    return window_sup(sig, ctx, n,
+                      lambda N: lattice_deviation_j(sig, ctx, n, N, j))
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +569,7 @@ def sup_sq_tail(S, k_start: int, shift: int = 0, cap: int = 200_000):
 # ---------------------------------------------------------------------------
 # the four inequality checks
 
-def level_count_progression_sup(sig: FiniteSignal, ctx: GridContext, lam,
-                                exact: bool = False) -> dict:
+def level_count_progression_sup(sig: FiniteSignal, ctx: GridContext, lam) -> dict:
     """#{n : sup_N |progression mean| > lam} and its weak (1,1) bound.
 
     The scan window is lossless: left of it the supremum is at most
@@ -668,14 +582,8 @@ def level_count_progression_sup(sig: FiniteSignal, ctx: GridContext, lam,
     W = int(-(-(l1 * maxq) // lam)) + ctx.p if not isinstance(lam, float) \
         else int(np.ceil(float(l1) * maxq / lam)) + ctx.p
     n_lo, n_hi = sig.lo - W, sig.hi + ctx.p
-    if exact:
-        count = sum(
-            1 for n in range(n_lo, n_hi + 1)
-            if progression_mean_sup(sig, ctx, n) > lam
-        )
-    else:
-        profile = sup_profile(sig, ctx, n_lo, n_hi, "plus")
-        count = int(np.sum(profile > float(lam)))
+    profile = sup_profile(sig, ctx, n_lo, n_hi, "plus")
+    count = int(np.sum(profile > float(lam)))
     bound = 4 * (float(l1) / float(lam))
     return {"count": count, "bound": bound, "lambda": lam,
             "ok": count <= bound, "window": (n_lo, n_hi)}
@@ -704,7 +612,7 @@ def deviation_sup_l2_bound(sig: FiniteSignal, ctx: GridContext) -> dict:
             "lhs_norm": lhs ** 0.5, "norm_ok": lhs ** 0.5 <= rhs}
 
 
-def level_count_window_sup(sig: FiniteSignal, lam, exact: bool = False) -> dict:
+def level_count_window_sup(sig: FiniteSignal, lam) -> dict:
     """#{n : sup_N |avg of phi over [n, n+N)| > lam} vs 2*l1/lam."""
     if lam <= 0:
         raise NonpositiveLambda(lam)
@@ -712,33 +620,18 @@ def level_count_window_sup(sig: FiniteSignal, lam, exact: bool = False) -> dict:
     W = int(-(-l1 // lam)) + 1 if not isinstance(lam, float) \
         else int(np.ceil(float(l1) / lam)) + 1
     n_lo, n_hi = sig.lo - W, sig.hi
-    count = 0
-    if exact:
-        for n in range(n_lo, n_hi + 1):
-            top = sig.hi - n + 1
-            best = 0
-            acc = 0
-            for N in range(1, top + 1):
-                acc = acc + sig(n + N - 1)
-                v = abs(F(acc, N)) if not isinstance(acc, (float, complex)) \
-                    else abs(acc) / N
-                if v > best:
-                    best = v
-            if best > lam:
-                count += 1
-    else:
-        vals = np.array([float(v) for v in sig.values])
-        P = np.concatenate([[0.0], np.cumsum(vals)])
+    vals = np.array([float(v) for v in sig.values])
+    P = np.concatenate([[0.0], np.cumsum(vals)])
 
-        def block(a: int, b: int) -> np.ndarray:
-            off = np.arange(a, b + 1) - sig.lo
-            Ns = np.arange(1, sig.hi - a + 2)
-            idx = np.clip(off[:, None] + Ns, 0, len(vals))
-            base = P[np.clip(off, 0, len(vals))]
-            return np.max(np.abs(P[idx] - base[:, None]) / Ns, axis=1)
+    def block(a: int, b: int) -> np.ndarray:
+        off = np.arange(a, b + 1) - sig.lo
+        Ns = np.arange(1, sig.hi - a + 2)
+        idx = np.clip(off[:, None] + Ns, 0, len(vals))
+        base = P[np.clip(off, 0, len(vals))]
+        return np.max(np.abs(P[idx] - base[:, None]) / Ns, axis=1)
 
-        sup = _row_blocks(n_lo, n_hi, sig.hi - n_lo + 1, block)
-        count = int(np.sum(sup > float(lam)))
+    sup = _row_blocks(n_lo, n_hi, sig.hi - n_lo + 1, block)
+    count = int(np.sum(sup > float(lam)))
     bound = 2 * (float(l1) / float(lam))
     return {"count": count, "bound": bound, "lambda": lam, "ok": count <= bound}
 

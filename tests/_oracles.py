@@ -4,7 +4,8 @@
 text with a different algorithm family (per-point bisection over sorted
 member lists) than the library's vectorized residue arithmetic.  The float
 kernel oracles below evaluate one row at a time what the library evaluates
-as one array operation.  `dense_orbit` walks an orbit step by step, where
+as one array operation, and `window_count_exact` counts levels by brute
+force in exact arithmetic.  `dense_orbit` walks an orbit step by step, where
 the library evaluates it only at the positions asked for.
 """
 
@@ -134,6 +135,22 @@ def window_count_by_n(sig, lam):
         base = np.clip(n - sig.lo, 0, len(vals))
         sup = np.max(np.abs(P[idx] - P[base]) / Ns)
         if sup > float(lam):
+            count += 1
+    return count
+
+
+def window_count_exact(sig, lam):
+    """Level count of the two-sided window supremum by brute force: every n
+    of the lossless scan window, every window length N, in the arithmetic of
+    the signal and the level (exact for Fractions)."""
+    W = int(-(-sig.l1 // lam)) + 1
+    count = 0
+    for n in range(sig.lo - W, sig.hi + 1):
+        best, acc = 0, 0
+        for N in range(1, sig.hi - n + 2):
+            acc = acc + sig(n + N - 1)
+            best = max(best, abs(F(acc, N)))
+        if best > lam:
             count += 1
     return count
 

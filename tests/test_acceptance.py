@@ -32,7 +32,6 @@ from primegrid.zops import (
     FiniteSignal,
     GridContext,
     dft,
-    grid_parts,
     idft,
     lattice_deviation,
     lattice_mean,
@@ -43,6 +42,7 @@ from primegrid.zops import (
     progression_deviation,
     progression_deviation_sup,
     progression_mean,
+    smeared_at,
 )
 
 SEED = 20250809
@@ -148,11 +148,12 @@ def test_criterion_5_fourier_layer():
         ctx = GridContext(primes)
         for _ in range(40):
             block = np.array([rng.uniform() * 4 - 2 for _ in range(ctx.p)])
-            parts = grid_parts(FiniteSignal(0, list(block)), ctx, 1)
+            sig = FiniteSignal(0, list(block))
             base = dft(block)
             specs = []
             for j in range(ctx.K):
-                sm = dft(np.array([float(v) for v in parts.smeared[j]]))
+                sm = dft(np.array([float(smeared_at(sig, ctx, j, i))
+                                   for i in range(ctx.p)]))
                 specs.append(sm.coeffs)
                 mask = (np.arange(ctx.p) % ctx.qtil[j] == 0)
                 worst_mask = max(worst_mask, float(
@@ -180,7 +181,7 @@ def test_criterion_6_representation_identities():
             n = rng.randint(sig.lo - 2 * ctx.p, sig.hi + ctx.p)
             for j in range(ctx.K):
                 assert progression_deviation_sup(sig, ctx, n, j) == \
-                    lattice_sup_j(sig, ctx, n, j, "minus")
+                    lattice_sup_j(sig, ctx, n, j)
             assert mean_over_j_sup(sig, ctx, n) == \
                 lattice_mean_over_j_sup(sig, ctx, n)
             checked += 1

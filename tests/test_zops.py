@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import window_count_exact
 from primegrid.rng import SplitMix64, derive_seed
 from primegrid.zops import (
     FiniteSignal,
     GridContext,
     LengthMismatch,
     NonpositiveLambda,
+    _n_for_nprime,
     block_average,
     deviation_sup_l2_bound,
     dft,
-    grid_parts,
     idft,
     lattice_deviation,
     lattice_deviation_j,
@@ -24,6 +25,7 @@ from primegrid.zops import (
     lattice_sup_j,
     level_count_progression_sup,
     level_count_window_sup,
+    mean_over_j,
     mean_over_j_sup,
     parseval_residual,
     periodized_block,
@@ -33,11 +35,14 @@ from primegrid.zops import (
     progression_mean,
     progression_mean_j,
     progression_mean_sup,
+    smeared_at,
     strong_l2_window_sup,
     sup_profile,
+    window_sup,
 )
 
 CTXS = [GridContext((2, 3)), GridContext((3, 5)), GridContext((5, 7))]
+SWEEP_TRIALS = {6: 60, 15: 16, 35: 4}
 
 
 def rational_signal(rng: SplitMix64, ctx: GridContext, nonneg=False) -> FiniteSignal:
@@ -128,10 +133,10 @@ def test_smear_mask_identity():
         for trial in range(30):
             block = np.array([rng.uniform() * 4 - 2 for _ in range(p)])
             sig = FiniteSignal(0, list(block))
-            parts = grid_parts(sig, ctx, 1)
             base = dft(block)
             for j in range(ctx.K):
-                smeared = dft(np.array([float(v) for v in parts.smeared[j]]))
+                smeared = dft(np.array([float(smeared_at(sig, ctx, j, i))
+                                        for i in range(p)]))
                 mask = (np.arange(p) % ctx.qtil[j] == 0)
                 expected = np.where(mask, base.coeffs, 0)
                 assert np.abs(smeared.coeffs - expected).max() < 1e-9
@@ -146,8 +151,8 @@ def test_orthogonality_of_smears():
         for trial in range(30):
             block = np.array([rng.uniform() * 4 - 2 for _ in range(p)])
             sig = FiniteSignal(0, list(block))
-            parts = grid_parts(sig, ctx, 1)
-            specs = [dft(np.array([float(v) for v in parts.smeared[j]])).coeffs
+            specs = [dft(np.array([float(smeared_at(sig, ctx, j, i))
+                                   for i in range(p)])).coeffs
                      for j in range(ctx.K)]
             worst = 0.0
             for a in range(ctx.K):
@@ -157,7 +162,7 @@ def test_orthogonality_of_smears():
 
 
 # ---------------------------------------------------------------------------
-# grid parts
+# grid decompositions
 
 
 def test_periodization_identity_on_own_block():
@@ -186,10 +191,11 @@ def test_block_average_mass_preserved():
 def test_delta_smear_values():
     ctx = GridContext((2, 3))
     delta = FiniteSignal(0, [F(1)])
-    parts = grid_parts(delta, ctx, 1)
-    assert parts.average == F(1, 6)
-    assert parts.smeared[0] == [F(1, 3), 0, F(1, 3), 0, F(1, 3), 0]
-    assert parts.smeared[1] == [F(1, 2), 0, 0, F(1, 2), 0, 0]
+    assert block_average(delta, ctx, 0) == F(1, 6)
+    assert [smeared_at(delta, ctx, 0, i) for i in range(6)] == \
+        [F(1, 3), 0, F(1, 3), 0, F(1, 3), 0]
+    assert [smeared_at(delta, ctx, 1, i) for i in range(6)] == \
+        [F(1, 2), 0, 0, F(1, 2), 0, 0]
 
 
 def test_already_periodic_block_fixed_by_periodization():
@@ -270,9 +276,68 @@ def test_sup_identities_exact():
             n = rng.randint(sig.lo - 2 * ctx.p, sig.hi + ctx.p)
             for j in range(ctx.K):
                 assert progression_deviation_sup(sig, ctx, n, j) == \
-                    lattice_sup_j(sig, ctx, n, j, "minus")
+                    lattice_sup_j(sig, ctx, n, j)
             assert mean_over_j_sup(sig, ctx, n) == \
                 lattice_mean_over_j_sup(sig, ctx, n)
+
+
+def test_sups_equal_brute_force_over_N():
+    # each supremum is max(0, every window length N), up to well past the
+    # window that covers the support, from the pointwise operator itself
+    rng = SplitMix64(derive_seed(22, "sweep"))
+    for ctx in CTXS:
+        for trial in range(SWEEP_TRIALS[ctx.p]):
+            sig = rational_signal(rng, ctx, nonneg=(trial % 2 == 0))
+            n = rng.randint(sig.lo - 2 * ctx.p, sig.hi + ctx.p)
+            cover = ctx.t(sig.hi) - ctx.t(n) + 1
+            Ns = range(1, (cover + 3) * ctx.p + 1)
+
+            def brute(value):
+                return max([0] + [value(N) for N in Ns])
+
+            assert progression_mean_sup(sig, ctx, n) == \
+                brute(lambda N: abs(progression_mean(sig, ctx, n, N)))
+            assert progression_deviation_sup(sig, ctx, n) == \
+                brute(lambda N: progression_deviation(sig, ctx, n, N))
+            assert mean_over_j_sup(sig, ctx, n) == \
+                brute(lambda N: mean_over_j(sig, ctx, n, N))
+            assert lattice_mean_over_j_sup(sig, ctx, n) == brute(
+                lambda N: sum(lattice_mean_j(sig, ctx, n, N, j)
+                              for j in range(ctx.K)) / ctx.K)
+            for j in range(ctx.K):
+                assert progression_deviation_sup(sig, ctx, n, j) == \
+                    brute(lambda N: progression_deviation_j(sig, ctx, n, N, j))
+                assert lattice_sup_j(sig, ctx, n, j) == \
+                    brute(lambda N: lattice_deviation_j(sig, ctx, n, N, j))
+            # the sweep asks for one N per block count, from the smallest
+            # reachable count up
+            seen = []
+            window_sup(sig, ctx, n, lambda N: seen.append(N) or 0)
+            lo = ctx.nprime_min(n)
+            assert seen and min(seen) >= 1
+            for Np, N in enumerate(seen, start=lo):
+                assert N == _n_for_nprime(ctx, n, Np)
+                assert ctx.nprime(n, N) == Np
+    # a negative delta: every j-averaged mean is below 0 and tends to 0
+    ctx = GridContext((2, 3))
+    minus_delta = FiniteSignal(0, [F(-1)])
+    assert mean_over_j(minus_delta, ctx, 0, 12) == F(-5, 36)
+    assert mean_over_j_sup(minus_delta, ctx, 0) == 0
+    assert lattice_mean_over_j_sup(minus_delta, ctx, 0) == 0
+
+
+def test_pointwise_operators_reject_nonpositive_N():
+    ctx = GridContext((2, 3))
+    delta = FiniteSignal(0, [F(1)])
+    for N in (0, -7):
+        for op in (progression_mean, progression_deviation,
+                   lattice_mean, lattice_deviation):
+            with pytest.raises(ValueError):
+                op(delta, ctx, 0, N)
+        for op in (progression_mean_j, progression_deviation_j,
+                   lattice_mean_j, lattice_deviation_j):
+            with pytest.raises(ValueError):
+                op(delta, ctx, 0, N, 0)
 
 
 def test_own_block_evaluation_recovers_signal():
@@ -333,11 +398,15 @@ def test_weak_count_interval_signal():
     # interval clears the level, the count stays within the weak bound
     ctx = GridContext((2, 3))
     sig = FiniteSignal(0, [F(1)] * 60)
-    res = level_count_progression_sup(sig, ctx, F(1, 2), exact=True)
-    assert res["count"] >= 60
-    assert res["count"] <= 8 * 60
+    res = level_count_progression_sup(sig, ctx, F(1, 2))
+    n_lo, n_hi = res["window"]
+    exact = sum(1 for n in range(n_lo, n_hi + 1)
+                if progression_mean_sup(sig, ctx, n) > F(1, 2))
+    assert res["count"] == exact
+    assert exact >= 60
+    assert exact <= 8 * 60
     fast = level_count_progression_sup(sig.as_floats(), ctx, 0.5)
-    assert fast["count"] == res["count"]
+    assert fast["count"] == exact
 
 
 def test_weak_count_rejects_bad_lambda():
@@ -367,7 +436,8 @@ def test_classic_weak_delta_exact_count():
     # recomputed exactly: only n = 0 clears level 1/2 (the sup at n = -1 is
     # exactly 1/2 and the count uses a strict inequality)
     delta = FiniteSignal(0, [F(1)])
-    res = level_count_window_sup(delta, F(1, 2), exact=True)
+    assert window_count_exact(delta, F(1, 2)) == 1
+    res = level_count_window_sup(delta, F(1, 2))
     assert res["count"] == 1
     assert res["bound"] == 4.0
     assert level_count_window_sup(delta.as_floats(), 0.5)["count"] == 1
@@ -375,7 +445,8 @@ def test_classic_weak_delta_exact_count():
 
 def test_classic_zero_signal():
     zero = FiniteSignal(0, [F(0), F(0)])
-    res = level_count_window_sup(zero, F(1, 3), exact=True)
+    assert window_count_exact(zero, F(1, 3)) == 0
+    res = level_count_window_sup(zero, F(1, 3))
     assert res["count"] == 0 and res["bound"] == 0.0
     res = strong_l2_window_sup(FiniteSignal(0, [0.0, 0.0]))
     assert res["lhs"] == 0.0 and res["rhs"] == 0.0

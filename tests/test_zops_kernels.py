@@ -12,6 +12,7 @@ from _oracles import (
     sup_profile_by_residue,
     sup_sq_tail_row,
     window_count_by_n,
+    window_count_exact,
 )
 from primegrid import zops
 from primegrid.rng import SplitMix64, derive_seed
@@ -124,11 +125,11 @@ def test_window_count_float_matches_exact():
     for _ in range(40):
         sig = random_signal(rng, 6, as_float=False)
         lam = F(rng.randint(1, 24), (1, 2, 3, 4, 8)[rng.randint(0, 4)])
-        exact = level_count_window_sup(sig, lam, exact=True)["count"]
+        exact = window_count_exact(sig, lam)
         fast = level_count_window_sup(sig.as_floats(), float(lam))["count"]
         assert fast == exact
     # a level equal to an attained average is not exceeded on either path
     sig = FiniteSignal(0, [F(3), F(-1), F(2)])
     for lam in (F(3), F(2), F(4, 3), F(1)):
-        assert level_count_window_sup(sig, lam, exact=True)["count"] == \
+        assert window_count_exact(sig, lam) == \
             level_count_window_sup(sig.as_floats(), float(lam))["count"]
