@@ -6,9 +6,14 @@ of q that land in the block).  A point is deleted when some point of a
 Coincident points (a common multiple of two of the primes) are at distance 0
 from each other and therefore die on both sides.
 
-These functions are the single source of truth for block contents; the ledger
-uses the counts while choosing block endpoints, and the sequence store uses
-the element arrays.  A brute-force oracle in the test suite re-derives them
+So for d >= 0 the survivor sets of the progressions are disjoint, and their
+union is a sort of their concatenation: no point needs to be removed, and the
+size of the union is the sum of the sizes.  The strictly increasing check of
+the sequence store guards this at run time.
+
+These functions alone decide block contents and counts; the ledger uses the
+counts while choosing block endpoints, and the sequence store uses the
+element arrays.  A brute-force oracle in the test suite re-derives them
 point by point.
 """
 
@@ -33,8 +38,12 @@ def survivors_by_progression(
     Returns (survivor arrays indexed like `primes`, deleted counts per index).
     """
     primes = list(primes)
+    if not primes:
+        raise ValueError("a block needs at least one progression")
     if len(set(primes)) != len(primes):
         raise ValueError("progression moduli must be distinct")
+    if d < 0:
+        raise ValueError(f"deletion distance d must be >= 0, got {d}")
     survivors = []
     deleted = []
     for j, q in enumerate(primes):
@@ -56,11 +65,10 @@ def survivors_by_progression(
 def block_elements(primes, d: int, lo: int, hi: int) -> np.ndarray:
     """Sorted survivor set of the block [lo, hi)."""
     per_j, _ = survivors_by_progression(primes, d, lo, hi)
-    if not per_j:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(per_j))
+    return np.sort(np.concatenate(per_j))
 
 
 def block_count(primes, d: int, lo: int, hi: int) -> int:
     """Number of survivors in [lo, hi)."""
-    return int(block_elements(primes, d, lo, hi).size)
+    per_j, _ = survivors_by_progression(primes, d, lo, hi)
+    return sum(int(s.size) for s in per_j)

@@ -95,11 +95,10 @@ class RotationSystem:
     """x -> x + alpha mod 1 with alpha given in 128-bit fixed point."""
 
     alpha_fixed: int
-    tag: str = "rotation"
 
     @staticmethod
     def golden() -> "RotationSystem":
-        return RotationSystem(golden_alpha_fixed(), "rotation(golden)")
+        return RotationSystem(golden_alpha_fixed())
 
     @staticmethod
     def from_fraction(alpha: Fraction) -> "RotationSystem":
@@ -107,7 +106,7 @@ class RotationSystem:
         if not 0 < alpha < 1:
             raise BadSpec("alpha must lie in (0, 1)")
         fixed = (alpha.numerator << FIXED_BITS) // alpha.denominator
-        return RotationSystem(fixed, f"rotation({alpha})")
+        return RotationSystem(fixed)
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,6 @@ class CyclicSystem:
 
     P: int
     table: tuple          # exact values per residue
-    tag: str = "cyclic"
 
     def __post_init__(self):
         if self.P < 1 or len(self.table) != self.P:
@@ -139,7 +137,6 @@ class BernoulliSystem:
 
     prob: Fraction
     seed: int
-    tag: str = "bernoulli"
 
     def __post_init__(self):
         if not 0 <= self.prob <= 1:
@@ -212,9 +209,6 @@ class Orbit:
     observable: StepObservable | None
     n_max: int
     mean_true: Fraction
-    system_tag: str
-    x0_repr: str
-    f_repr: str
 
     def at(self, positions) -> np.ndarray:
         return sample_at(self.system, self.x0, positions, self.observable)
@@ -225,14 +219,8 @@ def sample_orbit(system, x0, n_max: int, observable: StepObservable | None = Non
     if n_max < 1:
         raise BadSpec("n_max must be >= 1")
     sample_at(system, x0, (), observable)    # the system, x0 and observable checks
-    if isinstance(system, RotationSystem):
-        mean, x0_repr = observable.mean, str(F(x0))
-        f_repr = f"step{tuple(map(str, observable.values))}"
-    elif isinstance(system, CyclicSystem):
-        mean, x0_repr, f_repr = system.mean, str(_residue(system, x0)), "residue table"
-    else:
-        mean, x0_repr, f_repr = system.mean, "seeded", f"bern({system.prob})"
-    return Orbit(system, x0, observable, n_max, mean, system.tag, x0_repr, f_repr)
+    mean = observable.mean if isinstance(system, RotationSystem) else system.mean
+    return Orbit(system, x0, observable, n_max, mean)
 
 
 def fragile_positions(system: RotationSystem, x0, positions,
@@ -510,7 +498,7 @@ def tower_transfer_check(tower: Tower, system: CyclicSystem, ctx: GridContext,
             f"height {tower.height} leaves no levels for horizon {horizon}")
     rng = SplitMix64(seed)
     table_int = [int(v) for v in system.table]
-    sys_int = CyclicSystem(system.P, tuple(table_int), system.tag)
+    sys_int = CyclicSystem(system.P, tuple(table_int))
     checked = 0
     mismatches = []
     for _ in range(trials):

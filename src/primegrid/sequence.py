@@ -1,10 +1,11 @@
 """Block construction and the global sequence store.
 
-Block 1 is every integer of [0, beta_1).  Block m >= 2 is the union of the
-prime progressions of the ledger row, with points deleted when a point of a
-different progression lies within d_m, all inside [beta_{m-1}, beta_m).  The
-store concatenates the blocks into the strictly increasing global sequence and
-answers range-count queries through binary search on the sorted element array.
+Block m is the union of the progressions of the ledger row, with points
+deleted when a point of a different progression lies within d_m, all inside
+[beta_{m-1}, beta_m).  Block 1 has the single modulus 1, so it is every
+integer of [0, beta_1).  The store concatenates the blocks into the strictly
+increasing global sequence and answers range-count queries through binary
+search on the sorted element array.
 """
 
 from __future__ import annotations
@@ -58,16 +59,10 @@ def build_block(ledger: Ledger, m: int) -> SequenceBlock:
     blk = ledger.block(m)
     if blk.beta is None:
         raise LedgerIncomplete(f"block {m} has no right endpoint yet")
-    if m == 1:
-        elems = np.arange(blk.beta_prev, blk.beta, dtype=np.int64)
-        return SequenceBlock(m, blk.beta_prev, blk.beta, blk.d, blk.primes,
-                             elems, (0,))
     per_j, deleted = survivors_by_progression(
         blk.primes, blk.d, blk.beta_prev, blk.beta)
-    elems = (np.unique(np.concatenate(per_j)) if per_j
-             else np.empty(0, dtype=np.int64))
     return SequenceBlock(m, blk.beta_prev, blk.beta, blk.d, blk.primes,
-                         elems, tuple(deleted))
+                         np.sort(np.concatenate(per_j)), tuple(deleted))
 
 
 class SequenceStore:

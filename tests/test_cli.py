@@ -40,7 +40,7 @@ def test_gen_params_faithful_infeasible(capsys):
     assert "128424079523840001" in err      # the exact K bound for block 3
 
 
-def test_gen_params_constant_overrides(tmp_path):
+def test_gen_params_constant_overrides(tmp_path, capsys):
     out = tmp_path / "custom.json"
     assert main(["gen-params", "--profile", "demo", "--horizon", "3",
                  "--set", "gamma_small=1/6", "--out", str(out)]) == 0
@@ -51,6 +51,11 @@ def test_gen_params_constant_overrides(tmp_path):
     # inconsistent constants are a failed check, unknown names a config error
     assert main(["gen-params", "--profile", "demo", "--horizon", "3",
                  "--set", "gamma_small=1/4", "--out", str(out)]) == 1
+    capsys.readouterr()
+    # 1 - gamma_2 = 7/8 cannot clear this floor, whatever beta_1 is
+    assert main(["gen-params", "--profile", "demo", "--horizon", "3",
+                 "--set", "f4c_floor=9/10", "--out", str(out)]) == 1
+    assert "f4c_gamma" in capsys.readouterr().err
     assert main(["gen-params", "--profile", "demo", "--horizon", "3",
                  "--set", "bogus=1", "--out", str(out)]) == 2
 
@@ -95,6 +100,16 @@ def test_verify_flags_corruption(tmp_path, demo_ledger_file):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["verify", "--ledger", str(bad)]) == 1
+
+
+def test_build_seq_rejects_negative_d(tmp_path, capsys, demo_ledger_file):
+    data = json.loads(demo_ledger_file.read_text())
+    data["blocks"][1]["d"] = -1               # nothing deleted: overlaps stay
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["build-seq", "--ledger", str(bad),
+                 "--out", str(tmp_path / "seq.txt")]) == 2
+    assert "distance d" in capsys.readouterr().err
 
 
 def test_ops_test_deterministic(tmp_path):

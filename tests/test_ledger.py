@@ -1,15 +1,20 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from primegrid import ledger as ledger_mod
+from primegrid.blocksets import block_count
 from primegrid.constants import constants_for, default_constants, demo_constants
 from primegrid.ledger import (
     BlockParams,
     InfeasibleAtScale,
     Ledger,
+    LedgerError,
     MissingBlock,
     check_constraints,
     extend_ledger,
+    extend_to,
     full_report,
     ledger_from_json,
     ledger_to_json,
@@ -197,6 +202,66 @@ def test_demo_monotonicity(demo_ledger):
         assert b.Q < a.Q
         assert b.d == a.d + 1
     assert demo_ledger.nbar == tuple(sorted(demo_ledger.nbar))
+
+
+# ---------------------------------------------------------------------------
+# endpoint scan
+
+
+@pytest.fixture
+def counted_blocks(monkeypatch):
+    """Block counts the endpoint scan asks for, one per candidate."""
+    calls = []
+    inner = ledger_mod._block_count_for
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(ledger_mod, "_block_count_for", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def f19_third_ledger():
+    return extend_to(new_ledger(replace(demo_constants(), f19_p=F(1, 3))), 6)
+
+
+def test_f19_p_one_third_scans_past_first_candidates(counted_blocks):
+    # with a larger f19_p the solved lower bound on beta_{m-1} is below the
+    # smallest endpoint whose count satisfies f19_p_count, so the scan steps
+    led = extend_to(new_ledger(replace(demo_constants(), f19_p=F(1, 3))), 6)
+    assert tuple(b.beta for b in led.blocks[:5]) == (
+        16348, 221610, 717807, 2229358, 6794698)
+    assert len(counted_blocks) == 25          # 5 with the demo f19_p
+    for report in full_report(led):
+        assert report.overall, [r.name for r in report.failing()]
+
+
+@pytest.mark.parametrize("which", ["demo", "f19_third"])
+def test_endpoints_are_minimal(request, which):
+    # one multiple of p_m earlier, with its own count, some record of block
+    # m-1 or block m fails
+    led = request.getfixturevalue(f"{which}_ledger")
+    for m in range(2, len(led.blocks) + 1):
+        prev, blk = led.block(m - 1), led.block(m)
+        beta = blk.beta_prev - blk.p
+        count = block_count(prev.primes, prev.d, prev.beta_prev, beta)
+        earlier = Ledger(
+            constants=led.constants,
+            blocks=led.blocks[:m - 2] + (
+                replace(prev, beta=beta, count=count),
+                replace(blk, beta_prev=beta, beta=None, count=None)),
+            nbar=led.nbar[:m - 1] + (led.nb(m - 2) + count,))
+        assert not (check_constraints(earlier, m - 1).overall
+                    and check_constraints(earlier, m).overall), m
+
+
+def test_unmendable_record_fails_at_first_candidate(counted_blocks):
+    tab = replace(demo_constants(), f4c_floor=F(9, 10))   # 1 - 1/8 < 9/10
+    with pytest.raises(LedgerError, match="block 2 .*f4c_gamma"):
+        extend_ledger(new_ledger(tab))
+    assert len(counted_blocks) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegrid.blocksets import block_elements, survivors_by_progression
+from primegrid.blocksets import (
+    block_count,
+    block_elements,
+    survivors_by_progression,
+)
 from primegrid.constants import demo_constants
 from primegrid.ledger import BlockParams, Ledger
 from primegrid.rng import SplitMix64
@@ -33,7 +37,7 @@ def test_toy_block_matches_hand_value():
     assert oracle_block((3, 5), 1, 15, 45) == [18, 27, 33, 42]
 
 
-def test_oracle_equivalence_randomized():
+def test_oracle_equivalence_randomized(demo_ledger):
     rng = SplitMix64(0x5EED)
     pool = [2, 3, 4, 5, 6, 7, 9, 11, 13]
     configs = 0
@@ -48,9 +52,23 @@ def test_oracle_equivalence_randomized():
         lo = rng.randint(0, 60)
         hi = lo + rng.randint(0, 160)
         got = list(block_elements(tuple(moduli), d, lo, hi))
-        assert got == oracle_block(tuple(moduli), d, lo, hi), \
+        want = oracle_block(tuple(moduli), d, lo, hi)
+        assert got == want, (moduli, d, lo, hi)
+        assert block_count(tuple(moduli), d, lo, hi) == len(want), \
             (moduli, d, lo, hi)
         configs += 1
+    for m in (2, 3):                        # full demo blocks
+        blk = demo_ledger.block(m)
+        args = (blk.primes, blk.d, blk.beta_prev, blk.beta)
+        assert block_count(*args) == len(oracle_block(*args)) == blk.count
+
+
+@pytest.mark.parametrize("primes, d, what", [((3, 5), -1, "distance d"),
+                                              ((), 1, "progression")])
+def test_survivors_reject_inputs_that_break_disjointness(primes, d, what):
+    # with d < 0 a common multiple survives in two progressions
+    with pytest.raises(ValueError, match=what):
+        survivors_by_progression(primes, d, 0, 60)
 
 
 def test_deleted_counts_match_oracle():
