@@ -11,10 +11,10 @@ union is a sort of their concatenation: no point needs to be removed, and the
 size of the union is the sum of the sizes.  The strictly increasing check of
 the sequence store guards this at run time.
 
-These functions alone decide block contents and counts; the ledger uses the
-counts while choosing block endpoints, and the sequence store uses the
-element arrays.  A brute-force oracle in the test suite re-derives them
-point by point.
+`survivors_by_progression` alone decides block contents: the ledger sums its
+sizes (`block_count`) while choosing block endpoints, and the sequence store
+sorts its arrays of every block into one element array.  A brute-force
+oracle in the test suite re-derives them point by point.
 """
 
 from __future__ import annotations
@@ -60,12 +60,6 @@ def survivors_by_progression(
         survivors.append(pts[keep])
         deleted.append(int(len(pts) - keep.sum()))
     return survivors, deleted
-
-
-def block_elements(primes, d: int, lo: int, hi: int) -> np.ndarray:
-    """Sorted survivor set of the block [lo, hi)."""
-    per_j, _ = survivors_by_progression(primes, d, lo, hi)
-    return np.sort(np.concatenate(per_j))
 
 
 def block_count(primes, d: int, lo: int, hi: int) -> int:

@@ -276,7 +276,7 @@ def cmd_simulate(args) -> int:
     checkpoints = None
     if "checkpoints" in cfg and cfg["checkpoints"] not in ("blocks+log", ""):
         if cfg["checkpoints"] == "blocks":
-            checkpoints = [b.beta for b in store.blocks]
+            checkpoints = list(store.betas[1:])
         else:
             checkpoints = [int(x) for x in cfg["checkpoints"].split(",")]
     rep = convergence_report(orbit, store, checkpoints)

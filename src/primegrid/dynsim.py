@@ -223,30 +223,6 @@ def sample_orbit(system, x0, n_max: int, observable: StepObservable | None = Non
     return Orbit(system, x0, observable, n_max, mean)
 
 
-def fragile_positions(system: RotationSystem, x0, positions,
-                      observable: StepObservable,
-                      tol: Fraction = F(1, 10**12)) -> np.ndarray:
-    """Mask of orbit positions within `tol` of an observable breakpoint.
-
-    Indicator evaluations at such positions are the only ones that could flip
-    under a higher-precision angle; tests exclude them.
-    """
-    thr = observable.thresholds_fixed()
-    tol_fixed = (F(tol).numerator << FIXED_BITS) // F(tol).denominator
-    x0f = _x0_fixed(x0)
-    alpha = system.alpha_fixed
-    mask = _ONE - 1
-    out = np.zeros(len(positions), dtype=bool)
-    for i, n in enumerate(positions):
-        cur = (x0f + int(n) * alpha) & mask
-        for t in thr:
-            d = abs(cur - (t & mask))
-            if min(d, _ONE - d) <= tol_fixed:
-                out[i] = True
-                break
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subsequence averages
 #
@@ -305,7 +281,7 @@ def subseq_max(orbit: Orbit, store: SequenceStore, n_max: int):
 
 def default_checkpoints(store: SequenceStore, n_points: int = 24) -> list[int]:
     """Block boundaries plus log-spaced horizons, deduplicated, sorted."""
-    marks = {b.beta for b in store.blocks}
+    marks = set(store.betas[1:])
     lo, hi = 1, store.horizon
     for i in range(n_points):
         marks.add(int(round(lo * (hi / lo) ** (i / max(n_points - 1, 1)))))
@@ -540,36 +516,36 @@ def count_bounds_check(ledger: Ledger, store: SequenceStore,
     """
     tab = ledger.constants
     out = []
-    for sb in store.blocks:
-        m = sb.m
+    for m in range(1, store.n_blocks + 1):
+        beta_prev, beta = store.betas[m - 1], store.betas[m]
         params = ledger.block(m)
         gamma, Q, p = params.gamma, params.Q, params.p
-        blk_count = sb.size
-        length = sb.beta - sb.beta_prev
+        blk_count = store.block(m).size
+        length = beta - beta_prev
         P_full = length // p
         rec = {
             "m": m,
-            "f4aa": blk_count > (1 - gamma) * (1 - tab.gamma_beta) * sb.beta * Q,
+            "f4aa": blk_count > (1 - gamma) * (1 - tab.gamma_beta) * beta * Q,
             # outer form needs p_m below the previous endpoint; block 1 only
             # supports the (P_m + 1) p Q form
             "f4ab": blk_count < (P_full + 1) * p * Q if m == 1
-            else blk_count < sb.beta * Q,
+            else blk_count < beta * Q,
             "grid": [],
         }
-        Ns = {sb.beta_prev + 1, sb.beta_prev + params.d + 1, sb.beta}
+        Ns = {beta_prev + 1, beta_prev + params.d + 1, beta}
         for i in range(1, per_block_grid + 1):
-            Ns.add(sb.beta_prev + max(1, (length * i) // per_block_grid))
+            Ns.add(beta_prev + max(1, (length * i) // per_block_grid))
         for N in sorted(Ns):
-            if not sb.beta_prev < N <= sb.beta:
+            if not beta_prev < N <= beta:
                 continue
-            cnt = store.count_range(sb.beta_prev, N)
-            P_N = (N - sb.beta_prev) // p
+            cnt = store.count_range(beta_prev, N)
+            P_N = (N - beta_prev) // p
             g = {
                 "N": N,
                 "f6aa_inner": cnt >= (1 - gamma) * P_N * p * Q,
-                "f6aa": cnt > (1 - gamma) * (N - sb.beta_prev - p) * Q,
+                "f6aa": cnt > (1 - gamma) * (N - beta_prev - p) * Q,
                 "f6ab_inner": cnt < (P_N + 1) * p * Q,
-                "f6ab": cnt < (N - sb.beta_prev + p) * Q,
+                "f6ab": cnt < (N - beta_prev + p) * Q,
                 "f4bb": store.count_range(0, N) > F(3, 5) * Q * N,
             }
             g["ok"] = all(v for k, v in g.items() if k != "N")

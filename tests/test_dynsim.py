@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from _oracles import dense_orbit
+from _oracles import dense_orbit, fragile_positions
 from primegrid.dynsim import (
     BadSpec,
     BernoulliSystem,
@@ -18,7 +18,6 @@ from primegrid.dynsim import (
     count_bounds_check,
     decompose,
     dynamical_mean,
-    fragile_positions,
     golden_alpha_fixed,
     indicator,
     sample_at,
@@ -28,7 +27,7 @@ from primegrid.dynsim import (
     tower_transfer_check,
 )
 from primegrid.rng import SplitMix64, derive_seed
-from primegrid.sequence import SequenceBlock, SequenceStore
+from primegrid.sequence import SequenceStore
 from primegrid.zops import GridContext
 
 # ---------------------------------------------------------------------------
@@ -162,7 +161,7 @@ def test_first_block_agreement_exact(demo_store):
     obs = indicator(F(0), F(1, 2))
     orb = sample_orbit(RotationSystem.golden(), 0, 9000, obs)
     dense = dense_orbit(RotationSystem.golden(), 0, 9000, obs)
-    beta1 = demo_store.blocks[0].beta
+    beta1 = demo_store.betas[1]
     for N in (1, 2, 17, 1000, beta1):
         a = subseq_average(orb, demo_store, N)
         birkhoff = F(int(dense[:N].sum()), N)
@@ -191,7 +190,7 @@ def test_cyclic_closed_form_block_boundaries(demo_ledger, demo_store):
     table = tuple(1 if r == residue else 0 for r in range(p2))
     sysc = CyclicSystem(p2, table)
     orb = sample_orbit(sysc, 0, demo_store.horizon)
-    for N in (demo_store.blocks[1].beta, demo_store.blocks[3].beta):
+    for N in (demo_store.betas[2], demo_store.betas[4]):
         k = demo_store.count_range(0, N)
         direct = sum(1 for e in demo_store.elements[:k] if e % p2 == residue)
         assert subseq_average(orb, demo_store, N) == F(direct, k)
@@ -207,11 +206,7 @@ def test_subseq_max_dominates_averages(demo_store):
 
 def _late_store():
     """Elements 9 and 12 only: the first block is empty."""
-    empty_b1 = SequenceBlock(1, 0, 5, 1, (1,),
-                             np.arange(0, dtype=np.int64), (0,))
-    b2 = SequenceBlock(2, 5, 20, 1, (3, 5),
-                       np.array([9, 12], dtype=np.int64), (0, 0))
-    return SequenceStore([empty_b1, b2])
+    return SequenceStore((0, 5, 20), np.array([9, 12], dtype=np.int64))
 
 
 def test_average_zero_before_first_element():
@@ -267,7 +262,7 @@ def test_convergence_golden_demo(demo_store):
     assert {r.block_m for r in rep.rows} == {1, 2, 3, 4, 5}
     # checkpoints include every block boundary
     Ns = {r.N for r in rep.rows}
-    assert all(b.beta in Ns for b in demo_store.blocks)
+    assert all(b in Ns for b in demo_store.betas[1:])
 
 
 def test_convergence_csv_format(tmp_path, demo_store):
@@ -393,27 +388,27 @@ def test_count_bounds_demo(demo_ledger, demo_store):
 def test_window_count_estimates_every_horizon(demo_ledger, demo_store):
     # (1-gamma)(N - beta_prev - p) Q < count(beta_prev, N) < (N - beta_prev + p) Q
     # for every single N in every block, via integer cross-multiplication
-    for sb in demo_store.blocks:
-        blk = demo_ledger.blocks[sb.m - 1]
+    for m in range(1, demo_store.n_blocks + 1):
+        blk = demo_ledger.blocks[m - 1]
+        lo, hi = demo_store.betas[m - 1], demo_store.betas[m]
+        elems = demo_store.block(m)
         S = sum(blk.p // q for q in blk.primes)   # p * Q, an integer
         gnum, gden = (1 - blk.gamma).numerator, (1 - blk.gamma).denominator
-        Ns = np.arange(sb.beta_prev + 1, sb.beta + 1, dtype=np.int64)
-        counts = np.searchsorted(sb.elements, Ns, side="left") \
-            - np.searchsorted(sb.elements, sb.beta_prev, side="left")
-        rel = Ns - sb.beta_prev
+        Ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        counts = np.searchsorted(elems, Ns, side="left") \
+            - np.searchsorted(elems, lo, side="left")
+        rel = Ns - lo
         lower_ok = gnum * S * (rel - blk.p) < gden * blk.p * counts
         upper_ok = blk.p * counts < S * (rel + blk.p)
-        assert lower_ok.all(), sb.m
-        assert upper_ok.all(), sb.m
+        assert lower_ok.all(), m
+        assert upper_ok.all(), m
 
 
 def test_count_bounds_flag_corruption(demo_ledger, demo_store):
     # deleting two thirds of a block must break its lower density records
-    blocks = list(demo_store.blocks)
-    b3 = blocks[2]
-    thinned = SequenceBlock(b3.m, b3.beta_prev, b3.beta, b3.d, b3.primes,
-                            b3.elements[::3], b3.deleted_per_j)
-    corrupt = SequenceStore(blocks[:2] + [thinned] + blocks[3:])
+    blocks = [demo_store.block(m) for m in range(1, demo_store.n_blocks + 1)]
+    blocks[2] = blocks[2][::3]
+    corrupt = SequenceStore(demo_store.betas, np.concatenate(blocks))
     recs = count_bounds_check(demo_ledger, corrupt)
     assert not recs[2]["f4aa"]
     assert not recs[2]["ok"]

@@ -5,28 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegrid.blocksets import (
-    block_count,
-    block_elements,
-    survivors_by_progression,
-)
+from primegrid import sequence
+from primegrid.blocksets import block_count, survivors_by_progression
 from primegrid.constants import demo_constants
 from primegrid.ledger import BlockParams, Ledger
 from primegrid.rng import SplitMix64
 from primegrid.sequence import (
     OutOfBuiltRange,
-    SequenceBlock,
     SequenceStore,
     WindowTooLarge,
     banach_density,
     block_summaries,
-    build_block,
     build_store,
     gap_profile,
     verify_block,
+    write_elements,
 )
 
-from _oracles import oracle_block
+from _oracles import block_elements, oracle_block
 
 
 def test_toy_block_matches_hand_value():
@@ -87,10 +83,8 @@ def test_deleted_counts_match_oracle():
 
 def toy_store():
     """Block 1 = [0, 15), block 2 = the toy {3,5}, d=1 construction."""
-    b1 = SequenceBlock(1, 0, 15, 1, (1,), np.arange(15, dtype=np.int64), (0,))
     elems = block_elements((3, 5), 1, 15, 45)
-    b2 = SequenceBlock(2, 15, 45, 1, (3, 5), elems, (0, 0))
-    return SequenceStore([b1, b2])
+    return SequenceStore((0, 15, 45), np.concatenate([np.arange(15), elems]))
 
 
 def test_count_range_toy():
@@ -105,29 +99,89 @@ def test_count_range_toy():
 
 
 def test_store_demo_first_block(demo_ledger, demo_store):
-    b1 = demo_store.blocks[0]
-    assert b1.beta == demo_ledger.blocks[0].beta
-    assert list(b1.elements[:4]) == [0, 1, 2, 3]
-    assert b1.size == b1.beta
+    b1, beta1 = demo_store.block(1), demo_store.betas[1]
+    assert beta1 == demo_ledger.blocks[0].beta
+    assert list(b1[:4]) == [0, 1, 2, 3]
+    assert b1.size == beta1
     # n_k = k - 1 on the first block
     assert demo_store.nk(1) == 0
-    assert demo_store.nk(b1.beta) == b1.beta - 1
+    assert demo_store.nk(beta1) == beta1 - 1
 
 
 def test_store_counts_match_ledger(demo_ledger, demo_store):
     for m in range(1, 6):
-        assert demo_store.blocks[m - 1].size == demo_ledger.blocks[m - 1].count
+        assert demo_store.block(m).size == demo_ledger.blocks[m - 1].count
         assert demo_store.nbar_block(m) == demo_ledger.nbar[m]
 
 
-def test_build_block_empty_interval():
+def test_build_store_rejects_empty_interval():
+    # endpoints strictly increase: a block [20, 20) is no block
     tab = demo_constants()
     b1 = BlockParams(m=1, beta_prev=0, K=1, primes=(1,), p=1, Q=F(1), d=1,
                      gamma=tab.gamma_small, beta=20, count=20)
     b2 = BlockParams(m=2, beta_prev=20, K=2, primes=(3, 5), p=15, Q=F(8, 15),
                      d=2, gamma=F(1, 5), beta=20, count=0)
     led = Ledger(constants=tab, blocks=(b1, b2), nbar=(0, 20, 20))
-    assert build_block(led, 2).size == 0
+    with pytest.raises(ValueError, match="strictly increase"):
+        build_store(led)
+
+
+def test_build_store_rejects_gap_between_blocks():
+    tab = demo_constants()
+    b1 = BlockParams(m=1, beta_prev=0, K=1, primes=(1,), p=1, Q=F(1), d=1,
+                     gamma=tab.gamma_small, beta=15, count=15)
+    b2 = BlockParams(m=2, beta_prev=30, K=2, primes=(3, 5), p=15, Q=F(8, 15),
+                     d=1, gamma=F(1, 5), beta=60, count=4)
+    led = Ledger(constants=tab, blocks=(b1, b2), nbar=(0, 15, 19))
+    with pytest.raises(ValueError, match="beta_1 = 15"):
+        build_store(led)
+
+
+@pytest.mark.parametrize("betas, elements, what", [
+    ((1, 15), [3], "beta_0 = 0"),
+    ((0,), [], "beta_0 = 0"),
+    ((0, 15, 15), [3], "strictly increase"),
+    ((0, 15, 10), [3], "strictly increase"),
+    ((0, 15), [-1, 3], r"lie in \[0, 15\)"),
+    ((0, 15), [3, 15], r"lie in \[0, 15\)"),
+    ((0, 15), [3, 3], "strictly increasing"),
+    ((0, 15), [5, 3], "strictly increasing"),
+])
+def test_store_rejects_bad_input(betas, elements, what):
+    with pytest.raises(ValueError, match=what):
+        SequenceStore(betas, np.array(elements, dtype=np.int64))
+
+
+def test_store_blocks_are_slices_of_one_array():
+    store = toy_store()
+    assert store.n_blocks == 2
+    assert list(store.block(2)) == [18, 27, 33, 42]
+    assert np.shares_memory(store.block(2), store.elements)
+    assert store.nbar_block(1) == 15 and store.nbar_block(2) == 19
+    with pytest.raises(OutOfBuiltRange):
+        store.block(3)
+
+
+def test_block_of_at_endpoints():
+    store = toy_store()
+    assert store.block_of(0) == 1
+    assert store.block_of(14) == 1          # beta_1 - 1
+    assert store.block_of(15) == 2          # beta_1
+    assert store.block_of(44) == 2          # beta_2 - 1
+    for n in (-1, 45):                      # before 0, at the horizon
+        with pytest.raises(OutOfBuiltRange):
+            store.block_of(n)
+
+
+def test_verify_block_rejects_endpoint_mismatch():
+    tab = demo_constants()
+    b1 = BlockParams(m=1, beta_prev=0, K=1, primes=(1,), p=1, Q=F(1), d=1,
+                     gamma=tab.gamma_small, beta=15, count=15)
+    b2 = BlockParams(m=2, beta_prev=15, K=2, primes=(3, 5), p=15, Q=F(8, 15),
+                     d=1, gamma=F(1, 5), beta=60, count=5)
+    led = Ledger(constants=tab, blocks=(b1, b2), nbar=(0, 15, 20))
+    with pytest.raises(ValueError, match="ledger row"):
+        verify_block(led, toy_store(), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +214,7 @@ def test_k1_edge_case_flagged():
                      d=2, gamma=F(1, 5), beta=70, count=8)
     led = Ledger(constants=tab, blocks=(b1, b2), nbar=(0, 14, 22))
     elems = block_elements((7,), 2, 14, 70)
-    store = SequenceStore([
-        SequenceBlock(1, 0, 14, 1, (1,), np.arange(14, dtype=np.int64), (0,)),
-        SequenceBlock(2, 14, 70, 2, (7,), elems, (0,)),
-    ])
+    store = SequenceStore((0, 14, 70), np.concatenate([np.arange(14), elems]))
     rep = verify_block(led, store, 2)
     assert rep.k1_edge
     assert rep.min_ratio == rep.max_ratio == 1     # no deletion possible
@@ -182,6 +233,20 @@ def test_toy_block_ratio_fails_lower_bound():
     rep = verify_block(led, store, 2)
     assert rep.min_ratio == F(2, 8)    # window [15, 30) holds 18 and 27
     assert not rep.lower_ok
+
+
+def test_spacing_flags_element_near_left_endpoint():
+    # with d = 2 the positions beta_1 and beta_1 + 1 must stay empty
+    tab = demo_constants()
+    b1 = BlockParams(m=1, beta_prev=0, K=1, primes=(1,), p=1, Q=F(1), d=1,
+                     gamma=tab.gamma_small, beta=15, count=15)
+    b2 = BlockParams(m=2, beta_prev=15, K=2, primes=(3, 5), p=15, Q=F(8, 15),
+                     d=2, gamma=F(1, 5), beta=45, count=4)
+    led = Ledger(constants=tab, blocks=(b1, b2), nbar=(0, 15, 19))
+    for first, ok in ((16, False), (17, True)):
+        elems = np.concatenate([np.arange(15), [first, 27, 33, 42]])
+        rep = verify_block(led, SequenceStore((0, 15, 45), elems), 2)
+        assert rep.spacing_ok is ok, first
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +280,36 @@ def test_banach_density_full_window(demo_store):
         banach_density(demo_store, demo_store.horizon + 1)
 
 
+def test_banach_density_matches_brute_force():
+    # every window [a, a+L) inside [0, beta_M), including the last one when
+    # its start is not an element, and stores with no element before it
+    rng = SplitMix64(0xBA7C)
+    cases = [((0, 10), [0, 8, 9], 3), ((0, 5, 20), [9, 12], 15)]
+    for _ in range(40):
+        h = rng.randint(2, 40)
+        elems = [n for n in range(h) if rng.randint(0, 3) == 0]
+        cases.append(((0, h), elems, rng.randint(1, h)))
+    for betas, elems, L in cases:
+        store = SequenceStore(betas, np.array(elems, dtype=np.int64))
+        want = max(sum(a <= n < a + L for n in elems)
+                   for a in range(betas[-1] - L + 1))
+        assert banach_density(store, L) == F(want, L), (betas, elems, L)
+
+
 def test_aligned_window_density_bounded_by_Q(demo_ledger, demo_store):
     # inside block m every aligned period window holds fewer than p*Q points
     for m in (2, 4):
         blk = demo_ledger.blocks[m - 1]
-        sb = demo_store.blocks[m - 1]
-        edges = sb.beta_prev + blk.p * np.arange(
-            (sb.beta - sb.beta_prev) // blk.p + 1, dtype=np.int64)
-        counts = np.diff(np.searchsorted(sb.elements, edges))
+        lo, hi = demo_store.betas[m - 1], demo_store.betas[m]
+        edges = lo + blk.p * np.arange((hi - lo) // blk.p + 1, dtype=np.int64)
+        counts = np.diff(np.searchsorted(demo_store.block(m), edges))
         assert F(int(counts.max()), blk.p) <= blk.Q
 
 
 def test_store_global_monotone(demo_store):
     assert (np.diff(demo_store.elements) > 0).all()
-    assert demo_store.total == sum(b.size for b in demo_store.blocks)
+    assert demo_store.total == sum(demo_store.block(m).size
+                                  for m in range(1, demo_store.n_blocks + 1))
 
 
 def test_block_summaries_schema(demo_store):
@@ -237,10 +318,21 @@ def test_block_summaries_schema(demo_store):
     assert set(summ[0]) == {"m", "beta_prev", "beta", "size", "min_gap"}
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+def test_write_elements_chunks(tmp_path, monkeypatch, chunk):
+    # the text does not depend on how many elements are formatted at a time
+    monkeypatch.setattr(sequence, "_WRITE_CHUNK", chunk)
+    store = toy_store()
+    path = tmp_path / "seq.txt"
+    write_elements(store, path)
+    assert path.read_text() == "".join(f"{n}\n" for n in range(15)) \
+        + "18\n27\n33\n42\n"
+
+
 def test_build_store_partial(demo_ledger):
     store3 = build_store(demo_ledger, through=3)
     assert store3.horizon == demo_ledger.blocks[2].beta
-    assert len(store3.blocks) == 3
+    assert store3.n_blocks == 3
 
 
 def test_build_store_requires_closed_blocks(demo_ledger):
