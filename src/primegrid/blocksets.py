@@ -30,13 +30,9 @@ def _progression_points(q: int, lo: int, hi: int) -> np.ndarray:
     return np.arange(start, hi, q, dtype=np.int64)
 
 
-def survivors_by_progression(
-    primes, d: int, lo: int, hi: int
-) -> tuple[list[np.ndarray], list[int]]:
-    """Per-progression survivors and deletion counts for the block [lo, hi).
-
-    Returns (survivor arrays indexed like `primes`, deleted counts per index).
-    """
+def survivors_by_progression(primes, d: int, lo: int,
+                             hi: int) -> list[np.ndarray]:
+    """Survivor arrays of the block [lo, hi), indexed like `primes`."""
     primes = list(primes)
     if not primes:
         raise ValueError("a block needs at least one progression")
@@ -45,7 +41,6 @@ def survivors_by_progression(
     if d < 0:
         raise ValueError(f"deletion distance d must be >= 0, got {d}")
     survivors = []
-    deleted = []
     for j, q in enumerate(primes):
         pts = _progression_points(q, lo, hi)
         keep = np.ones(len(pts), dtype=bool)
@@ -58,11 +53,9 @@ def survivors_by_progression(
             above = (up <= d) & (pts + up < hi)
             keep &= ~(below | above)
         survivors.append(pts[keep])
-        deleted.append(int(len(pts) - keep.sum()))
-    return survivors, deleted
+    return survivors
 
 
 def block_count(primes, d: int, lo: int, hi: int) -> int:
     """Number of survivors in [lo, hi)."""
-    per_j, _ = survivors_by_progression(primes, d, lo, hi)
-    return sum(int(s.size) for s in per_j)
+    return sum(int(s.size) for s in survivors_by_progression(primes, d, lo, hi))

@@ -29,7 +29,6 @@ from .ledger import (
     InfeasibleAtScale,
     LedgerError,
     NoPrimeWindow,
-    build_ledger,
     extend_ledger,
     full_report,
     ledger_to_json,
@@ -47,8 +46,6 @@ from .sequence import (
     write_elements,
 )
 from .zbattery import run_all
-
-F = Fraction
 
 
 def _err(msg: str) -> None:
@@ -81,10 +78,6 @@ def read_config(path: str) -> dict:
     return out
 
 
-def _frac(text: str) -> Fraction:
-    return Fraction(text)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -107,9 +100,9 @@ def _apply_overrides(profile: str, pairs: list[str]):
         name, val = pair.split("=", 1)
         name = name.strip()
         if name == "gamma_main":
-            changes[name] = Family(F(val))
+            changes[name] = Family(Fraction(val))
         elif name in _OVERRIDABLE:
-            changes[name] = F(val)
+            changes[name] = Fraction(val)
         else:
             raise ValueError(f"unknown constant {name!r}; overridable: "
                              f"{', '.join(_OVERRIDABLE + ('gamma_main',))}")
@@ -121,9 +114,7 @@ def cmd_gen_params(args) -> int:
         table = _apply_overrides(args.profile, args.set or [])
         ledger = new_ledger(table)
         while len(ledger.blocks) < args.horizon:
-            ledger = extend_ledger(ledger, max_k=args.max_k,
-                                   max_prime=args.max_prime,
-                                   max_beta=args.max_beta)
+            ledger = extend_ledger(ledger)
     except InfeasibleAtScale as exc:
         _err(f"InfeasibleAtScale: block {exc.m} needs {exc.what} >= {exc.required} "
              f"(cap {exc.cap})")
@@ -220,65 +211,78 @@ def cmd_ops_test(args) -> int:
     return 0 if failures == 0 else 1
 
 
+_SIMULATE_KEYS = ("system", "alpha", "f_lo", "f_hi", "x0", "seed",
+                  "cyclic_p", "residues", "prob", "checkpoints")
+
+
 def _build_system(cfg: dict):
     system = cfg.get("system", "rotation")
     if system == "rotation":
         alpha = cfg.get("alpha", "golden")
         sys_obj = RotationSystem.golden() if alpha == "golden" \
-            else RotationSystem.from_fraction(_frac(alpha))
-        obs = indicator(_frac(cfg.get("f_lo", "0")), _frac(cfg.get("f_hi", "1/2")))
+            else RotationSystem.from_fraction(Fraction(alpha))
+        obs = indicator(Fraction(cfg.get("f_lo", "0")),
+                        Fraction(cfg.get("f_hi", "1/2")))
         return sys_obj, obs
     if system == "cyclic":
         P = int(cfg["cyclic_p"])
-        spec = cfg.get("residues", "0")
         chosen = set()
-        for part in spec.split(","):
-            if "-" in part:
-                a, b = part.split("-")
-                chosen.update(range(int(a), int(b) + 1))
-            else:
-                chosen.add(int(part))
+        for part in cfg.get("residues", "0").split(","):
+            a, _, b = part.partition("-")
+            lo, hi = int(a), int(b or a)
+            if not 0 <= lo <= hi < P:
+                raise ValueError(f"residues {part.strip()!r} is not a nonempty "
+                                 f"range inside [0, {P})")
+            chosen.update(range(lo, hi + 1))
         table = tuple(1 if r in chosen else 0 for r in range(P))
         return CyclicSystem(P, table), None
     if system == "bernoulli":
         if "seed" not in cfg:
             raise ValueError("bernoulli systems need seed=")
-        return BernoulliSystem(_frac(cfg.get("prob", "1/2")),
+        return BernoulliSystem(Fraction(cfg.get("prob", "1/2")),
                                derive_seed(int(cfg["seed"]), "orbit")), None
     raise ValueError(f"unknown system {system!r}")
 
 
+def _checkpoints(spec: str, store):
+    """checkpoints=: blocks+log (the default, as None), blocks, or a list."""
+    if spec in ("blocks+log", ""):
+        return None
+    if spec == "blocks":
+        return list(store.betas[1:])
+    points = [int(x) for x in spec.split(",")]
+    for N in points:
+        if not 1 <= N <= store.horizon:
+            raise ValueError(f"checkpoint {N} outside [1, {store.horizon}]")
+    return points
+
+
+def _start_point(cfg: dict) -> Fraction:
+    x0_text = cfg.get("x0", "0")
+    if x0_text != "random":
+        return Fraction(x0_text)
+    if "seed" not in cfg:
+        raise ValueError("x0=random needs seed=")
+    rng = SplitMix64(derive_seed(int(cfg["seed"]), "x0"))
+    return Fraction(rng.next_u64(), 1 << 64)
+
+
 def cmd_simulate(args) -> int:
     cfg = read_config(args.config) if args.config else {}
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
     try:
-        if args.ledger:
-            ledger = load_ledger(args.ledger)
-        else:
-            ledger = build_ledger(cfg.get("profile", "demo"),
-                                  int(cfg.get("horizon", "6")))
+        unknown = sorted(set(cfg) - set(_SIMULATE_KEYS))
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}; simulate takes "
+                             f"{', '.join(_SIMULATE_KEYS)}")
+        ledger = load_ledger(args.ledger)
         system, obs = _build_system(cfg)
-    except (ValueError, KeyError, LedgerError) as exc:
+        x0 = _start_point(cfg)
+        store = build_store(ledger)
+        checkpoints = _checkpoints(cfg.get("checkpoints", ""), store)
+    except (ValueError, KeyError, ZeroDivisionError, LedgerError) as exc:
         _err(f"config error: {exc}")
         return 2
-    store = build_store(ledger)
-    x0_text = cfg.get("x0", "0")
-    if x0_text == "random":
-        if "seed" not in cfg:
-            _err("config error: x0=random needs seed=")
-            return 2
-        rng = SplitMix64(derive_seed(int(cfg["seed"]), "x0"))
-        x0 = F(rng.next_u64(), 1 << 64)
-    else:
-        x0 = _frac(x0_text)
     orbit = sample_orbit(system, x0, store.horizon, obs)
-    checkpoints = None
-    if "checkpoints" in cfg and cfg["checkpoints"] not in ("blocks+log", ""):
-        if cfg["checkpoints"] == "blocks":
-            checkpoints = list(store.betas[1:])
-        else:
-            checkpoints = [int(x) for x in cfg["checkpoints"].split(",")]
     rep = convergence_report(orbit, store, checkpoints)
     rep.to_csv(args.out)
     _err(f"simulate: {len(rep.rows)} checkpoints, final deviation "
@@ -331,9 +335,6 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--set", action="append", metavar="NAME=FRACTION",
                    help="override a scalar table constant (repeatable)")
     g.add_argument("--out", default=None)
-    g.add_argument("--max-k", type=int, default=10**6)
-    g.add_argument("--max-prime", type=int, default=2**62)
-    g.add_argument("--max-beta", type=int, default=2**62)
     g.set_defaults(fn=cmd_gen_params)
 
     b = sub.add_parser("build-seq", help="write the sequence elements")
@@ -355,8 +356,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="subsequence-average convergence run")
     s.add_argument("--config", default=None)
-    s.add_argument("--ledger", default=None)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--ledger", required=True)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_simulate)
 

@@ -279,12 +279,12 @@ def subseq_max(orbit: Orbit, store: SequenceStore, n_max: int):
     return abs(F(int(pref[best_k]), best_k))
 
 
-def default_checkpoints(store: SequenceStore, n_points: int = 24) -> list[int]:
-    """Block boundaries plus log-spaced horizons, deduplicated, sorted."""
+def default_checkpoints(store: SequenceStore) -> list[int]:
+    """Block boundaries plus 24 log-spaced horizons, deduplicated, sorted."""
     marks = set(store.betas[1:])
     lo, hi = 1, store.horizon
-    for i in range(n_points):
-        marks.add(int(round(lo * (hi / lo) ** (i / max(n_points - 1, 1)))))
+    for i in range(24):
+        marks.add(int(round(lo * (hi / lo) ** (i / 23))))
     return sorted(m for m in marks if 1 <= m <= hi)
 
 
@@ -299,7 +299,6 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class ConvergenceReport:
     rows: tuple[ConvergenceRow, ...]
-    mean_true: float
     final_deviation: float
     trend_slope: float | None     # slope of log|dev| against log N
 
@@ -333,7 +332,7 @@ def convergence_report(orbit: Orbit, store: SequenceStore,
         den = sum((x - xbar) ** 2 for x in xs)
         if den > 0:
             slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / den
-    return ConvergenceReport(tuple(rows), mean, rows[-1].deviation if rows else 0.0,
+    return ConvergenceReport(tuple(rows), rows[-1].deviation if rows else 0.0,
                              slope)
 
 
@@ -349,7 +348,6 @@ class Decomposition:
     through block m-3, high when at or above the count through block m.
     """
 
-    lam: Fraction
     lam_prime: Fraction
     values: tuple[Fraction, ...]
     parts: dict
@@ -384,7 +382,7 @@ def decompose(values, ledger: Ledger, lam) -> Decomposition:
             else:
                 table[v] = (F(0), F(0), s)
         parts[m] = table
-    return Decomposition(lam, lamp, vals, parts)
+    return Decomposition(lamp, vals, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +504,13 @@ def tower_transfer_check(tower: Tower, system: CyclicSystem, ctx: GridContext,
 # ---------------------------------------------------------------------------
 # per-block count bounds
 
-def count_bounds_check(ledger: Ledger, store: SequenceStore,
-                       per_block_grid: int = 6) -> list[dict]:
+def count_bounds_check(ledger: Ledger, store: SequenceStore) -> list[dict]:
     """The count estimates every block must satisfy, in exact rationals.
 
-    For each block: the full-block two-sided bounds, a grid of horizons N
-    inside the block with the windowed two-sided bounds, and the global
-    lower bound count(0, N) > (3/5) Q(m) N.
+    For each block: the ledger's count equals the block's size, the
+    full-block two-sided bounds, a grid of horizons N inside the block (its
+    sixths, its first point and its first point past d) with the windowed
+    two-sided bounds, and the global lower bound count(0, N) > (3/5) Q(m) N.
     """
     tab = ledger.constants
     out = []
@@ -533,8 +531,8 @@ def count_bounds_check(ledger: Ledger, store: SequenceStore,
             "grid": [],
         }
         Ns = {beta_prev + 1, beta_prev + params.d + 1, beta}
-        for i in range(1, per_block_grid + 1):
-            Ns.add(beta_prev + max(1, (length * i) // per_block_grid))
+        for i in range(1, 7):
+            Ns.add(beta_prev + max(1, (length * i) // 6))
         for N in sorted(Ns):
             if not beta_prev < N <= beta:
                 continue
@@ -550,6 +548,7 @@ def count_bounds_check(ledger: Ledger, store: SequenceStore,
             }
             g["ok"] = all(v for k, v in g.items() if k != "N")
             rec["grid"].append(g)
-        rec["ok"] = rec["f4aa"] and rec["f4ab"] and all(g["ok"] for g in rec["grid"])
+        rec["ok"] = (params.count == blk_count and rec["f4aa"] and rec["f4ab"]
+                     and all(g["ok"] for g in rec["grid"]))
         out.append(rec)
     return out

@@ -42,7 +42,7 @@ class MissingCount(LedgerError):
 
 
 class InfeasibleAtScale(LedgerError):
-    """The smallest admissible parameter exceeds the caller's resource cap."""
+    """The smallest admissible parameter exceeds its resource cap."""
 
     def __init__(self, m: int, what: str, required, cap):
         self.m = m
@@ -56,6 +56,12 @@ class InfeasibleAtScale(LedgerError):
 
 class NoPrimeWindow(LedgerError):
     pass
+
+
+# resource caps on the prime count, the primes and the block endpoints
+MAX_K = 10**6
+MAX_PRIME = 2**62
+MAX_BETA = 2**62
 
 
 def default_d(m: int) -> int:
@@ -97,13 +103,11 @@ class ConstraintRecord:
     rhs: Fraction
     op: str          # one of "<", ">", "=="
     satisfied: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)
 class ConstraintReport:
     m: int
-    profile: str
     records: tuple[ConstraintRecord, ...]
 
     @property
@@ -148,11 +152,11 @@ def new_ledger(constants: ConstantTable) -> Ledger:
     return Ledger(constants=constants, blocks=(b1,), nbar=(0,))
 
 
-def _check(name, lhs, rhs, op, note="") -> ConstraintRecord:
+def _check(name, lhs, rhs, op) -> ConstraintRecord:
     lhs = F(lhs)
     rhs = F(rhs)
     ok = {"<": lhs < rhs, ">": lhs > rhs, "==": lhs == rhs}[op]
-    return ConstraintRecord(name, lhs, rhs, op, ok, note)
+    return ConstraintRecord(name, lhs, rhs, op, ok)
 
 
 def _block_count_for(ledger: Ledger, m: int, beta_prev: int, beta: int) -> int:
@@ -181,7 +185,7 @@ def check_constraints(ledger: Ledger, m: int) -> ConstraintReport:
 
     if m == 1:
         recs.append(_check("base_K", blk.K, 1, "=="))
-        recs.append(_check("base_q", blk.primes[0], 1, "==", "single modulus 1"))
+        recs.append(_check("base_q", blk.primes[0], 1, "=="))
         recs.append(_check("base_p", blk.p, 1, "=="))
         recs.append(_check("base_Q", blk.Q, 1, "=="))
         recs.append(_check("gamma_small", blk.gamma, tab.gamma_small, "=="))
@@ -191,7 +195,7 @@ def check_constraints(ledger: Ledger, m: int) -> ConstraintReport:
                 "f3c", blk.beta_prev + 2 * blk.p,
                 tab.f3c.value(1) * blk.beta, "<",
             ))
-        return ConstraintReport(m, tab.profile, tuple(recs))
+        return ConstraintReport(m, tuple(recs))
 
     prev = ledger.block(m - 1)
     if prev.beta is None or prev.beta != blk.beta_prev:
@@ -202,9 +206,9 @@ def check_constraints(ledger: Ledger, m: int) -> ConstraintReport:
     ratio = max(
         F(a, b) for a in blk.primes for b in blk.primes
     )
-    recs.append(_check("d20f1", ratio, 2, "<", "max prime ratio"))
+    recs.append(_check("d20f1", ratio, 2, "<"))
     recs.append(_check("d_lt_q", d, qmin, "<"))
-    recs.append(_check("pmbbb", blk.beta_prev % p, 0, "==", "p_m | beta_{m-1}"))
+    recs.append(_check("pmbbb", blk.beta_prev % p, 0, "=="))
     recs.append(_check("p_monotone", prev.p, p, "<"))
     recs.append(_check("Q_monotone", blk.Q, prev.Q, "<"))
 
@@ -216,20 +220,16 @@ def check_constraints(ledger: Ledger, m: int) -> ConstraintReport:
         "f15", F(nb(m - 2) * 4 * K * K * (d + 1), qmin),
         tab.spacing_rhs.value(m), "<",
     ))
-    recs.append(_check(
-        "5aa", blk.gamma, F(2 * K * (d + 1), qmin), ">",
-        "deletion margin per period",
-    ))
+    # the deletion margin per period
+    recs.append(_check("5aa", blk.gamma, F(2 * K * (d + 1), qmin), ">"))
     recs.append(_check("f4c_gamma", 1 - blk.gamma, tab.f4c_floor, ">"))
     recs.append(_check(
         "f4c_p", p, tab.f4c_div * (blk.beta_prev - prev.beta_prev), "<",
     ))
     if m > 3:
         if tab.gamma_main is None:
-            recs.append(_check(
-                "f18", blk.gamma, F(1, 2000 * m * nb(m - 3)), "<",
-                "gamma_m below the lagged form",
-            ))
+            recs.append(_check("f18", blk.gamma,
+                               F(1, 2000 * m * nb(m - 3)), "<"))
         else:
             recs.append(_check("f18", blk.gamma, 1, "<"))
     else:
@@ -262,22 +262,22 @@ def check_constraints(ledger: Ledger, m: int) -> ConstraintReport:
     if blk.beta is not None:
         recs.append(_check("f3c", blk.beta_prev + 2 * p,
                            tab.f3c.value(m) * blk.beta, "<"))
-    return ConstraintReport(m, tab.profile, tuple(recs))
+    return ConstraintReport(m, tuple(recs))
 
 
-def _choose_k(ledger: Ledger, m: int, max_k: int) -> int:
+def _choose_k(ledger: Ledger, m: int) -> int:
     """Smallest K admissible for block m; at least 2 so deletion is active."""
     tab = ledger.constants
     bound = tab.k_growth.value(m) * ledger.nb(m - 2) / tab.k_threshold.value(m)
     k_min = bound.numerator // bound.denominator + 1
     k = max(2, k_min)
-    if k > max_k:
-        raise InfeasibleAtScale(m, "K", k_min, max_k)
+    if k > MAX_K:
+        raise InfeasibleAtScale(m, "K", k_min, MAX_K)
     return k
 
 
-def _choose_primes(ledger: Ledger, m: int, K: int, d: int, gamma: Fraction,
-                   max_prime: int) -> tuple[int, ...]:
+def _choose_primes(ledger: Ledger, m: int, K: int, d: int,
+                   gamma: Fraction) -> tuple[int, ...]:
     """K consecutive primes, smallest admissible, spanning less than a factor 2.
 
     The least prime must clear the deletion-margin bound (so the per-period
@@ -293,17 +293,16 @@ def _choose_primes(ledger: Ledger, m: int, K: int, d: int, gamma: Fraction,
         bound = max(bound, F(nb2 * 4 * K * K * (d + 1)) / tab.spacing_rhs.value(m))
     bound = max(bound, F(d))
     q1 = next_prime(bound.numerator // bound.denominator)
-    while q1 <= max_prime:
+    while q1 <= MAX_PRIME:
         ps = consecutive_primes(q1, K)
         Q = sum(F(1, q) for q in ps)
         if ps[-1] < 2 * q1 and _prod(ps) > prev.p and Q < prev.Q:
             return tuple(ps)
         q1 = next_prime(q1)
-    raise NoPrimeWindow(f"block {m}: no admissible window of {K} primes below {max_prime}")
+    raise NoPrimeWindow(f"block {m}: no admissible window of {K} primes below {MAX_PRIME}")
 
 
-def extend_ledger(ledger: Ledger, max_k: int = 10**6,
-                  max_prime: int = 2**62, max_beta: int = 2**62) -> Ledger:
+def extend_ledger(ledger: Ledger) -> Ledger:
     """Append block m = len(blocks)+1 and close block m-1.
 
     Chooses d_m = m, the minimal admissible K_m and prime window, then the
@@ -311,8 +310,8 @@ def extend_ledger(ledger: Ledger, max_k: int = 10**6,
     that leaves blocks m-1 and m with no failing record.  A candidate that
     fails only count records of block m moves on to the next multiple; any
     other failing record raises LedgerError.  Raises InfeasibleAtScale /
-    NoPrimeWindow when a cap is exceeded (with the faithful table this is the
-    expected outcome at m = 3).
+    NoPrimeWindow when a MAX_* cap is exceeded (with the faithful table this
+    is the expected outcome at m = 3).
     """
     m = len(ledger.blocks) + 1
     if ledger.block(m - 1).beta is not None:
@@ -320,8 +319,8 @@ def extend_ledger(ledger: Ledger, max_k: int = 10**6,
     tab = ledger.constants
     d = default_d(m)
     gamma = tab.gamma(m, ledger.nb(m - 2))
-    K = _choose_k(ledger, m, max_k)
-    primes = _choose_primes(ledger, m, K, d, gamma, max_prime)
+    K = _choose_k(ledger, m)
+    primes = _choose_primes(ledger, m, K, d, gamma)
     p = _prod(primes)
     Q = sum(F(1, q) for q in primes)
 
@@ -344,8 +343,8 @@ def extend_ledger(ledger: Ledger, max_k: int = 10**6,
         cand += p
 
     while True:
-        if cand > max_beta:
-            raise InfeasibleAtScale(m, "beta_{m-1}", cand, max_beta)
+        if cand > MAX_BETA:
+            raise InfeasibleAtScale(m, "beta_{m-1}", cand, MAX_BETA)
         count = _block_count_for(ledger, m - 1, beta_pp, cand)
         closed_prev = replace(prev, beta=cand, count=count)
         new_block = BlockParams(
@@ -365,15 +364,15 @@ def extend_ledger(ledger: Ledger, max_k: int = 10**6,
         cand += p
 
 
-def extend_to(ledger: Ledger, horizon: int, **caps) -> Ledger:
+def extend_to(ledger: Ledger, horizon: int) -> Ledger:
     """Extend until `horizon` blocks have parameters chosen."""
     while len(ledger.blocks) < horizon:
-        ledger = extend_ledger(ledger, **caps)
+        ledger = extend_ledger(ledger)
     return ledger
 
 
-def build_ledger(profile: str, horizon: int, **caps) -> Ledger:
-    return extend_to(new_ledger(constants_for(profile)), horizon, **caps)
+def build_ledger(profile: str, horizon: int) -> Ledger:
+    return extend_to(new_ledger(constants_for(profile)), horizon)
 
 
 def structural_report(ledger: Ledger) -> ConstraintReport:
@@ -384,14 +383,14 @@ def structural_report(ledger: Ledger) -> ConstraintReport:
     for a, b in zip(blocks, blocks[1:]):
         recs.append(_check(f"p_up_{b.m}", a.p, b.p, "<"))
         recs.append(_check(f"Q_down_{b.m}", b.Q, a.Q, "<"))
-        recs.append(_check(f"d_up_{b.m}", a.d, b.d + 1, "<", "d nondecreasing"))
+        recs.append(_check(f"d_up_{b.m}", a.d, b.d + 1, "<"))
     for a, b in zip(blocks, blocks[2:]):
-        recs.append(_check(f"d_strict_{b.m}", a.d, b.d, "<",
-                           "d grows within every 2 blocks"))
+        # d grows within every 2 blocks
+        recs.append(_check(f"d_strict_{b.m}", a.d, b.d, "<"))
     for i in range(1, len(ledger.nbar)):
         recs.append(_check(f"nbar_up_{i}", ledger.nbar[i - 1], ledger.nbar[i] + 1,
-                           "<", "nbar nondecreasing"))
-    return ConstraintReport(0, ledger.constants.profile, tuple(recs))
+                           "<"))
+    return ConstraintReport(0, tuple(recs))
 
 
 def full_report(ledger: Ledger) -> list[ConstraintReport]:
@@ -428,6 +427,10 @@ def ledger_to_json(ledger: Ledger) -> dict:
 
 
 def ledger_from_json(obj: dict) -> Ledger:
+    """Parse a ledger; ValueError unless its rows chain into one construction:
+    numbered 1..H, each starting at the previous beta, beta and count set
+    together, only the last row open, and nbar the running sum of the counts.
+    """
     tab = ConstantTable.from_json(obj["constants"])
     blocks = tuple(
         BlockParams(
@@ -444,7 +447,22 @@ def ledger_from_json(obj: dict) -> Ledger:
         )
         for b in obj["blocks"]
     )
-    return Ledger(constants=tab, blocks=blocks, nbar=tuple(int(x) for x in obj["nbar"]))
+    nbar = [0]
+    for i, b in enumerate(blocks, start=1):
+        if b.m != i:
+            raise ValueError(f"ledger row {i} is numbered {b.m}")
+        if i > 1 and b.beta_prev != blocks[i - 2].beta:
+            raise ValueError(f"block {i} starts at {b.beta_prev}, not at "
+                             f"beta_{i - 1} = {blocks[i - 2].beta}")
+        if (b.beta is None) != (b.count is None):
+            raise ValueError(f"block {i} sets only one of beta and count")
+        if b.beta is None and i < len(blocks):
+            raise ValueError(f"block {i} is open but is not the last block")
+        if b.count is not None:
+            nbar.append(nbar[-1] + b.count)
+    if [int(x) for x in obj["nbar"]] != nbar:
+        raise ValueError("nbar is not the running sum of the block counts")
+    return Ledger(constants=tab, blocks=blocks, nbar=tuple(nbar))
 
 
 def save_ledger(ledger: Ledger, path) -> None:

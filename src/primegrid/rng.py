@@ -48,9 +48,6 @@ class SplitMix64:
             if u < limit:
                 return lo + (u % span)
 
-    def choice(self, items):
-        return items[self.randint(0, len(items) - 1)]
-
 
 def derive_seed(base: int, *parts) -> int:
     """Stable sub-seed for a named battery/trial: hash parts into the base.

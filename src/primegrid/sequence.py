@@ -112,9 +112,8 @@ def build_store(ledger: Ledger, through: int | None = None) -> SequenceStore:
         if blk.beta_prev != betas[-1]:
             raise ValueError(f"block {m} starts at {blk.beta_prev}, "
                              f"not at beta_{m - 1} = {betas[-1]}")
-        per_j, _ = survivors_by_progression(
-            blk.primes, blk.d, blk.beta_prev, blk.beta)
-        parts.extend(per_j)
+        parts.extend(survivors_by_progression(
+            blk.primes, blk.d, blk.beta_prev, blk.beta))
         betas.append(blk.beta)
     elements = np.concatenate(parts)
     del parts       # free the per-progression arrays before the store's checks
@@ -127,7 +126,6 @@ def build_store(ledger: Ledger, through: int | None = None) -> SequenceStore:
 @dataclass(frozen=True)
 class BlockReport:
     m: int
-    profile: str
     n_windows: int
     min_ratio: Fraction | None     # window count / (p_m Q(m))
     max_ratio: Fraction | None
@@ -178,7 +176,7 @@ def verify_block(ledger: Ledger, store: SequenceStore, m: int) -> BlockReport:
     # the block's first d positions are empty
     spacing_ok = m == 1 or elems.size == 0 or int(elems[0]) >= lo + params.d
     return BlockReport(
-        m=m, profile=ledger.constants.profile, n_windows=n_win,
+        m=m, n_windows=n_win,
         min_ratio=ratios[0] if ratios else None,
         max_ratio=ratios[1] if ratios else None,
         lower_ok=lower_ok, upper_ok=upper_ok, k1_edge=k1_edge,

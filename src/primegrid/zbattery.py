@@ -34,22 +34,21 @@ WEAK_CONTEXTS = ((2, 3), (3, 5), (5, 7))
 L2_CONTEXTS = ((2, 3), (3, 5), (5, 7), (5, 7, 11))
 
 
-def random_signal(rng: SplitMix64, span_scale: int, nonneg: bool = False,
-                  as_float: bool = True) -> FiniteSignal:
-    """Random rational-valued signal; span and offset scale with the context.
+def random_signal(rng: SplitMix64, span_scale: int) -> FiniteSignal:
+    """Random signal; span and offset scale with the context.
 
-    With `as_float` the values are the floats num / den, which equal the
-    rationals exactly: |num| <= 8 and den is a power of two.
+    The values are the floats num / den with |num| <= 8 and den in {1, 2, 4},
+    so each equals the rational num/den exactly; at least one is nonzero.
     """
     length = rng.randint(1, 4 * span_scale)
     lo = rng.randint(-2 * span_scale, span_scale)
     vals = []
     for _ in range(length):
-        num = rng.randint(0 if nonneg else -8, 8)
+        num = rng.randint(-8, 8)
         den = (1, 2, 4)[rng.randint(0, 2)]
-        vals.append(num / den if as_float else F(num, den))
+        vals.append(num / den)
     if all(v == 0 for v in vals):
-        vals[rng.randint(0, length - 1)] = 1.0 if as_float else F(1)
+        vals[rng.randint(0, length - 1)] = 1.0
     return FiniteSignal(lo, vals)
 
 
@@ -141,11 +140,10 @@ def battery_window_strong(base_seed: int, trials: int) -> list[dict]:
     return out
 
 
-def battery_progression_weak(base_seed: int, trials: int,
-                             contexts=WEAK_CONTEXTS) -> list[dict]:
+def battery_progression_weak(base_seed: int, trials: int) -> list[dict]:
     out = []
-    per_ctx = -(-trials // len(contexts))
-    for primes in contexts:
+    per_ctx = -(-trials // len(WEAK_CONTEXTS))
+    for primes in WEAK_CONTEXTS:
         ctx = GridContext(primes)
         for trial in range(per_ctx):
             seed = derive_seed(base_seed, "progression_weak", primes, trial)
@@ -165,11 +163,10 @@ def battery_progression_weak(base_seed: int, trials: int,
     return out
 
 
-def battery_deviation_l2(base_seed: int, trials: int,
-                         contexts=L2_CONTEXTS) -> list[dict]:
+def battery_deviation_l2(base_seed: int, trials: int) -> list[dict]:
     out = []
-    per_ctx = -(-trials // len(contexts))
-    for primes in contexts:
+    per_ctx = -(-trials // len(L2_CONTEXTS))
+    for primes in L2_CONTEXTS:
         ctx = GridContext(primes)
         for trial in range(per_ctx):
             seed = derive_seed(base_seed, "deviation_l2", primes, trial)
@@ -206,4 +203,4 @@ def run_all(base_seed: int, trials: int = 1000) -> dict:
             "failures": len(fails),
             "max_ratio": max(ratios) if ratios else None,
         }
-    return {"records": batteries, "summary": summary, "seed": base_seed}
+    return {"records": batteries, "summary": summary}

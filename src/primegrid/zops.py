@@ -26,6 +26,7 @@ representation identities in Fractions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -461,20 +462,20 @@ def _lattice_tables(sig: FiniteSignal, ctx: GridContext, kind: str):
     return blk_lo, T, CH
 
 
-def sup_profile(sig: FiniteSignal, ctx: GridContext, n_lo: int, n_hi: int,
-                kind: str, tables=None) -> np.ndarray:
-    """Float suprema (mean for "plus", deviation for "minus") on [n_lo, n_hi].
+def sup_profile(tables, ctx: GridContext, n_lo: int, n_hi: int) -> np.ndarray:
+    """Float suprema on [n_lo, n_hi] of the operator `tables` was built for.
 
-    For each n the supremum over window block counts N' reduces to a maximum
-    over the cumulative kernel table row r = n mod p from lattice offset
-    j0 = (n - blk_lo - r)/p: values with the window beyond the support keep a
-    frozen numerator and only dilute, so columns past the support never raise
-    the maximum and the finite matrix is exact.  N' = 1 is unreachable at
-    r = p - 1 and is masked there.
+    `tables` is `_lattice_tables(sig, ctx, kind)`: the suprema of the
+    combined progression mean for kind "plus", of the combined deviation for
+    "minus".  For each n the supremum over window block counts N' reduces to
+    a maximum over the cumulative kernel table row r = n mod p from lattice
+    offset j0 = (n - blk_lo - r)/p: values with the window beyond the support
+    keep a frozen numerator and only dilute, so columns past the support
+    never raise the maximum and the finite matrix is exact.  N' = 1 is
+    unreachable at r = p - 1 and is masked there.
     """
     p = ctx.p
-    blk_lo, T, CH = tables if tables is not None \
-        else _lattice_tables(sig, ctx, kind)
+    blk_lo, T, CH = tables
 
     def block(a: int, b: int) -> np.ndarray:
         n = np.arange(a, b + 1)
@@ -490,10 +491,10 @@ def sup_profile(sig: FiniteSignal, ctx: GridContext, n_lo: int, n_hi: int,
     return _row_blocks(n_lo, n_hi, max(T - (n_lo - blk_lo) // p, 2), block)
 
 
-def _hyperbola_sq_sums(KS: np.ndarray, lengths: np.ndarray, k_start: int,
-                       shift: int) -> np.ndarray:
+def _hyperbola_sq_sums(KS: np.ndarray, lengths: np.ndarray,
+                       k_start: int) -> np.ndarray:
     """Per row i, np.sum over k in [k_start, k_start + lengths[i]) of
-    (max_c KS[i, c-1] / (k + c + shift))^2, where -inf entries drop out.
+    (max_c KS[i, c-1] / (k + c))^2, where -inf entries drop out.
 
     The rows are flattened into one (row, k) array; each sum is taken as one
     2-D np.sum over the rows of equal length, which adds in the same
@@ -504,7 +505,7 @@ def _hyperbola_sq_sums(KS: np.ndarray, lengths: np.ndarray, k_start: int,
     ks = (k_start + np.arange(owner.size) - starts[owner]).astype(float)
     grid = np.full(owner.size, -np.inf)
     for c in range(1, KS.shape[1] + 1):
-        grid = np.maximum(grid, KS[owner, c - 1] / (ks + c + shift))
+        grid = np.maximum(grid, KS[owner, c - 1] / (ks + c))
     sq = grid ** 2
     out = np.zeros(lengths.size)
     for L in np.unique(lengths[lengths > 0]).tolist():
@@ -513,8 +514,8 @@ def _hyperbola_sq_sums(KS: np.ndarray, lengths: np.ndarray, k_start: int,
     return out
 
 
-def sup_sq_tail(S, k_start: int, shift: int = 0, cap: int = 200_000):
-    """Exact sum over k >= k_start of max(0, max_c S_c/(k+c+shift))^2.
+def sup_sq_tail(S, k_start: int, cap: int = 200_000):
+    """Exact sum over k >= k_start of max(0, max_c S_c/(k+c))^2.
 
     S is one row S_1..S_C (returns a float) or a 2-D array of such rows
     (returns one sum per row).  Per row, the maximum of finitely many
@@ -526,7 +527,7 @@ def sup_sq_tail(S, k_start: int, shift: int = 0, cap: int = 200_000):
     """
     S = np.asarray(S, dtype=float)
     if S.ndim == 1:
-        return float(sup_sq_tail(S[None, :], k_start, shift, cap)[0])
+        return float(sup_sq_tail(S[None, :], k_start, cap)[0])
     out = np.zeros(S.shape[0])
     if k_start < 0 or S.shape[1] == 0:
         return out
@@ -541,7 +542,7 @@ def sup_sq_tail(S, k_start: int, shift: int = 0, cap: int = 200_000):
     pair = np.flatnonzero(rows[1:] == rows[:-1])
     r1, c1, c2 = rows[pair], cols[pair], cols[pair + 1]
     s1, s2 = S[r1, c1], S[r1, c2]
-    cross = (s1 * (c2 + 1 + shift) - s2 * (c1 + 1 + shift)) / (s2 - s1)
+    cross = (s1 * (c2 + 1) - s2 * (c1 + 1)) / (s2 - s1)
     cross = np.clip(cross, k_start - 1, k_start + cap + 1)
     k_star = np.full(kr.size, k_start, dtype=np.int64)
     np.maximum.at(k_star, r1, np.floor(cross).astype(np.int64) + 1)
@@ -554,7 +555,7 @@ def sup_sq_tail(S, k_start: int, shift: int = 0, cap: int = 200_000):
     finite = np.zeros(kr.size)
     for g in np.unique(group).tolist():
         sel = group == g
-        finite[sel] = _hyperbola_sq_sums(KS[sel], lengths[sel], k_start, shift)
+        finite[sel] = _hyperbola_sq_sums(KS[sel], lengths[sel], k_start)
     # the tail from k_star: the last kept hyperbola (the first c reaching the
     # row maximum), or past the cap the row maximum at the first kept offset
     s_max = best[:, -1]
@@ -562,7 +563,7 @@ def sup_sq_tail(S, k_start: int, shift: int = 0, cap: int = 200_000):
     # square through Python floats (libm pow): numpy's square rounds some
     # exact ties the other way
     coef = np.array([v ** 2 for v in s_max.tolist()])
-    out[kr] = finite + coef * polygamma(1, k_star + c_tail + shift)
+    out[kr] = finite + coef * polygamma(1, k_star + c_tail)
     return out
 
 
@@ -578,15 +579,13 @@ def level_count_progression_sup(sig: FiniteSignal, ctx: GridContext, lam) -> dic
     if lam <= 0:
         raise NonpositiveLambda(lam)
     l1 = sig.l1
-    maxq = max(ctx.primes)
-    W = int(-(-(l1 * maxq) // lam)) + ctx.p if not isinstance(lam, float) \
-        else int(np.ceil(float(l1) * maxq / lam)) + ctx.p
+    W = math.ceil(l1 * max(ctx.primes) / lam) + ctx.p
     n_lo, n_hi = sig.lo - W, sig.hi + ctx.p
-    profile = sup_profile(sig, ctx, n_lo, n_hi, "plus")
+    profile = sup_profile(_lattice_tables(sig, ctx, "plus"), ctx, n_lo, n_hi)
     count = int(np.sum(profile > float(lam)))
     bound = 4 * (float(l1) / float(lam))
-    return {"count": count, "bound": bound, "lambda": lam,
-            "ok": count <= bound, "window": (n_lo, n_hi)}
+    return {"count": count, "bound": bound, "ok": count <= bound,
+            "window": (n_lo, n_hi)}
 
 
 def deviation_sup_l2_bound(sig: FiniteSignal, ctx: GridContext) -> dict:
@@ -598,18 +597,17 @@ def deviation_sup_l2_bound(sig: FiniteSignal, ctx: GridContext) -> dict:
     p = ctx.p
     tables = _lattice_tables(sig, ctx, "minus")
     blk_lo, T, CH = tables
-    lhs = float(np.sum(sup_profile(sig, ctx, blk_lo, blk_lo + T * p - 1,
-                                   "minus", tables=tables) ** 2))
+    sups = sup_profile(tables, ctx, blk_lo, blk_lo + T * p - 1)
+    lhs = float(np.sum(sups ** 2))
     # row r: n = blk_lo + r - k*p, k >= 1; added residue by residue
     for tail in sup_sq_tail(CH[:, 1:], k_start=1).tolist():
         lhs += tail
     M = float(sig.bound_M)
     rhs = 32.0 / ctx.K * M * float(sig.l1)
-    # the unsquared norm form is recorded alongside; the squared-sum bound is
+    # the unsquared norm form is checked alongside; the squared-sum bound is
     # the one asserted by the batteries
     return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs,
-            "ratio": lhs / rhs if rhs else None,
-            "lhs_norm": lhs ** 0.5, "norm_ok": lhs ** 0.5 <= rhs}
+            "norm_ok": lhs ** 0.5 <= rhs}
 
 
 def level_count_window_sup(sig: FiniteSignal, lam) -> dict:
@@ -617,8 +615,7 @@ def level_count_window_sup(sig: FiniteSignal, lam) -> dict:
     if lam <= 0:
         raise NonpositiveLambda(lam)
     l1 = sig.l1
-    W = int(-(-l1 // lam)) + 1 if not isinstance(lam, float) \
-        else int(np.ceil(float(l1) / lam)) + 1
+    W = math.ceil(l1 / lam) + 1
     n_lo, n_hi = sig.lo - W, sig.hi
     vals = np.array([float(v) for v in sig.values])
     P = np.concatenate([[0.0], np.cumsum(vals)])
@@ -633,7 +630,7 @@ def level_count_window_sup(sig: FiniteSignal, lam) -> dict:
     sup = _row_blocks(n_lo, n_hi, sig.hi - n_lo + 1, block)
     count = int(np.sum(sup > float(lam)))
     bound = 2 * (float(l1) / float(lam))
-    return {"count": count, "bound": bound, "lambda": lam, "ok": count <= bound}
+    return {"count": count, "bound": bound, "ok": count <= bound}
 
 
 def strong_l2_window_sup(sig: FiniteSignal) -> dict:
@@ -665,5 +662,4 @@ def strong_l2_window_sup(sig: FiniteSignal) -> dict:
     lhs_sq += sup_sq_tail(P[1:], k_start=1)
     rhs = 2.0 * float(sig.l2sq) ** 0.5
     lhs = lhs_sq ** 0.5
-    return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs,
-            "ratio": lhs / rhs if rhs else None}
+    return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs}

@@ -59,8 +59,7 @@ def oracle_block(moduli, d, lo, hi):
 
 def block_elements(primes, d, lo, hi):
     """Sorted survivor set of the block [lo, hi), by the library's kernel."""
-    per_j, _ = survivors_by_progression(primes, d, lo, hi)
-    return np.sort(np.concatenate(per_j))
+    return np.sort(np.concatenate(survivors_by_progression(primes, d, lo, hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +99,14 @@ def prune_hyperbolas(S):
     return kept
 
 
-def sup_sq_tail_row(S, k_start, shift=0, cap=200_000):
+def sup_sq_tail_row(S, k_start, cap=200_000):
     """Scalar hyperbola-tail sum for one row S_1..S_C."""
     kept = prune_hyperbolas(np.asarray(S, dtype=float))
     if not kept or k_start < 0:
         return 0.0
     k_star = k_start
     for (c1, s1), (c2, s2) in zip(kept, kept[1:]):
-        cross = (s1 * (c2 + shift) - s2 * (c1 + shift)) / (s2 - s1)
+        cross = (s1 * c2 - s2 * c1) / (s2 - s1)
         k_star = max(k_star, int(np.floor(cross)) + 1)
     exact_beyond = True
     if k_star - k_start > cap:
@@ -116,15 +115,15 @@ def sup_sq_tail_row(S, k_start, shift=0, cap=200_000):
     total = 0.0
     if k_star > k_start:
         ks = np.arange(k_start, k_star, dtype=float)
-        grid = np.max([s / (ks + c + shift) for c, s in kept], axis=0)
+        grid = np.max([s / (ks + c) for c, s in kept], axis=0)
         total += float(np.sum(grid ** 2))
     if exact_beyond:
         c_last, s_last = kept[-1]
-        total += s_last ** 2 * float(polygamma(1, k_star + c_last + shift))
+        total += s_last ** 2 * float(polygamma(1, k_star + c_last))
     else:
         c_min = kept[0][0]
         s_max = kept[-1][1]
-        total += s_max ** 2 * float(polygamma(1, k_star + c_min + shift))
+        total += s_max ** 2 * float(polygamma(1, k_star + c_min))
     return total
 
 

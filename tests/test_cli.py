@@ -123,6 +123,54 @@ def test_verify_flags_corruption(tmp_path, demo_ledger_file):
     assert main(["verify", "--ledger", str(bad)]) == 1
 
 
+# each defect on row 3 (index 2) of the demo ledger, and the words of its error
+LEDGER_DEFECTS = {
+    "row-numbering": ("row 3 is numbered 7",
+                      lambda d: d["blocks"][2].update(m=7)),
+    "beta-prev-moved": ("block 3 starts at", lambda d: d["blocks"][2].update(
+        beta_prev=d["blocks"][2]["beta_prev"] + d["blocks"][2]["p"])),
+    "count-unset": ("only one of beta and count",
+                    lambda d: d["blocks"][2].update(count=None)),
+    "open-row-not-last": ("block 3 is open",
+                          lambda d: d["blocks"][2].update(beta=None, count=None)),
+    "nbar-short": ("running sum", lambda d: d["nbar"].pop()),
+    "nbar-raised": ("running sum",
+                    lambda d: d["nbar"].__setitem__(3, d["nbar"][3] + 5)),
+}
+
+
+@pytest.mark.parametrize("command", ["build-seq", "verify"])
+@pytest.mark.parametrize("defect", sorted(LEDGER_DEFECTS))
+def test_ledger_rows_must_chain(tmp_path, capsys, demo_ledger_file, defect,
+                                command):
+    words, corrupt = LEDGER_DEFECTS[defect]
+    data = json.loads(demo_ledger_file.read_text())
+    corrupt(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main([command, "--ledger", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and words in err
+    assert not out.exists()
+
+
+def test_verify_checks_ledger_counts_against_blocks(tmp_path, demo_ledger_file):
+    # the ledger still chains, but built block 3 holds 3 more elements than
+    # its row says
+    data = json.loads(demo_ledger_file.read_text())
+    data["blocks"][2]["count"] -= 3
+    data["nbar"][3:] = [n - 3 for n in data["nbar"][3:]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    rep = tmp_path / "verify.json"
+    assert main(["verify", "--ledger", str(bad), "--out", str(rep)]) == 1
+    checks = json.loads(rep.read_text())["checks"]
+    assert {c["block"]: c["overall"] for c in checks
+            if c["kind"] == "count_bounds"} == {1: True, 2: True, 3: False,
+                                                4: True, 5: True}
+
+
 def test_build_seq_rejects_negative_d(tmp_path, capsys, demo_ledger_file):
     data = json.loads(demo_ledger_file.read_text())
     data["blocks"][1]["d"] = -1               # nothing deleted: overlaps stay
@@ -200,7 +248,13 @@ def test_simulate_config_errors(tmp_path, demo_ledger_file):
                  "--ledger", str(demo_ledger_file),
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg"),
+                 "--ledger", str(demo_ledger_file),
                  "--out", str(tmp_path / "x.csv")]) == 2
+    open_ledger = tmp_path / "h1.json"     # block 1 open: nothing to build
+    assert main(["gen-params", "--horizon", "1", "--out", str(open_ledger)]) == 0
+    assert main(["simulate", "--ledger", str(open_ledger),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -208,8 +262,17 @@ def test_simulate_config_errors(tmp_path, demo_ledger_file):
     "system=rotation\nf_lo=1/2\nf_hi=1/2\nx0=0\n",
     "system=bernoulli\nprob=3/2\nseed=1\n",
     "system=cyclic\ncyclic_p=7\nresidues=0\nx0=1/2\n",
+    "system=rotation\nx0=0\ncheckpoints=0\n",
+    "system=rotation\nx0=0\ncheckpoints=1,99999999\n",
+    "system=cyclic\ncyclic_p=4\nresidues=0,9\nx0=0\n",
+    "system=cyclic\ncyclic_p=4\nresidues=3-1\nx0=0\n",
+    "systme=cyclic\ncyclic_p=4\nresidues=1\nx0=0\n",
+    "system=rotation\nx0=0\nhorizon=1\n",
+    "system=rotation\nx0=1/0\n",
 ], ids=["x0-outside-unit", "empty-indicator", "prob-outside-unit",
-        "fractional-residue"])
+        "fractional-residue", "checkpoint-zero", "checkpoint-past-horizon",
+        "residue-outside-cycle", "empty-residue-range", "unknown-key",
+        "retired-horizon-key", "x0-zero-denominator"])
 def test_simulate_rejects_bad_spec(tmp_path, capsys, demo_ledger_file, text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

@@ -69,12 +69,10 @@ def test_survivors_reject_inputs_that_break_disjointness(primes, d, what):
 
 def test_deleted_counts_match_oracle():
     moduli, d, lo, hi = (5, 7), 2, 35, 175
-    per_j, deleted = survivors_by_progression(moduli, d, lo, hi)
+    per_j = survivors_by_progression(moduli, d, lo, hi)
     for j, q in enumerate(moduli):
-        total = len([n for n in range(lo, hi) if n % q == 0])
         keep = [n for n in oracle_block(moduli, d, lo, hi) if n % q == 0]
-        assert len(per_j[j]) == len(keep)
-        assert deleted[j] == total - len(keep)
+        assert per_j[j].tolist() == keep
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from primegrid.zops import (
     GridContext,
     LengthMismatch,
     NonpositiveLambda,
+    _lattice_tables,
     _n_for_nprime,
     block_average,
     deviation_sup_l2_bound,
@@ -478,8 +479,10 @@ def test_sup_profile_matches_exact_sweeps():
     for ctx in CTXS:
         sig = rational_signal(rng, ctx)
         lo, hi = sig.lo - 3 * ctx.p - 2, sig.hi + 2 * ctx.p + 3
-        plus = sup_profile(sig.as_floats(), ctx, lo, hi, "plus")
-        minus = sup_profile(sig.as_floats(), ctx, lo, hi, "minus")
+        plus = sup_profile(_lattice_tables(sig.as_floats(), ctx, "plus"),
+                           ctx, lo, hi)
+        minus = sup_profile(_lattice_tables(sig.as_floats(), ctx, "minus"),
+                            ctx, lo, hi)
         for i, n in enumerate(range(lo, hi + 1)):
             assert abs(plus[i] - float(progression_mean_sup(sig, ctx, n))) < 1e-9
             assert abs(minus[i] - float(progression_deviation_sup(sig, ctx, n))) < 1e-9

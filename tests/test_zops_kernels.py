@@ -60,7 +60,7 @@ def test_sup_profile_equals_residue_loop(primes, block_entries):
         # rows at r = p - 1 and rows left of the support (negative j0)
         assert (n % ctx.p == ctx.p - 1).any() and (n < blk_lo).any()
         for kind in ("plus", "minus"):
-            fast = sup_profile(sig, ctx, n_lo, n_hi, kind)
+            fast = sup_profile(_lattice_tables(sig, ctx, kind), ctx, n_lo, n_hi)
             assert np.array_equal(
                 fast, sup_profile_by_residue(sig, ctx, n_lo, n_hi, kind))
 
@@ -123,7 +123,8 @@ def test_sup_sq_tail_cap_branch(block_entries):
 def test_window_count_float_matches_exact():
     rng = SplitMix64(derive_seed(2024, "window-exact"))
     for _ in range(40):
-        sig = random_signal(rng, 6, as_float=False)
+        draw = random_signal(rng, 6)
+        sig = FiniteSignal(draw.lo, [F(v) for v in draw.values])
         lam = F(rng.randint(1, 24), (1, 2, 3, 4, 8)[rng.randint(0, 4)])
         exact = window_count_exact(sig, lam)
         fast = level_count_window_sup(sig.as_floats(), float(lam))["count"]
