@@ -99,13 +99,14 @@ def _apply_overrides(profile: str, pairs: list[str]):
             raise ValueError(f"override must be name=value, got {pair!r}")
         name, val = pair.split("=", 1)
         name = name.strip()
-        if name == "gamma_main":
-            changes[name] = Family(Fraction(val))
-        elif name in _OVERRIDABLE:
-            changes[name] = Fraction(val)
-        else:
+        if name not in _OVERRIDABLE + ("gamma_main",):
             raise ValueError(f"unknown constant {name!r}; overridable: "
                              f"{', '.join(_OVERRIDABLE + ('gamma_main',))}")
+        try:
+            value = Fraction(val)
+        except ZeroDivisionError:
+            raise ValueError(f"override {pair!r} has a zero denominator") from None
+        changes[name] = Family(value) if name == "gamma_main" else value
     return dataclasses.replace(table, **changes)
 
 

@@ -431,6 +431,11 @@ def ledger_from_json(obj: dict) -> Ledger:
     numbered 1..H, each starting at the previous beta, beta and count set
     together, only the last row open, and nbar the running sum of the counts.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a ledger is a JSON object, not {type(obj).__name__}")
+    missing = [key for key in ("constants", "blocks", "nbar") if key not in obj]
+    if missing:
+        raise ValueError(f"ledger has no {', '.join(missing)}")
     tab = ConstantTable.from_json(obj["constants"])
     blocks = tuple(
         BlockParams(

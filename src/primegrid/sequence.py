@@ -8,6 +8,14 @@ increasing element array.  Block m is the slice of that array between the
 positions of beta_{m-1} and beta_m, found by binary search in the elements
 themselves, so every count read from the store reflects the array it holds.
 Range counts are binary searches too.
+
+The two kernels that touch every element avoid per-element Python work.
+`banach_density` prunes window starts exactly: a bucket of starts [s, e) is
+skipped when the count of [s, e - 1 + L), which holds every window starting
+in the bucket, is no more than an exact window count already in hand, so no
+skipped window can be the maximum.  `write_elements` formats a run of
+elements with the same number of digits as one byte matrix, a digit column
+at a time.
 """
 
 from __future__ import annotations
@@ -202,30 +210,88 @@ def gap_profile(store: SequenceStore) -> list[tuple[int, int, int]]:
     return out
 
 
+# banach_density halves its hot buckets while they average more element
+# starts than this
+_SPLIT_BELOW = 8
+
+
 def banach_density(store: SequenceStore, L: int) -> Fraction:
-    """Exact max over windows [a, a+L) within [0, beta_M) of count/L."""
+    """Exact max over windows [a, a+L) within [0, beta_M) of count/L.
+
+    A best window starts at an element or is the last window [beta_M - L,
+    beta_M), because sliding a window right to its first element loses
+    nothing.  The valid starts [0, beta_M - L] are cut into buckets [s, e),
+    first one bucket, then each hot bucket halved.  The window at each
+    bucket start and the last window are counted exactly; their maximum
+    `lb` is a lower bound.  Every window starting in [s, e) lies inside
+    [s, e - 1 + L), so that count bounds the bucket from above.  A bucket
+    whose bound is at most `lb` is dropped: none of its windows can beat
+    `lb`, so dropping it keeps the maximum exact.  Once the hot buckets hold
+    at most _SPLIT_BELOW element starts each on average, the windows at
+    their element starts are counted one by one.  Those are a subset of the
+    element starts, and the bucket levels add at most about two binary
+    searches per element start where nothing is dropped.
+    """
     if L < 1:
         raise ValueError("window length must be positive")
     if L > store.horizon:
         raise WindowTooLarge(f"L={L} exceeds horizon {store.horizon}")
-    elems, last = store.elements, store.horizon - L
-    # a best window starts at an element or is the last window [last, beta_M);
-    # the elements up to `last` are the prefix elems[:k], element i the i-th
-    k = int(np.searchsorted(elems, last, side="right"))
-    hi = np.searchsorted(elems, elems[:k] + L, side="left")
-    best = int((hi - np.arange(k)).max(initial=0))
-    return F(max(best, store.count_range(last, store.horizon)), L)
+    elems, horizon = store.elements, store.horizon
+    last = horizon - L
+    lb = store.count_range(last, horizon)
+    # buckets [s, e) of window starts, e <= last + 1, halved while hot
+    s = np.zeros(1, dtype=np.int64)
+    e = np.full(1, last + 1, dtype=np.int64)
+    while True:
+        # elements below s, e, s + L and e - 1 + L, all at most beta_M
+        c = np.searchsorted(elems, np.stack((s, e, s + L, e - 1 + L)))
+        lb = max(lb, int((c[2] - c[0]).max()))
+        hot = c[3] - c[0] > lb
+        lo, hi = c[0, hot], c[1, hot]
+        if int((hi - lo).sum()) <= _SPLIT_BELOW * lo.size:
+            break
+        s, e = s[hot], e[hot]
+        mid = (s + e) // 2
+        # interleaved, so that the buckets stay sorted
+        s, e = np.stack((s, mid), 1).ravel(), np.stack((mid, e), 1).ravel()
+    if lo.size:
+        # count the windows at the element starts of the hot buckets
+        sizes = hi - lo
+        idx = np.arange(int(sizes.sum()), dtype=np.int64) \
+            + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+        counts = np.searchsorted(elems, elems[idx] + L, side="left") - idx
+        lb = max(lb, int(counts.max(initial=0)))
+    return F(lb, L)
 
 
 _WRITE_CHUNK = 1 << 16
 
 
 def write_elements(store: SequenceStore, path) -> None:
-    """One decimal element per line, formatted 2^16 elements at a time."""
+    """One decimal element per line, as bytes built column by column.
+
+    The elements are sorted, so those with w digits are one contiguous run.
+    Each run is written _WRITE_CHUNK rows at a time as a (rows, w + 1) byte
+    matrix: the digits filled from the last column back, then a newline.
+    """
     elems = store.elements
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(0, elems.size, _WRITE_CHUNK):
-            fh.write("".join(f"{n}\n" for n in elems[i:i + _WRITE_CHUNK].tolist()))
+    # run w (1..19 digits, int64 has at most 19) is elems[edges[w-1]:edges[w]]
+    edges = np.concatenate((
+        [0], np.searchsorted(elems, 10 ** np.arange(1, 19, dtype=np.int64)),
+        [elems.size]))
+    with open(path, "wb") as fh:
+        for width in range(1, 20):
+            for i in range(edges[width - 1], edges[width], _WRITE_CHUNK):
+                # unsigned division is faster, and 32 bits hold 9 digits
+                x = elems[i:min(i + _WRITE_CHUNK, edges[width])].astype(
+                    np.uint32 if width <= 9 else np.uint64)
+                rows = np.empty((x.size, width + 1), dtype=np.uint8)
+                rows[:, width] = ord("\n")
+                for col in range(width - 1, -1, -1):
+                    x, digit = np.divmod(x, 10)
+                    rows[:, col] = digit
+                rows[:, :width] += ord("0")
+                fh.write(rows.tobytes())
 
 
 def block_summaries(store: SequenceStore) -> list[dict]:

@@ -8,6 +8,9 @@ as one array operation, and `window_count_exact` counts levels by brute
 force in exact arithmetic.  `dense_orbit` walks an orbit step by step, where
 the library evaluates it only at the positions asked for.
 
+`banach_density_all_starts` counts the window at every element start,
+where the library prunes whole buckets of starts.
+
 Two helpers that only the tests call live here too: `block_elements`, one
 block's survivor sets merged into a sorted array, and `fragile_positions`,
 which marks orbit points too close to a breakpoint to trust at 128 bits.
@@ -60,6 +63,16 @@ def oracle_block(moduli, d, lo, hi):
 def block_elements(primes, d, lo, hi):
     """Sorted survivor set of the block [lo, hi), by the library's kernel."""
     return np.sort(np.concatenate(survivors_by_progression(primes, d, lo, hi)))
+
+
+def banach_density_all_starts(store, L):
+    """Max over windows [a, a+L) within [0, beta_M) of count/L, counting the
+    window at every element start up to beta_M - L and the last window."""
+    elems, last = store.elements, store.horizon - L
+    k = int(np.searchsorted(elems, last, side="right"))
+    hi = np.searchsorted(elems, elems[:k] + L, side="left")
+    best = int((hi - np.arange(k)).max(initial=0))
+    return F(max(best, store.count_range(last, store.horizon)), L)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,16 @@ def test_gen_params_constant_overrides(tmp_path, capsys):
                  "--set", "bogus=1", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("pair", ["gamma_small=1/0", "gamma_main=3/0"])
+def test_gen_params_zero_denominator_is_config_error(tmp_path, capsys, pair):
+    out = tmp_path / "custom.json"
+    assert main(["gen-params", "--profile", "demo", "--horizon", "3",
+                 "--set", pair, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and pair in err and "zero denominator" in err
+    assert not out.exists()
+
+
 def test_gen_params_faithful_two_blocks(tmp_path):
     out = tmp_path / "faithful.json"
     assert main(["gen-params", "--profile", "faithful", "--horizon", "2",
@@ -148,6 +158,30 @@ def test_ledger_rows_must_chain(tmp_path, capsys, demo_ledger_file, defect,
     corrupt(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main([command, "--ledger", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and words in err
+    assert not out.exists()
+
+
+# ledger files of the wrong shape, and the words of their error
+LEDGER_SHAPES = {
+    "top-level-list": ("not list", lambda d: [1, 2]),
+    "no-nbar": ("has no nbar",
+                lambda d: {k: v for k, v in d.items() if k != "nbar"}),
+    "no-constants-or-blocks": ("has no constants, blocks", lambda d: {
+        "nbar": d["nbar"]}),
+}
+
+
+@pytest.mark.parametrize("command", ["build-seq", "verify"])
+@pytest.mark.parametrize("shape", sorted(LEDGER_SHAPES))
+def test_ledger_shape_errors_exit_2(tmp_path, capsys, demo_ledger_file, shape,
+                                    command):
+    words, reshape = LEDGER_SHAPES[shape]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(reshape(json.loads(demo_ledger_file.read_text()))))
     out = tmp_path / "out"
     assert main([command, "--ledger", str(bad), "--out", str(out)]) == 2
     err = capsys.readouterr().err

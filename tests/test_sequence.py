@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from primegrid import sequence
 from primegrid.blocksets import block_count, survivors_by_progression
 from primegrid.constants import demo_constants
-from primegrid.ledger import BlockParams, Ledger
+from primegrid.ledger import MAX_BETA, BlockParams, Ledger
 from primegrid.rng import SplitMix64
 from primegrid.sequence import (
     OutOfBuiltRange,
@@ -22,7 +22,7 @@ from primegrid.sequence import (
     write_elements,
 )
 
-from _oracles import block_elements, oracle_block
+from _oracles import banach_density_all_starts, block_elements, oracle_block
 
 
 def test_toy_block_matches_hand_value():
@@ -294,6 +294,61 @@ def test_banach_density_matches_brute_force():
         assert banach_density(store, L) == F(want, L), (betas, elems, L)
 
 
+@pytest.mark.parametrize("L", [1, 7, 10**3, 10**4, 10**5, 10**6, "horizon"])
+def test_banach_density_matches_all_starts_on_demo(demo_store, L):
+    L = demo_store.horizon if L == "horizon" else L
+    assert banach_density(demo_store, L) == \
+        banach_density_all_starts(demo_store, L)
+
+
+def random_store(rng):
+    """A few blocks: a dense first block, then sparser ones whose gaps grow,
+    the shape in which whole buckets of window starts can be skipped."""
+    betas, elems = [0], []
+    for m in range(1, rng.randint(2, 5) + 1):
+        lo = betas[-1]
+        hi = lo + rng.randint(1, 3000)
+        gap = 1 if m == 1 else rng.randint(1, 40 * m)
+        n = lo + rng.randint(0, gap - 1)
+        while n < hi:
+            if rng.randint(0, 7):           # an occasional hole
+                elems.append(n)
+            n += rng.randint(1, gap)
+        betas.append(hi)
+    return SequenceStore(betas, np.array(elems, dtype=np.int64))
+
+
+@pytest.mark.parametrize("split_below", [1, 8])
+def test_banach_density_matches_all_starts_on_random_stores(monkeypatch,
+                                                            split_below):
+    # split_below=1 halves hot buckets down to single element starts, so
+    # every bucket bound is put to use
+    monkeypatch.setattr(sequence, "_SPLIT_BELOW", split_below)
+    rng = SplitMix64(0xB0C7)
+    for _ in range(150):
+        store = random_store(rng)
+        h = store.horizon
+        for L in {1, 2, rng.randint(1, h), rng.randint(1, max(1, h // 10)),
+                  max(1, h // 2), h}:
+            assert banach_density(store, L) == \
+                banach_density_all_starts(store, L), (store.betas, L)
+
+
+def test_banach_density_without_element_starts():
+    # no element lies at or before beta_M - L: only the last window counts
+    rng = SplitMix64(0xE4D7)
+    cases = [((0, 10), [], 4), ((0, 10), [9], 3), ((0, 50, 60), [51, 55], 12)]
+    for _ in range(100):
+        h = rng.randint(2, 500)
+        L = rng.randint(1, h)
+        tail = range(h - L + 1, h)
+        cases.append(((0, h), [n for n in tail if rng.randint(0, 2) == 0], L))
+    for betas, elems, L in cases:
+        store = SequenceStore(betas, np.array(elems, dtype=np.int64))
+        assert banach_density(store, L) == F(len(elems), L) == \
+            banach_density_all_starts(store, L), (betas, elems, L)
+
+
 def test_aligned_window_density_bounded_by_Q(demo_ledger, demo_store):
     # inside block m every aligned period window holds fewer than p*Q points
     for m in (2, 4):
@@ -325,6 +380,19 @@ def test_write_elements_chunks(tmp_path, monkeypatch, chunk):
     write_elements(store, path)
     assert path.read_text() == "".join(f"{n}\n" for n in range(15)) \
         + "18\n27\n33\n42\n"
+
+
+def test_write_elements_every_digit_count(tmp_path, demo_store):
+    # the text equals one f-string per element, across every width from 1
+    # to 19 digits, near the largest allowed endpoint, and on a full store
+    values = sorted({0, *(10**k + j for k in range(1, 19) for j in (-1, 0, 1)),
+                     MAX_BETA - 2, MAX_BETA - 1})
+    path = tmp_path / "seq.txt"
+    for store in (SequenceStore((0, MAX_BETA), np.array(values, dtype=np.int64)),
+                  demo_store):
+        write_elements(store, path)
+        assert path.read_bytes() == "".join(
+            f"{n}\n" for n in store.elements.tolist()).encode()
 
 
 def test_build_store_partial(demo_ledger):
