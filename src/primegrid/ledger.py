@@ -426,32 +426,49 @@ def ledger_to_json(ledger: Ledger) -> dict:
     }
 
 
+def _parsed(what: str, parse, value):
+    """parse(value), with a missing key or a value of the wrong type reported
+    as a ValueError that names `what`."""
+    try:
+        return parse(value)
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{what} is malformed ({type(exc).__name__}: {exc})") \
+            from exc
+
+
+def _block_from_json(b: dict) -> BlockParams:
+    return BlockParams(
+        m=int(b["m"]),
+        beta_prev=int(b["beta_prev"]),
+        beta=None if b["beta"] is None else int(b["beta"]),
+        K=int(b["K"]),
+        primes=tuple(int(q) for q in b["primes"]),
+        p=int(b["p"]),
+        Q=frac_parse(b["Q"]),
+        d=int(b["d"]),
+        gamma=frac_parse(b["gamma"]),
+        count=None if b["count"] is None else int(b["count"]),
+    )
+
+
 def ledger_from_json(obj: dict) -> Ledger:
-    """Parse a ledger; ValueError unless its rows chain into one construction:
-    numbered 1..H, each starting at the previous beta, beta and count set
-    together, only the last row open, and nbar the running sum of the counts.
+    """Parse a ledger; ValueError unless it has the ledger's shape and its
+    rows chain into one construction: numbered 1..H, each starting at the
+    previous beta, beta and count set together, only the last row open, and
+    nbar the running sum of the counts.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a ledger is a JSON object, not {type(obj).__name__}")
     missing = [key for key in ("constants", "blocks", "nbar") if key not in obj]
     if missing:
         raise ValueError(f"ledger has no {', '.join(missing)}")
-    tab = ConstantTable.from_json(obj["constants"])
-    blocks = tuple(
-        BlockParams(
-            m=int(b["m"]),
-            beta_prev=int(b["beta_prev"]),
-            beta=None if b["beta"] is None else int(b["beta"]),
-            K=int(b["K"]),
-            primes=tuple(int(q) for q in b["primes"]),
-            p=int(b["p"]),
-            Q=frac_parse(b["Q"]),
-            d=int(b["d"]),
-            gamma=frac_parse(b["gamma"]),
-            count=None if b["count"] is None else int(b["count"]),
-        )
-        for b in obj["blocks"]
-    )
+    for key in ("blocks", "nbar"):
+        if not isinstance(obj[key], list):
+            raise ValueError(f"ledger {key} must be a JSON list, not "
+                             f"{type(obj[key]).__name__}")
+    tab = _parsed("ledger constants", ConstantTable.from_json, obj["constants"])
+    blocks = tuple(_parsed(f"ledger row {i}", _block_from_json, b)
+                   for i, b in enumerate(obj["blocks"], start=1))
     nbar = [0]
     for i, b in enumerate(blocks, start=1):
         if b.m != i:
@@ -465,7 +482,7 @@ def ledger_from_json(obj: dict) -> Ledger:
             raise ValueError(f"block {i} is open but is not the last block")
         if b.count is not None:
             nbar.append(nbar[-1] + b.count)
-    if [int(x) for x in obj["nbar"]] != nbar:
+    if _parsed("ledger nbar", lambda v: [int(x) for x in v], obj["nbar"]) != nbar:
         raise ValueError("nbar is not the running sum of the block counts")
     return Ledger(constants=tab, blocks=blocks, nbar=tuple(nbar))
 

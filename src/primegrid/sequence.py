@@ -11,9 +11,11 @@ Range counts are binary searches too.
 
 The two kernels that touch every element avoid per-element Python work.
 `banach_density` prunes window starts exactly: a bucket of starts [s, e) is
-skipped when the count of [s, e - 1 + L), which holds every window starting
-in the bucket, is no more than an exact window count already in hand, so no
-skipped window can be the maximum.  `write_elements` formats a run of
+skipped when the smaller of L and the count of [s, e - 1 + L), which holds
+every window starting in the bucket, is no more than an exact window count
+already in hand, so no skipped window can be the maximum.  Block 1 holds
+every integer of [0, beta_1), so for L <= beta_1 its first window reaches L
+and every bucket is skipped at once.  `write_elements` formats a run of
 elements with the same number of digits as one byte matrix, a digit column
 at a time.
 """
@@ -210,9 +212,9 @@ def gap_profile(store: SequenceStore) -> list[tuple[int, int, int]]:
     return out
 
 
-# banach_density halves its hot buckets while they average more element
-# starts than this
-_SPLIT_BELOW = 8
+# banach_density halves its hot buckets only while the binary searches of
+# the halving levels stay below 1/_LEVEL_BUDGET of the element starts left
+_LEVEL_BUDGET = 8
 
 
 def banach_density(store: SequenceStore, L: int) -> Fraction:
@@ -224,13 +226,16 @@ def banach_density(store: SequenceStore, L: int) -> Fraction:
     first one bucket, then each hot bucket halved.  The window at each
     bucket start and the last window are counted exactly; their maximum
     `lb` is a lower bound.  Every window starting in [s, e) lies inside
-    [s, e - 1 + L), so that count bounds the bucket from above.  A bucket
-    whose bound is at most `lb` is dropped: none of its windows can beat
-    `lb`, so dropping it keeps the maximum exact.  Once the hot buckets hold
-    at most _SPLIT_BELOW element starts each on average, the windows at
-    their element starts are counted one by one.  Those are a subset of the
-    element starts, and the bucket levels add at most about two binary
-    searches per element start where nothing is dropped.
+    [s, e - 1 + L), and no window holds more than L integers, so the
+    smaller of L and the count of [s, e - 1 + L) bounds the bucket from
+    above.  A bucket is dropped when that bound is at most `lb`, or when it
+    holds no element start: none of its windows can beat `lb`, so dropping
+    it keeps the maximum exact.  Halving stops before the binary searches
+    made by the levels exceed 1/_LEVEL_BUDGET of the element starts in the
+    hot buckets; the windows at those starts are then counted one by one.
+    So at most every element start is counted, and where nothing is dropped
+    the levels add at most 1/_LEVEL_BUDGET more binary searches than
+    counting every start.
     """
     if L < 1:
         raise ValueError("window length must be positive")
@@ -242,13 +247,16 @@ def banach_density(store: SequenceStore, L: int) -> Fraction:
     # buckets [s, e) of window starts, e <= last + 1, halved while hot
     s = np.zeros(1, dtype=np.int64)
     e = np.full(1, last + 1, dtype=np.int64)
+    searches = 0
     while True:
         # elements below s, e, s + L and e - 1 + L, all at most beta_M
         c = np.searchsorted(elems, np.stack((s, e, s + L, e - 1 + L)))
+        searches += c.size
         lb = max(lb, int((c[2] - c[0]).max()))
-        hot = c[3] - c[0] > lb
+        hot = (np.minimum(c[3] - c[0], L) > lb) & (c[1] > c[0])
         lo, hi = c[0, hot], c[1, hot]
-        if int((hi - lo).sum()) <= _SPLIT_BELOW * lo.size:
+        # the next level makes 4 searches in each half of each hot bucket
+        if _LEVEL_BUDGET * (searches + 8 * lo.size) > int((hi - lo).sum()):
             break
         s, e = s[hot], e[hot]
         mid = (s + e) // 2

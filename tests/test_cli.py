@@ -172,6 +172,23 @@ LEDGER_SHAPES = {
                 lambda d: {k: v for k, v in d.items() if k != "nbar"}),
     "no-constants-or-blocks": ("has no constants, blocks", lambda d: {
         "nbar": d["nbar"]}),
+    "constants-not-object": ("ledger constants is malformed",
+                             lambda d: {**d, "constants": [1]}),
+    "constants-missing-key": ("ledger constants is malformed", lambda d: {
+        **d, "constants": {k: v for k, v in d["constants"].items()
+                           if k != "f19_p"}}),
+    "blocks-not-list": ("blocks must be a JSON list, not int",
+                        lambda d: {**d, "blocks": 3}),
+    "row-not-object": ("ledger row 2 is malformed", lambda d: {
+        **d, "blocks": [d["blocks"][0], 7, *d["blocks"][2:]]}),
+    "row-missing-key": ("ledger row 3 is malformed", lambda d: {
+        **d, "blocks": [*d["blocks"][:2],
+                        {k: v for k, v in d["blocks"][2].items() if k != "p"},
+                        *d["blocks"][3:]]}),
+    "nbar-not-list": ("nbar must be a JSON list, not str",
+                      lambda d: {**d, "nbar": "0"}),
+    "nbar-entry-not-number": ("ledger nbar is malformed",
+                              lambda d: {**d, "nbar": [0, None]}),
 }
 
 

@@ -318,12 +318,12 @@ def random_store(rng):
     return SequenceStore(betas, np.array(elems, dtype=np.int64))
 
 
-@pytest.mark.parametrize("split_below", [1, 8])
+@pytest.mark.parametrize("budget", [1e-9, 8, 10**9])
 def test_banach_density_matches_all_starts_on_random_stores(monkeypatch,
-                                                            split_below):
-    # split_below=1 halves hot buckets down to single element starts, so
-    # every bucket bound is put to use
-    monkeypatch.setattr(sequence, "_SPLIT_BELOW", split_below)
+                                                            budget):
+    # budget 1e-9 halves until no bucket is hot, so the maximum comes from
+    # the bucket bounds alone; 10**9 counts every hot start after one level
+    monkeypatch.setattr(sequence, "_LEVEL_BUDGET", budget)
     rng = SplitMix64(0xB0C7)
     for _ in range(150):
         store = random_store(rng)
