@@ -1,23 +1,40 @@
 """Survivor sets of prime progressions inside one block.
 
-A block [lo, hi) carries one arithmetic progression per prime q (the multiples
-of q that land in the block).  A point is deleted when some point of a
-*different* progression, also inside the block, lies within distance d of it.
-Coincident points (a common multiple of two of the primes) are at distance 0
-from each other and therefore die on both sides.
+A block [lo, hi) carries one arithmetic progression per modulus q (the
+multiples of q that land in the block).  A point is deleted when some point
+of a *different* progression, also inside the block, lies within distance d
+of it.  Coincident points (a common multiple of two of the moduli) are at
+distance 0 from each other and therefore die on both sides.
 
 So for d >= 0 the survivor sets of the progressions are disjoint, and their
-union is a sort of their concatenation: no point needs to be removed, and the
-size of the union is the sum of the sizes.  The strictly increasing check of
-the sequence store guards this at run time.
+union is a merge of them: no point needs to be removed, and the size of the
+union is the sum of the sizes.  The strictly increasing check of the
+sequence store guards this at run time.
 
-`survivors_by_progression` alone decides block contents: the ledger sums its
-sizes (`block_count`) while choosing block endpoints, and the sequence store
-sorts its arrays of every block into one element array.  A brute-force
-oracle in the test suite re-derives them point by point.
+Away from its two ends a block is periodic.  A point n of the interior
+[lo + d, hi - d) has all of [n - d, n + d] inside the block, so the in-block
+condition holds for every neighbour and n survives or dies by its residues
+modulo the moduli alone, that is by n mod P with P = lcm of the moduli
+(their product on a ledger row, whose moduli are distinct primes; the
+product is wrong for moduli such as 4 and 6).  So one period of survivors,
+the rule's survivors in [0, P) of the range [-d, P + d), is tiled across
+the interior.  The rule itself decides only the at most d points at each
+end, where a neighbour counts only if it lies inside the block, and a block
+whose interior is shorter than two periods, where a period would cost more
+than it saves.  `block_count` counts the tiled interior in closed form:
+whole periods times the period's survivor count, plus binary searches in
+the period for the partial ones.
+
+`survivors_by_progression` decides block contents: the sequence store merges
+its arrays of every block into one element array, and `block_count`, which
+the ledger calls while choosing block endpoints, counts what it would
+return.  A brute-force oracle in the test suite re-derives both point by
+point.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,19 +47,13 @@ def _progression_points(q: int, lo: int, hi: int) -> np.ndarray:
     return np.arange(start, hi, q, dtype=np.int64)
 
 
-def survivors_by_progression(primes, d: int, lo: int,
-                             hi: int) -> list[np.ndarray]:
-    """Survivor arrays of the block [lo, hi), indexed like `primes`."""
-    primes = list(primes)
-    if not primes:
-        raise ValueError("a block needs at least one progression")
-    if len(set(primes)) != len(primes):
-        raise ValueError("progression moduli must be distinct")
-    if d < 0:
-        raise ValueError(f"deletion distance d must be >= 0, got {d}")
+def _rule(primes, d: int, lo: int, hi: int, a: int,
+          b: int) -> list[np.ndarray]:
+    """Survivors among the points of [a, b) in the block [lo, hi), indexed
+    like `primes`: each point tested against every other progression."""
     survivors = []
     for j, q in enumerate(primes):
-        pts = _progression_points(q, lo, hi)
+        pts = _progression_points(q, a, b)
         keep = np.ones(len(pts), dtype=bool)
         for jp, qp in enumerate(primes):
             if jp == j:
@@ -56,6 +67,62 @@ def survivors_by_progression(primes, d: int, lo: int,
     return survivors
 
 
+def _layout(primes, d: int, lo: int,
+            hi: int) -> tuple[list[int], int, int, int]:
+    """Checked moduli, the period P and the tiled interior [a, b).
+
+    [a, b) is empty (a = b = hi) when the interior is shorter than two
+    periods, so that the rule decides the whole block.
+    """
+    primes = list(primes)
+    if not primes:
+        raise ValueError("a block needs at least one progression")
+    if len(set(primes)) != len(primes):
+        raise ValueError("progression moduli must be distinct")
+    if d < 0:
+        raise ValueError(f"deletion distance d must be >= 0, got {d}")
+    P = math.lcm(*primes)
+    a = min(lo + d, hi)
+    b = max(a, hi - d)
+    if b - a < 2 * P:
+        a = b = hi
+    return primes, P, a, b
+
+
+def _period(primes, d: int, P: int) -> list[np.ndarray]:
+    """Survivor residues in [0, P) of the interior, per progression."""
+    return _rule(primes, d, -d, P + d, 0, P)
+
+
+def survivors_by_progression(primes, d: int, lo: int,
+                             hi: int) -> list[np.ndarray]:
+    """Survivor arrays of the block [lo, hi), indexed like `primes`."""
+    primes, P, a, b = _layout(primes, d, lo, hi)
+    lefts = _rule(primes, d, lo, hi, lo, a)
+    if a == b:
+        return lefts
+    out = []
+    for left, res, right in zip(lefts, _period(primes, d, P),
+                                _rule(primes, d, lo, hi, b, hi)):
+        # every period that meets [a, b), cut to [a, b)
+        tile = np.add.outer(
+            np.arange(a // P * P, b, P, dtype=np.int64), res).ravel()
+        tile = tile[np.searchsorted(tile, a):np.searchsorted(tile, b)]
+        out.append(np.concatenate((left, tile, right)))
+    return out
+
+
 def block_count(primes, d: int, lo: int, hi: int) -> int:
-    """Number of survivors in [lo, hi)."""
-    return sum(int(s.size) for s in survivors_by_progression(primes, d, lo, hi))
+    """Number of survivors in [lo, hi), the interior counted in closed form."""
+    primes, P, a, b = _layout(primes, d, lo, hi)
+    count = sum(s.size for s in _rule(primes, d, lo, hi, lo, a)
+                + _rule(primes, d, lo, hi, b, hi))
+    if a == b:
+        return count
+    for res in _period(primes, d, P):
+        # whole periods from the one holding a to the one holding b, in
+        # Python ints, then the parts of those two below a and below b
+        count += ((b // P - a // P) * res.size
+                  + int(np.searchsorted(res, b % P))
+                  - int(np.searchsorted(res, a % P)))
+    return count

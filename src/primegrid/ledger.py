@@ -162,8 +162,6 @@ def _check(name, lhs, rhs, op) -> ConstraintRecord:
 def _block_count_for(ledger: Ledger, m: int, beta_prev: int, beta: int) -> int:
     """Exact element count of block m on [beta_prev, beta)."""
     blk = ledger.block(m)
-    if m == 1:
-        return beta - beta_prev
     return block_count(blk.primes, blk.d, beta_prev, beta)
 
 

@@ -127,9 +127,10 @@ def build_store(ledger: Ledger, through: int | None = None) -> SequenceStore:
         betas.append(blk.beta)
     elements = np.concatenate(parts)
     del parts       # free the per-progression arrays before the store's checks
-    # the blocks are disjoint increasing intervals, so sorting the whole
-    # concatenation sorts each block in place
-    elements.sort()
+    # the blocks are disjoint increasing intervals and each array is sorted,
+    # so the concatenation is a sequence of sorted runs, which a merge sort
+    # joins without sorting them again
+    elements.sort(kind="stable")
     return SequenceStore(betas, elements)
 
 
@@ -155,6 +156,11 @@ def _min_gap(elems: np.ndarray) -> int | None:
     return int(np.diff(elems).min()) if elems.size >= 2 else None
 
 
+# verify_block counts the aligned windows this many at a time, so that a
+# period-1 block of 10^8 integers needs no array as long as its windows
+_WINDOW_CHUNK = 1 << 20
+
+
 def verify_block(ledger: Ledger, store: SequenceStore, m: int) -> BlockReport:
     """Exact per-window density bounds, minimum gap, and leading-gap emptiness.
 
@@ -173,11 +179,13 @@ def verify_block(ledger: Ledger, store: SequenceStore, m: int) -> BlockReport:
     p = params.p
     pQ = sum(p // q for q in params.primes)   # p*Q(m), an integer
     n_win = (hi - lo) // p
-    ratios = []
-    if n_win > 0:
-        edges = lo + p * np.arange(n_win + 1, dtype=np.int64)
+    extremes = []
+    for i in range(0, n_win, _WINDOW_CHUNK):
+        edges = lo + p * np.arange(i, min(i + _WINDOW_CHUNK, n_win) + 1,
+                                   dtype=np.int64)
         counts = np.diff(np.searchsorted(elems, edges, side="left"))
-        ratios = [F(int(counts.min()), pQ), F(int(counts.max()), pQ)]
+        extremes += [int(counts.min()), int(counts.max())]
+    ratios = [F(min(extremes), pQ), F(max(extremes), pQ)] if extremes else []
     k1_edge = params.K == 1
     lower_ok = all(r > 1 - params.gamma for r in ratios) if m >= 2 else True
     upper_ok = (all(r < 1 for r in ratios) or k1_edge) if m >= 2 else True

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primegrid import sequence
@@ -73,6 +74,50 @@ def test_deleted_counts_match_oracle():
     for j, q in enumerate(moduli):
         keep = [n for n in oracle_block(moduli, d, lo, hi) if n % q == 0]
         assert per_j[j].tolist() == keep
+
+
+# ---------------------------------------------------------------------------
+# the tiled kernel: one period of survivors across the interior, the rule at
+# the two ends
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    moduli=st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 10, 15]),
+                    min_size=1, max_size=3, unique=True),
+    d=st.integers(0, 4),
+    lo=st.integers(0, 10**6),
+    periods=st.integers(0, 4),
+    extra=st.integers(-9, 9),
+)
+# 12 survives: its one neighbour in the other progression, 10, is outside
+# the block, and so is 65 for 63; both sit one point outside [lo + d, hi - d)
+@example(moduli=[3, 5], d=2, lo=11, periods=3, extra=5)
+@example(moduli=[1], d=3, lo=0, periods=0, extra=4)              # block 1
+@example(moduli=[1, 4, 6], d=1, lo=7, periods=3, extra=1)
+@example(moduli=[4, 6, 9], d=0, lo=5, periods=2, extra=0)        # d = 0
+@example(moduli=[4, 6, 9], d=2, lo=41, periods=2, extra=0)       # 2 periods
+@example(moduli=[4, 6, 9], d=2, lo=41, periods=2, extra=-1)
+@example(moduli=[6, 10, 15], d=4, lo=3, periods=0, extra=-3)     # < 2d
+def test_tiled_kernel_matches_oracle(moduli, d, lo, periods, extra):
+    # the interior [lo + d, hi - d) spans `periods` periods plus `extra`
+    # points, so its length crosses 0, one period and the two-period
+    # threshold for tiling; lo is rarely a multiple of the period
+    P = math.lcm(*moduli)
+    hi = lo + max(0, periods * P + 2 * d + extra)
+    want = oracle_block(moduli, d, lo, hi)
+    got = survivors_by_progression(moduli, d, lo, hi)
+    for q, arr in zip(moduli, got):
+        # a survivor is a multiple of exactly one modulus
+        assert arr.tolist() == [n for n in want if n % q == 0], q
+    assert block_count(moduli, d, lo, hi) == len(want)
+    # the rule is P-periodic, so shifting the block by a multiple of P
+    # shifts its survivors; the last shift ends the block near MAX_BETA
+    for shift in (P, (MAX_BETA - hi) // P * P):
+        assert block_count(moduli, d, lo + shift, hi + shift) == len(want)
+        moved = survivors_by_progression(moduli, d, lo + shift, hi + shift)
+        assert [(a - shift).tolist() for a in moved] == \
+            [a.tolist() for a in got]
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +240,17 @@ def test_verify_blocks_demo(demo_ledger, demo_store):
         assert 1 - gamma < rep.min_ratio <= rep.max_ratio < 1
         assert rep.min_gap >= demo_ledger.blocks[m - 1].d
         assert rep.spacing_ok
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000])
+def test_verify_block_window_chunks(monkeypatch, demo_ledger, demo_store,
+                                    chunk):
+    # windows counted a few at a time give the report of one pass; block 1
+    # has one window per integer
+    want = [verify_block(demo_ledger, demo_store, m) for m in range(1, 6)]
+    monkeypatch.setattr(sequence, "_WINDOW_CHUNK", chunk)
+    assert [verify_block(demo_ledger, demo_store, m)
+            for m in range(1, 6)] == want
 
 
 def test_window_counts_are_flat_inside_blocks(demo_ledger, demo_store):
