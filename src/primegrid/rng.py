@@ -32,6 +32,13 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & _MASK
         return mix64(self._state)
 
+    def next_u64_array(self, count: int) -> np.ndarray:
+        """The next `count` outputs, in one uint64 array; the state moves past
+        them as `count` calls of next_u64 would move it."""
+        out = index_u64_array(self._state, np.arange(count))
+        self._state = (self._state + count * _GAMMA) & _MASK
+        return out
+
     def uniform(self) -> float:
         """Float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53

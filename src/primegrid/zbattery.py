@@ -9,23 +9,34 @@ Four inequalities are hammered with random signals; none may ever fail:
   bound M and its l1 mass).
 
 Each trial is reproducible from (base seed, battery name, context, trial
-index) through the fixed splitmix64 derivation.  A violation is shrunk
-greedily (zeroing and trimming samples while it persists) and dumped as a
-replayable JSON record; the run then reports failure.
+index) through the fixed splitmix64 derivation.  A battery first draws every
+trial's signal, then checks them all in one call of the batched kernel
+(`zops.*_batch`), once per grid context where it has them.  A signal's
+result does not depend on the batch it is checked in, so every record is the
+one its trial gives alone.  A violation is shrunk greedily through the
+per-signal kernel (zeroing and trimming samples while it persists) and
+dumped as a replayable JSON record; the run then reports failure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .rng import SplitMix64, derive_seed
 from .zops import (
     FiniteSignal,
     GridContext,
     deviation_sup_l2_bound,
+    deviation_sup_l2_bound_batch,
     level_count_progression_sup,
+    level_count_progression_sup_batch,
     level_count_window_sup,
+    level_count_window_sup_batch,
     strong_l2_window_sup,
+    strong_l2_window_sup_batch,
 )
 
 F = Fraction
@@ -33,20 +44,33 @@ F = Fraction
 WEAK_CONTEXTS = ((2, 3), (3, 5), (5, 7))
 L2_CONTEXTS = ((2, 3), (3, 5), (5, 7), (5, 7, 11))
 
+# randint(-8, 8) and randint(0, 2) reject only this word: 17 and 3 both
+# divide 2^64 - 1
+_REJECTED = (1 << 64) - 1
+
 
 def random_signal(rng: SplitMix64, span_scale: int) -> FiniteSignal:
     """Random signal; span and offset scale with the context.
 
     The values are the floats num / den with |num| <= 8 and den in {1, 2, 4},
     so each equals the rational num/den exactly; at least one is nonzero.
+    The (num, den) words are taken as one array; values and generator state
+    are those of drawing each by `rng.randint` in turn.
     """
     length = rng.randint(1, 4 * span_scale)
     lo = rng.randint(-2 * span_scale, span_scale)
-    vals = []
-    for _ in range(length):
-        num = rng.randint(-8, 8)
-        den = (1, 2, 4)[rng.randint(0, 2)]
-        vals.append(num / den)
+    words = rng.next_u64_array(2 * length)
+    if (words == np.uint64(_REJECTED)).any():
+        # randint draws one more word in place of each rejected one
+        kept = [w for w in words.tolist() if w != _REJECTED]
+        while len(kept) < 2 * length:
+            w = rng.next_u64()
+            if w != _REJECTED:
+                kept.append(w)
+        words = np.array(kept, dtype=np.uint64)
+    nums = (words[0::2] % np.uint64(17)).astype(np.int64) - 8
+    dens = np.array([1, 2, 4])[(words[1::2] % np.uint64(3)).astype(np.intp)]
+    vals = (nums / dens).tolist()
     if all(v == 0 for v in vals):
         vals[rng.randint(0, length - 1)] = 1.0
     return FiniteSignal(lo, vals)
@@ -105,39 +129,61 @@ def _record(test, ctx_primes, seed, trial, lhs, rhs, ok, extra=None) -> dict:
     return rec
 
 
-def battery_window_weak(base_seed: int, trials: int) -> list[dict]:
-    out = []
+class Draws(NamedTuple):
+    """One battery context's trials: seeds, signals and levels, in trial
+    order (levels are None in a battery without them)."""
+
+    seeds: list
+    sigs: list
+    lams: list
+
+
+def _draw(base_seed: int, parts: tuple, trials: int, span_scale: int,
+          levels: bool) -> Draws:
+    seeds, sigs, lams = [], [], []
+    # derive_seed folds its parts in turn, so the shared prefix folds once
+    prefix = derive_seed(base_seed, *parts)
     for trial in range(trials):
-        seed = derive_seed(base_seed, "window_weak", trial)
-        rng = SplitMix64(seed)
-        sig = random_signal(rng, 12)
-        lam = (0.02 + 1.4 * rng.uniform()) * sig.l1
-        res = level_count_window_sup(sig, lam)
-        rec = _record("window_weak", None, seed, trial,
-                      res["count"], res["bound"], res["ok"],
-                      {"lambda": float(lam)})
+        seeds.append(derive_seed(prefix, trial))
+        rng = SplitMix64(seeds[-1])
+        sigs.append(random_signal(rng, span_scale))
+        lams.append((0.02 + 1.4 * rng.uniform()) * sigs[-1].l1
+                    if levels else None)
+    return Draws(seeds, sigs, lams)
+
+
+def _records(test, primes, draws, results, keys, fails, extra) -> list[dict]:
+    """One record per trial of a checked batch.
+
+    `keys` names the result's lhs and rhs, `fails(sig, lam)` replays one
+    signal through the per-signal kernel for shrinking, and `extra(lam)`
+    gives the record's extra fields.
+    """
+    out = []
+    for trial, (seed, sig, lam, res) in enumerate(zip(*draws, results)):
+        rec = _record(test, primes, seed, trial, res[keys[0]], res[keys[1]],
+                      res["ok"], extra(lam))
         if not res["ok"]:
-            bad = shrink_signal(
-                sig, lambda s: not level_count_window_sup(s, lam)["ok"])
+            bad = shrink_signal(sig, lambda s: fails(s, lam))
             rec["counterexample"] = signal_json(bad)
         out.append(rec)
     return out
+
+
+def battery_window_weak(base_seed: int, trials: int) -> list[dict]:
+    draws = _draw(base_seed, ("window_weak",), trials, 12, levels=True)
+    results = level_count_window_sup_batch(draws.sigs, draws.lams)
+    return _records("window_weak", None, draws, results, ("count", "bound"),
+                    lambda s, lam: not level_count_window_sup(s, lam)["ok"],
+                    lambda lam: {"lambda": float(lam)})
 
 
 def battery_window_strong(base_seed: int, trials: int) -> list[dict]:
-    out = []
-    for trial in range(trials):
-        seed = derive_seed(base_seed, "window_strong", trial)
-        rng = SplitMix64(seed)
-        sig = random_signal(rng, 12)
-        res = strong_l2_window_sup(sig)
-        rec = _record("window_strong", None, seed, trial,
-                      res["lhs"], res["rhs"], res["ok"])
-        if not res["ok"]:
-            bad = shrink_signal(sig, lambda s: not strong_l2_window_sup(s)["ok"])
-            rec["counterexample"] = signal_json(bad)
-        out.append(rec)
-    return out
+    draws = _draw(base_seed, ("window_strong",), trials, 12, levels=False)
+    results = strong_l2_window_sup_batch(draws.sigs)
+    return _records("window_strong", None, draws, results, ("lhs", "rhs"),
+                    lambda s, lam: not strong_l2_window_sup(s)["ok"],
+                    lambda lam: None)
 
 
 def battery_progression_weak(base_seed: int, trials: int) -> list[dict]:
@@ -145,21 +191,13 @@ def battery_progression_weak(base_seed: int, trials: int) -> list[dict]:
     per_ctx = -(-trials // len(WEAK_CONTEXTS))
     for primes in WEAK_CONTEXTS:
         ctx = GridContext(primes)
-        for trial in range(per_ctx):
-            seed = derive_seed(base_seed, "progression_weak", primes, trial)
-            rng = SplitMix64(seed)
-            sig = random_signal(rng, ctx.p)
-            lam = (0.02 + 1.4 * rng.uniform()) * sig.l1
-            res = level_count_progression_sup(sig, ctx, lam)
-            rec = _record("progression_weak", primes, seed, trial,
-                          res["count"], res["bound"], res["ok"],
-                          {"lambda": float(lam)})
-            if not res["ok"]:
-                bad = shrink_signal(
-                    sig,
-                    lambda s: not level_count_progression_sup(s, ctx, lam)["ok"])
-                rec["counterexample"] = signal_json(bad)
-            out.append(rec)
+        draws = _draw(base_seed, ("progression_weak", primes), per_ctx, ctx.p,
+                      levels=True)
+        results = level_count_progression_sup_batch(draws.sigs, ctx, draws.lams)
+        out += _records(
+            "progression_weak", primes, draws, results, ("count", "bound"),
+            lambda s, lam: not level_count_progression_sup(s, ctx, lam)["ok"],
+            lambda lam: {"lambda": float(lam)})
     return out
 
 
@@ -168,19 +206,13 @@ def battery_deviation_l2(base_seed: int, trials: int) -> list[dict]:
     per_ctx = -(-trials // len(L2_CONTEXTS))
     for primes in L2_CONTEXTS:
         ctx = GridContext(primes)
-        for trial in range(per_ctx):
-            seed = derive_seed(base_seed, "deviation_l2", primes, trial)
-            rng = SplitMix64(seed)
-            sig = random_signal(rng, min(ctx.p, 64))
-            res = deviation_sup_l2_bound(sig, ctx)
-            rec = _record("deviation_l2", primes, seed, trial,
-                          res["lhs"], res["rhs"], res["ok"],
-                          {"ratio_ok_ctx": ctx.ratio_ok})
-            if not res["ok"]:
-                bad = shrink_signal(
-                    sig, lambda s: not deviation_sup_l2_bound(s, ctx)["ok"])
-                rec["counterexample"] = signal_json(bad)
-            out.append(rec)
+        draws = _draw(base_seed, ("deviation_l2", primes), per_ctx,
+                      min(ctx.p, 64), levels=False)
+        results = deviation_sup_l2_bound_batch(draws.sigs, ctx)
+        out += _records(
+            "deviation_l2", primes, draws, results, ("lhs", "rhs"),
+            lambda s, lam: not deviation_sup_l2_bound(s, ctx)["ok"],
+            lambda lam: {"ratio_ok_ctx": ctx.ratio_ok})
     return out
 
 

@@ -399,73 +399,148 @@ def lattice_sup_j(sig: FiniteSignal, ctx: GridContext, n: int, j: int):
 
 
 # ---------------------------------------------------------------------------
-# fast float profiles over n-ranges (shared by the inequality batteries)
+# fast float profiles over batches of signals (shared by the inequality
+# batteries)
 #
-# sup_profile and the float window checks evaluate one (n, N') matrix (in
-# blocks of bounded size) instead of looping over n or over residues, and
-# sup_sq_tail takes every residue row at once.  Columns shared across rows
-# reach past some rows' own range; there the window index is clipped to the
+# Each float kernel takes a batch of signals and evaluates the rows of all of
+# them at once: a row is one (signal, n) pair of a profile, or one (signal,
+# residue) pair of the lattice tables.  Signals of unequal length are stacked
+# zero-padded on the right, which freezes every prefix sum and cumulative
+# table past a signal's end, so no row reads a value that differs from its
+# own signal's.  Row maxima are taken over (row, N') matrices in chunks of
+# bounded size.  Columns past a row's own range clip the window index to the
 # end of the table, so the numerator is frozen while the denominator grows,
-# and under correctly rounded division no such entry exceeds one already in
+# and under correctly rounded division no such entry exceeds the last one in
 # the row's own range: every row maximum equals the one the row alone would
-# give.  Sums keep the order of the row-at-a-time evaluation, so results are
-# bit-for-bit the same.
+# give.  Sums keep the order of the row-at-a-time evaluation, so a signal's
+# results are bit-for-bit the same in every batch, the batch of one included.
 
-# entries per (n, N') matrix block: keeps the temporaries near 8 MB each
-_BLOCK_ENTRIES = 1 << 20
+# entries per matrix chunk: keeps each temporary near 256 KB; a batch runs
+# in groups of signals with at most _BLOCK_ENTRIES // 8 rows together, which
+# bounds its per-row index arrays alike
+_BLOCK_ENTRIES = 1 << 15
 
 
-def _row_blocks(n_lo: int, n_hi: int, width: int, fn) -> np.ndarray:
-    """fn(a, b) over consecutive sub-ranges [a, b] of [n_lo, n_hi], joined.
+def _padded(sigs, width: int, offsets) -> np.ndarray:
+    """One zero row of `width` per signal, holding its float values from
+    column `offsets[s]` on."""
+    lens = np.array([len(s.values) for s in sigs])
+    out = np.zeros((len(sigs), width))
+    first = np.arange(len(sigs)) * width + offsets - (np.cumsum(lens) - lens)
+    out.flat[np.repeat(first, lens) + np.arange(lens.sum())] = [
+        float(v) for s in sigs for v in s.values]
+    return out
 
-    `width` bounds the row length of every block fn builds; each block holds
-    at most _BLOCK_ENTRIES entries.
+
+def _prefix_sums(sigs) -> np.ndarray:
+    """Row s: 0, then the running sums of signal s, frozen past its end."""
+    vals = _padded(sigs, max(len(s.values) for s in sigs), 0)
+    P = np.zeros((len(sigs), vals.shape[1] + 1))
+    P[:, 1:] = np.cumsum(vals, axis=1)
+    return P
+
+
+def _ranges(n_lo, n_hi):
+    """Rows (owner s, n) for n in [n_lo[s], n_hi[s]], signal by signal."""
+    lengths = n_hi - n_lo + 1
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    n = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths - n_lo,
+                                          lengths)
+    return owner, n
+
+
+def _grouped(fn, rows, sigs, *args) -> list:
+    """fn(sigs[g], *(a[g] for a in args)) over consecutive slices g of the
+    signals holding at most _BLOCK_ENTRIES // 8 rows together (a signal with
+    more alone), joined; rows[s] is signal s's row count."""
+    out = []
+    start = total = 0
+    for i, n in enumerate(rows):
+        if total and total + n > _BLOCK_ENTRIES // 8:
+            out += fn(sigs[start:i], *(a[start:i] for a in args))
+            start, total = i, 0
+        total += n
+    return out + fn(sigs[start:], *(a[start:] for a in args))
+
+
+def _row_blocks(widths: np.ndarray, fn) -> np.ndarray:
+    """fn(rows, w) over chunks of row indices, joined in row order.
+
+    fn returns the maxima of the given rows over the columns 1..w.  Rows are
+    taken in decreasing `widths` (the columns each row needs), so a chunk's w
+    is its first row's; each chunk holds at most _BLOCK_ENTRIES entries.
     """
-    step = max(1, _BLOCK_ENTRIES // max(width, 1))
-    if n_hi - n_lo < step:
-        return fn(n_lo, n_hi)
-    return np.concatenate([fn(a, min(a + step - 1, n_hi))
-                           for a in range(n_lo, n_hi + 1, step)])
+    order = np.argsort(-widths, kind="stable")
+    out = np.empty(widths.size)
+    i = 0
+    while i < order.size:
+        w = int(widths[order[i]])
+        rows = order[i:i + max(1, _BLOCK_ENTRIES // w)]
+        out[rows] = fn(rows, w)
+        i += rows.size
+    return out
 
 
-def _lattice_tables(sig: FiniteSignal, ctx: GridContext, kind: str):
-    """Per-residue cumulative sums of the lattice kernel over the support.
+def _run_sums(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """np.sum of each consecutive run of lengths[i] entries of `flat`.
 
-    Returns (blk_lo, T, CH) with CH[r, c] the sum of the first c kernel
-    values at blk_lo + r + j*p, j = 0..T-1.  The kernel at a point is the
-    cofactor-weighted combination over progressions of the own-block smear
-    ("plus") or of |smear minus block mean| ("minus"); lattice averages of it
-    reproduce the combined operators exactly.
+    Runs of equal length go through one 2-D np.sum, which adds each run in
+    the same (pairwise) order as np.sum on the run alone.
+    """
+    starts = np.cumsum(lengths) - lengths
+    out = np.zeros(lengths.size)
+    for L in np.unique(lengths[lengths > 0]).tolist():
+        sel = np.flatnonzero(lengths == L)
+        out[sel] = np.sum(flat[starts[sel][:, None] + np.arange(L)], axis=1)
+    return out
+
+
+def _count_above(values: np.ndarray, lengths: np.ndarray, levels) -> list:
+    """Per run of lengths[i] consecutive values, how many exceed levels[i]."""
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    above = values > np.array([float(v) for v in levels])[owner]
+    return np.bincount(owner[above], minlength=lengths.size).tolist()
+
+
+def _lattice_tables(sigs, ctx: GridContext, kind: str):
+    """Per-residue cumulative sums of the lattice kernel over each support.
+
+    Returns (blk_lo, T, CH): for signal s, the first point blk_lo[s] of the
+    grid intervals its support meets, their number T[s], and CH[s, r, c] the
+    sum of the first c kernel values at blk_lo[s] + r + j*p, j = 0..T[s]-1
+    (frozen for c > T[s]).  The kernel at a point is the cofactor-weighted
+    combination over progressions of the own-block smear ("plus") or of
+    |smear minus block mean| ("minus"); lattice averages of it reproduce the
+    combined operators exactly.
     """
     p = ctx.p
-    blk_lo = (ctx.t(sig.lo) - 1) * p
-    blk_hi = ctx.t(sig.hi) * p
-    T = (blk_hi - blk_lo) // p
-    dense = np.zeros(T * p)
-    off = sig.lo - blk_lo
-    dense[off:off + len(sig.values)] = [float(v) for v in sig.values]
-    grid = dense.reshape(T, p)
-    avg = grid.mean(axis=1)
-    kernel = np.zeros((T, p))
+    lo = np.array([s.lo for s in sigs])
+    blk_lo = lo // p * p
+    T = np.array([s.hi for s in sigs]) // p + 1 - lo // p
+    grid = _padded(sigs, int(T.max()) * p, lo - blk_lo).reshape(len(sigs), -1, p)
+    avg = grid.mean(axis=2)
+    kernel = np.zeros(grid.shape)
     cols = np.arange(p)
     for j, q in enumerate(ctx.primes):
         qtil = ctx.qtil[j]
-        class_sum = grid.reshape(T, qtil, q).sum(axis=1)   # per residue mod q
-        smear = class_sum[:, cols % q] / qtil
+        # per residue mod q
+        class_sum = grid.reshape(*grid.shape[:2], qtil, q).sum(axis=2)
+        smear = class_sum[:, :, cols % q] / qtil
         if kind == "plus":
             kernel += qtil * smear
         else:
-            kernel += qtil * np.abs(smear - avg[:, None])
+            kernel += qtil * np.abs(smear - avg[:, :, None])
     kernel /= ctx.pQ
-    CH = np.zeros((p, T + 1))
-    CH[:, 1:] = np.cumsum(kernel.T, axis=1)
+    CH = np.zeros((len(sigs), p, grid.shape[1] + 1))
+    CH[:, :, 1:] = np.cumsum(kernel.transpose(0, 2, 1), axis=2)
     return blk_lo, T, CH
 
 
-def sup_profile(tables, ctx: GridContext, n_lo: int, n_hi: int) -> np.ndarray:
-    """Float suprema on [n_lo, n_hi] of the operator `tables` was built for.
+def sup_profile(tables, ctx: GridContext, n_lo, n_hi) -> np.ndarray:
+    """Float suprema at n in [n_lo[s], n_hi[s]] for each signal s of `tables`,
+    joined signal by signal (n_lo and n_hi may be ints for a batch of one).
 
-    `tables` is `_lattice_tables(sig, ctx, kind)`: the suprema of the
+    `tables` is `_lattice_tables(sigs, ctx, kind)`: the suprema of the
     combined progression mean for kind "plus", of the combined deviation for
     "minus".  For each n the supremum over window block counts N' reduces to
     a maximum over the cumulative kernel table row r = n mod p from lattice
@@ -476,19 +551,23 @@ def sup_profile(tables, ctx: GridContext, n_lo: int, n_hi: int) -> np.ndarray:
     """
     p = ctx.p
     blk_lo, T, CH = tables
+    end = CH.shape[2] - 1
+    owner, n = _ranges(np.atleast_1d(n_lo), np.atleast_1d(n_hi))
+    r = n % p
+    j0 = (n - blk_lo[owner]) // p
+    row0 = (owner * p + r) * (end + 1)      # each row's table row in CH.flat
+    flat = CH.ravel()
 
-    def block(a: int, b: int) -> np.ndarray:
-        n = np.arange(a, b + 1)
-        r = n % p
-        j0 = (n - blk_lo) // p
-        Nps = np.arange(1, max(T - int(j0[0]), 2) + 1)
-        base = CH[r, np.clip(j0, 0, T)]
-        hi_idx = np.clip(j0[:, None] + Nps, 0, T)
-        vals = np.abs(CH[r[:, None], hi_idx] - base[:, None]) / Nps
-        vals[r == p - 1, 0] = -np.inf
+    def block(rows: np.ndarray, w: int) -> np.ndarray:
+        Nps = np.arange(1, w + 1)
+        j = j0[rows]
+        base = flat[row0[rows] + np.clip(j, 0, end)]
+        hi_idx = row0[rows, None] + np.clip(j[:, None] + Nps, 0, end)
+        vals = np.abs(flat[hi_idx] - base[:, None]) / Nps
+        vals[r[rows] == p - 1, 0] = -np.inf
         return vals.max(axis=1)
 
-    return _row_blocks(n_lo, n_hi, max(T - (n_lo - blk_lo) // p, 2), block)
+    return _row_blocks(np.maximum(T[owner] - j0, 2), block)
 
 
 def _hyperbola_sq_sums(KS: np.ndarray, lengths: np.ndarray,
@@ -496,9 +575,7 @@ def _hyperbola_sq_sums(KS: np.ndarray, lengths: np.ndarray,
     """Per row i, np.sum over k in [k_start, k_start + lengths[i]) of
     (max_c KS[i, c-1] / (k + c))^2, where -inf entries drop out.
 
-    The rows are flattened into one (row, k) array; each sum is taken as one
-    2-D np.sum over the rows of equal length, which adds in the same
-    (pairwise) order as np.sum on the row alone.
+    The rows are flattened into one (row, k) array and summed by _run_sums.
     """
     starts = np.cumsum(lengths) - lengths
     owner = np.repeat(np.arange(lengths.size), lengths)
@@ -506,12 +583,7 @@ def _hyperbola_sq_sums(KS: np.ndarray, lengths: np.ndarray,
     grid = np.full(owner.size, -np.inf)
     for c in range(1, KS.shape[1] + 1):
         grid = np.maximum(grid, KS[owner, c - 1] / (ks + c))
-    sq = grid ** 2
-    out = np.zeros(lengths.size)
-    for L in np.unique(lengths[lengths > 0]).tolist():
-        sel = np.flatnonzero(lengths == L)
-        out[sel] = np.sum(sq[starts[sel][:, None] + np.arange(L)], axis=1)
-    return out
+    return _run_sums(grid ** 2, lengths)
 
 
 def sup_sq_tail(S, k_start: int, cap: int = 200_000):
@@ -567,99 +639,181 @@ def sup_sq_tail(S, k_start: int, cap: int = 200_000):
     return out
 
 
+
+
 # ---------------------------------------------------------------------------
 # the four inequality checks
+#
+# Each check runs on a batch of signals and returns one result per signal;
+# the name without `_batch` is the batch of one.
 
-def level_count_progression_sup(sig: FiniteSignal, ctx: GridContext, lam) -> dict:
-    """#{n : sup_N |progression mean| > lam} and its weak (1,1) bound.
+def _check_levels(lams) -> None:
+    for lam in lams:
+        if lam <= 0:
+            raise NonpositiveLambda(lam)
+
+
+def level_count_progression_sup_batch(sigs, ctx: GridContext,
+                                      lams) -> list[dict]:
+    """#{n : sup_N |progression mean| > lam} and its weak (1,1) bound, per
+    signal and its level.
 
     The scan window is lossless: left of it the supremum is at most
     l1 * max(q) / distance < lam, right of it the operator vanishes.
     """
-    if lam <= 0:
-        raise NonpositiveLambda(lam)
-    l1 = sig.l1
-    W = math.ceil(l1 * max(ctx.primes) / lam) + ctx.p
-    n_lo, n_hi = sig.lo - W, sig.hi + ctx.p
-    profile = sup_profile(_lattice_tables(sig, ctx, "plus"), ctx, n_lo, n_hi)
-    count = int(np.sum(profile > float(lam)))
-    bound = 4 * (float(l1) / float(lam))
-    return {"count": count, "bound": bound, "ok": count <= bound,
-            "window": (n_lo, n_hi)}
+    _check_levels(lams)
+    l1 = [sig.l1 for sig in sigs]
+    windows = [(sig.lo - math.ceil(a * max(ctx.primes) / lam) - ctx.p,
+                sig.hi + ctx.p) for sig, a, lam in zip(sigs, l1, lams)]
+    rows = [hi - lo + 1 for lo, hi in windows]
+
+    def profile(group, group_windows):
+        n_lo, n_hi = np.array(group_windows).T
+        return sup_profile(_lattice_tables(group, ctx, "plus"), ctx,
+                           n_lo, n_hi).tolist()
+
+    counts = _count_above(np.array(_grouped(profile, rows, sigs, windows)),
+                          np.array(rows), lams)
+    out = []
+    for a, lam, count, window in zip(l1, lams, counts, windows):
+        bound = 4 * (float(a) / float(lam))
+        out.append({"count": count, "bound": bound, "ok": count <= bound,
+                    "window": window})
+    return out
 
 
-def deviation_sup_l2_bound(sig: FiniteSignal, ctx: GridContext) -> dict:
-    """Sum over n of (deviation supremum)^2 against (32/K) * M * l1.
+def level_count_progression_sup(sig: FiniteSignal, ctx: GridContext, lam) -> dict:
+    return level_count_progression_sup_batch([sig], ctx, [lam])[0]
+
+
+def deviation_sup_l2_bound_batch(sigs, ctx: GridContext) -> list[dict]:
+    """Sum over n of (deviation supremum)^2 against (32/K) * M * l1, per
+    signal.
 
     The near zone is summed directly; the two-sided far field is exact via
     the hyperbola-tail closed form, so no truncation tolerance enters.
     """
     p = ctx.p
-    tables = _lattice_tables(sig, ctx, "minus")
-    blk_lo, T, CH = tables
-    sups = sup_profile(tables, ctx, blk_lo, blk_lo + T * p - 1)
-    lhs = float(np.sum(sups ** 2))
-    # row r: n = blk_lo + r - k*p, k >= 1; added residue by residue
-    for tail in sup_sq_tail(CH[:, 1:], k_start=1).tolist():
-        lhs += tail
-    M = float(sig.bound_M)
-    rhs = 32.0 / ctx.K * M * float(sig.l1)
-    # the unsquared norm form is checked alongside; the squared-sum bound is
-    # the one asserted by the batteries
-    return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs,
-            "norm_ok": lhs ** 0.5 <= rhs}
+
+    def lhs(group):
+        tables = _lattice_tables(group, ctx, "minus")
+        blk_lo, T, CH = tables
+        sups = sup_profile(tables, ctx, blk_lo, blk_lo + T * p - 1)
+        near = _run_sums(sups ** 2, T * p).tolist()
+        # row r: n = blk_lo + r - k*p, k >= 1
+        tails = sup_sq_tail(CH[:, :, 1:].reshape(-1, CH.shape[2] - 1), 1)
+        for s, row_tails in enumerate(tails.reshape(-1, p).tolist()):
+            for tail in row_tails:        # added residue by residue
+                near[s] += tail
+        return near
+
+    rows = [(ctx.t(sig.hi) - ctx.t(sig.lo) + 1) * p for sig in sigs]
+    out = []
+    for sig, total in zip(sigs, _grouped(lhs, rows, sigs)):
+        M = float(sig.bound_M)
+        rhs = 32.0 / ctx.K * M * float(sig.l1)
+        # the unsquared norm form is checked alongside; the squared-sum bound
+        # is the one asserted by the batteries
+        out.append({"lhs": total, "rhs": rhs, "ok": total <= rhs,
+                    "norm_ok": total ** 0.5 <= rhs})
+    return out
+
+
+def deviation_sup_l2_bound(sig: FiniteSignal, ctx: GridContext) -> dict:
+    return deviation_sup_l2_bound_batch([sig], ctx)[0]
+
+
+def _window_sups(sigs, W) -> list:
+    """sup_N |avg of phi over [n, n+N)| for n in [lo - W[s], hi], signal by
+    signal."""
+    lens = np.array([len(sig.values) for sig in sigs])
+    P = _prefix_sums(sigs)
+    end = P.shape[1] - 1
+    flat = P.ravel()
+    owner, off = _ranges(-np.array(W), lens - 1)      # off = n - lo
+    row0 = owner * (end + 1)
+
+    def block(rows: np.ndarray, w: int) -> np.ndarray:
+        Ns = np.arange(1, w + 1)
+        o = off[rows]
+        idx = row0[rows, None] + np.clip(o[:, None] + Ns, 0, end)
+        base = flat[row0[rows] + np.clip(o, 0, end)]
+        return np.max(np.abs(flat[idx] - base[:, None]) / Ns, axis=1)
+
+    return _row_blocks(lens[owner] - off, block).tolist()
+
+
+def level_count_window_sup_batch(sigs, lams) -> list[dict]:
+    """#{n : sup_N |avg of phi over [n, n+N)| > lam} vs 2*l1/lam, per signal
+    and its level."""
+    _check_levels(lams)
+    l1 = [sig.l1 for sig in sigs]
+    W = [math.ceil(a / lam) + 1 for a, lam in zip(l1, lams)]
+    rows = [len(sig.values) + w for sig, w in zip(sigs, W)]
+    counts = _count_above(np.array(_grouped(_window_sups, rows, sigs, W)),
+                          np.array(rows), lams)
+    out = []
+    for a, lam, count in zip(l1, lams, counts):
+        bound = 2 * (float(a) / float(lam))
+        out.append({"count": count, "bound": bound, "ok": count <= bound})
+    return out
 
 
 def level_count_window_sup(sig: FiniteSignal, lam) -> dict:
-    """#{n : sup_N |avg of phi over [n, n+N)| > lam} vs 2*l1/lam."""
-    if lam <= 0:
-        raise NonpositiveLambda(lam)
-    l1 = sig.l1
-    W = math.ceil(l1 / lam) + 1
-    n_lo, n_hi = sig.lo - W, sig.hi
-    vals = np.array([float(v) for v in sig.values])
-    P = np.concatenate([[0.0], np.cumsum(vals)])
-
-    def block(a: int, b: int) -> np.ndarray:
-        off = np.arange(a, b + 1) - sig.lo
-        Ns = np.arange(1, sig.hi - a + 2)
-        idx = np.clip(off[:, None] + Ns, 0, len(vals))
-        base = P[np.clip(off, 0, len(vals))]
-        return np.max(np.abs(P[idx] - base[:, None]) / Ns, axis=1)
-
-    sup = _row_blocks(n_lo, n_hi, sig.hi - n_lo + 1, block)
-    count = int(np.sum(sup > float(lam)))
-    bound = 2 * (float(l1) / float(lam))
-    return {"count": count, "bound": bound, "ok": count <= bound}
+    return level_count_window_sup_batch([sig], [lam])[0]
 
 
-def strong_l2_window_sup(sig: FiniteSignal) -> dict:
-    """l2 norm of n -> sup_N (1/N) sum_{k=1..N} phi(n+k) against 2*||phi||_2.
+def _strong_lhs_sq(sigs) -> list[float]:
+    """Squared l2 norm of n -> max(0, sup_N (1/N) sum_{k=1..N} phi(n+k)),
+    per signal.
+
+    Rows whose supremum is negative count as 0, so the frozen columns past a
+    row's own range, which can exceed a negative maximum, change nothing.
+    """
+    lens = np.array([len(sig.values) for sig in sigs])
+    P = _prefix_sums(sigs)
+    end = P.shape[1] - 1
+    flat = P.ravel()
+    # off = n + 1 - lo: the window [n+1, n+N] meets the support iff n < hi
+    owner, off = _ranges(np.zeros_like(lens), lens - 1)
+    row0 = owner * (end + 1)
+
+    def block(rows: np.ndarray, w: int) -> np.ndarray:
+        Ns = np.arange(1, w + 1)
+        o = off[rows]
+        idx = row0[rows, None] + np.minimum(o[:, None] + Ns, end)
+        base = flat[row0[rows] + o]
+        return np.max((flat[idx] - base[:, None]) / Ns, axis=1)
+
+    sups = _row_blocks(lens[owner] - off, block)
+    lhs_sq = [0.0] * len(sigs)
+    for s, sup in zip(owner.tolist(), sups.tolist()):
+        # in n order and through Python floats (libm pow): np.sum of numpy
+        # squares would move the last bit
+        lhs_sq[s] += max(0.0, sup) ** 2
+    # far left: n = lo - 1 - k, k >= 1; value max(0, max_c P_c/(k + c))
+    for s, tail in enumerate(sup_sq_tail(P[:, 1:], k_start=1).tolist()):
+        lhs_sq[s] += tail
+    return lhs_sq
+
+
+def strong_l2_window_sup_batch(sigs) -> list[dict]:
+    """l2 norm of n -> sup_N (1/N) sum_{k=1..N} phi(n+k) against 2*||phi||_2,
+    per signal.
 
     Real signals only (the inner sum carries no absolute value).  The far
     left field is summed exactly through the hyperbola-tail closed form.
     """
-    if any(isinstance(v, complex) for v in sig.values):
+    if any(isinstance(v, complex) for sig in sigs for v in sig.values):
         raise TypeError("one-sided strong bound is implemented for real signals")
-    vals = np.array([float(v) for v in sig.values])
-    P = np.concatenate([[0.0], np.cumsum(vals)])
+    rows = [len(sig.values) for sig in sigs]
+    out = []
+    for sig, lhs_sq in zip(sigs, _grouped(_strong_lhs_sq, rows, sigs)):
+        rhs = 2.0 * float(sig.l2sq) ** 0.5
+        lhs = lhs_sq ** 0.5
+        out.append({"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs})
+    return out
 
-    def block(a: int, b: int) -> np.ndarray:
-        off = np.arange(a, b + 1) - sig.lo + 1
-        Ns = np.arange(1, sig.hi - a + 1)
-        idx = np.clip(off[:, None] + Ns, 0, len(vals))
-        base = P[np.clip(off, 0, len(vals))]
-        return np.max((P[idx] - base[:, None]) / Ns, axis=1)
 
-    # n+1 ranges over [lo - 0, hi]: window [n+1, n+N] meets support iff n < hi
-    sups = _row_blocks(sig.lo - 1, sig.hi - 1, len(vals), block)
-    lhs_sq = 0.0
-    for sup in sups.tolist():
-        # in n order and through Python floats (libm pow): np.sum of numpy
-        # squares would move the last bit
-        lhs_sq += max(0.0, sup) ** 2
-    # far left: n = lo - 1 - k, k >= 1; value max(0, max_c P_c/(k + c))
-    lhs_sq += sup_sq_tail(P[1:], k_start=1)
-    rhs = 2.0 * float(sig.l2sq) ** 0.5
-    lhs = lhs_sq ** 0.5
-    return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs}
+def strong_l2_window_sup(sig: FiniteSignal) -> dict:
+    return strong_l2_window_sup_batch([sig])[0]

@@ -11,6 +11,11 @@ the library evaluates it only at the positions asked for.
 `banach_density_all_starts` counts the window at every element start,
 where the library prunes whole buckets of starts.
 
+`random_signal_by_randint` draws a battery signal one `randint` at a time,
+where the library takes the value words as one array, and the
+`battery_*_by_trial` loops check one trial at a time through the per-signal
+kernels, where the library checks each battery's signals as one batch.
+
 Two helpers that only the tests call live here too: `block_elements`, one
 block's survivor sets merged into a sorted array, and `fragile_positions`,
 which marks orbit points too close to a breakpoint to trust at 128 bits.
@@ -30,8 +35,23 @@ from primegrid.dynsim import (
     RotationSystem,
     _x0_fixed,
 )
-from primegrid.rng import index_u64
-from primegrid.zops import _lattice_tables
+from primegrid.rng import SplitMix64, derive_seed, index_u64
+from primegrid.zbattery import (
+    L2_CONTEXTS,
+    WEAK_CONTEXTS,
+    _record,
+    shrink_signal,
+    signal_json,
+)
+from primegrid.zops import (
+    FiniteSignal,
+    GridContext,
+    _lattice_tables,
+    deviation_sup_l2_bound,
+    level_count_progression_sup,
+    level_count_window_sup,
+    strong_l2_window_sup,
+)
 
 
 def oracle_block(moduli, d, lo, hi):
@@ -80,10 +100,16 @@ def banach_density_all_starts(store, L):
 # residue, one n or one hyperbola row per step.  The batched kernels must
 # agree with these to the last bit.
 
+def lattice_table(sig, ctx, kind):
+    """The library's lattice tables of one signal: (blk_lo, T, CH)."""
+    blk_lo, T, CH = _lattice_tables([sig], ctx, kind)
+    return int(blk_lo[0]), int(T[0]), CH[0]
+
+
 def sup_profile_by_residue(sig, ctx, n_lo, n_hi, kind):
     """Float progression suprema on [n_lo, n_hi], one residue class at a time."""
     p = ctx.p
-    blk_lo, T, CH = _lattice_tables(sig, ctx, kind)
+    blk_lo, T, CH = lattice_table(sig, ctx, kind)
     out = np.empty(n_hi - n_lo + 1)
     for r in range(p):
         first = n_lo + ((r - n_lo) % p)
@@ -143,7 +169,7 @@ def sup_sq_tail_row(S, k_start, cap=200_000):
 def deviation_lhs_by_residue(sig, ctx):
     """Summed squared deviation suprema with one tail per residue."""
     p = ctx.p
-    blk_lo, T, CH = _lattice_tables(sig, ctx, "minus")
+    blk_lo, T, CH = lattice_table(sig, ctx, "minus")
     lhs = float(np.sum(sup_profile_by_residue(
         sig, ctx, blk_lo, blk_lo + T * p - 1, "minus") ** 2))
     for r in range(p):
@@ -197,6 +223,102 @@ def strong_l2_lhs_by_n(sig):
         lhs_sq += sup ** 2
     lhs_sq += sup_sq_tail_row(P[1:], k_start=1)
     return lhs_sq ** 0.5
+
+
+# ---------------------------------------------------------------------------
+# the inequality batteries one trial at a time
+
+def random_signal_by_randint(rng, span_scale):
+    """The battery signal draw, one randint per length, offset and value."""
+    length = rng.randint(1, 4 * span_scale)
+    lo = rng.randint(-2 * span_scale, span_scale)
+    vals = []
+    for _ in range(length):
+        num = rng.randint(-8, 8)
+        den = (1, 2, 4)[rng.randint(0, 2)]
+        vals.append(num / den)
+    if all(v == 0 for v in vals):
+        vals[rng.randint(0, length - 1)] = 1.0
+    return FiniteSignal(lo, vals)
+
+
+def battery_window_weak_by_trial(base_seed, trials):
+    out = []
+    for trial in range(trials):
+        seed = derive_seed(base_seed, "window_weak", trial)
+        rng = SplitMix64(seed)
+        sig = random_signal_by_randint(rng, 12)
+        lam = (0.02 + 1.4 * rng.uniform()) * sig.l1
+        res = level_count_window_sup(sig, lam)
+        rec = _record("window_weak", None, seed, trial,
+                      res["count"], res["bound"], res["ok"],
+                      {"lambda": float(lam)})
+        if not res["ok"]:
+            bad = shrink_signal(
+                sig, lambda s: not level_count_window_sup(s, lam)["ok"])
+            rec["counterexample"] = signal_json(bad)
+        out.append(rec)
+    return out
+
+
+def battery_window_strong_by_trial(base_seed, trials):
+    out = []
+    for trial in range(trials):
+        seed = derive_seed(base_seed, "window_strong", trial)
+        rng = SplitMix64(seed)
+        sig = random_signal_by_randint(rng, 12)
+        res = strong_l2_window_sup(sig)
+        rec = _record("window_strong", None, seed, trial,
+                      res["lhs"], res["rhs"], res["ok"])
+        if not res["ok"]:
+            bad = shrink_signal(sig, lambda s: not strong_l2_window_sup(s)["ok"])
+            rec["counterexample"] = signal_json(bad)
+        out.append(rec)
+    return out
+
+
+def battery_progression_weak_by_trial(base_seed, trials):
+    out = []
+    per_ctx = -(-trials // len(WEAK_CONTEXTS))
+    for primes in WEAK_CONTEXTS:
+        ctx = GridContext(primes)
+        for trial in range(per_ctx):
+            seed = derive_seed(base_seed, "progression_weak", primes, trial)
+            rng = SplitMix64(seed)
+            sig = random_signal_by_randint(rng, ctx.p)
+            lam = (0.02 + 1.4 * rng.uniform()) * sig.l1
+            res = level_count_progression_sup(sig, ctx, lam)
+            rec = _record("progression_weak", primes, seed, trial,
+                          res["count"], res["bound"], res["ok"],
+                          {"lambda": float(lam)})
+            if not res["ok"]:
+                bad = shrink_signal(
+                    sig,
+                    lambda s: not level_count_progression_sup(s, ctx, lam)["ok"])
+                rec["counterexample"] = signal_json(bad)
+            out.append(rec)
+    return out
+
+
+def battery_deviation_l2_by_trial(base_seed, trials):
+    out = []
+    per_ctx = -(-trials // len(L2_CONTEXTS))
+    for primes in L2_CONTEXTS:
+        ctx = GridContext(primes)
+        for trial in range(per_ctx):
+            seed = derive_seed(base_seed, "deviation_l2", primes, trial)
+            rng = SplitMix64(seed)
+            sig = random_signal_by_randint(rng, min(ctx.p, 64))
+            res = deviation_sup_l2_bound(sig, ctx)
+            rec = _record("deviation_l2", primes, seed, trial,
+                          res["lhs"], res["rhs"], res["ok"],
+                          {"ratio_ok_ctx": ctx.ratio_ok})
+            if not res["ok"]:
+                bad = shrink_signal(
+                    sig, lambda s: not deviation_sup_l2_bound(s, ctx)["ok"])
+                rec["counterexample"] = signal_json(bad)
+            out.append(rec)
+    return out
 
 
 # ---------------------------------------------------------------------------

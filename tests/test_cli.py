@@ -124,6 +124,24 @@ def test_construct_h6_matches_recorded_digests(tmp_path):
     assert got == refs
 
 
+# sha256 of `ops-test --trials 250` output, recorded at commit 42ed48a, when
+# every trial still ran through its own kernel calls
+OPS_TEST_DIGESTS = {
+    20250809: "c4ac9ba9f906c611570f5ec296645cfb0983aaa514c9e0d60b3b80dceb8d8e13",
+    20250816: "771dd4f50b80c870ffba58e2ff96a5dec0496fa1b6f3e0d3c6aad5090080247c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(OPS_TEST_DIGESTS))
+def test_ops_test_matches_recorded_digests(tmp_path, seed):
+    out = tmp_path / "battery.jsonl"
+    assert main(["ops-test", "--seed", str(seed), "--trials", "250",
+                 "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 1004
+    assert hashlib.sha256(data).hexdigest() == OPS_TEST_DIGESTS[seed]
+
+
 def test_verify_flags_corruption(tmp_path, demo_ledger_file):
     data = json.loads(demo_ledger_file.read_text())
     data["blocks"][1]["beta_prev"] += 1       # break divisibility

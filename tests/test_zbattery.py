@@ -1,5 +1,18 @@
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import (
+    battery_deviation_l2_by_trial,
+    battery_progression_weak_by_trial,
+    battery_window_strong_by_trial,
+    battery_window_weak_by_trial,
+    random_signal_by_randint,
+)
+from primegrid import zbattery
+from primegrid.rng import _GAMMA, _MASK, mix64
 from primegrid.zbattery import (
     battery_deviation_l2,
     battery_progression_weak,
@@ -75,3 +88,113 @@ def test_window_batteries_have_margin():
     for recs in (battery_window_weak(31, 40), battery_window_strong(31, 40)):
         worst = max(r["ratio"] for r in recs)
         assert worst <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the array draw against one randint per word
+
+def _assert_same_draw(seed, span_scale):
+    fast_rng, slow_rng = SplitMix64(seed), SplitMix64(seed)
+    fast = random_signal(fast_rng, span_scale)
+    slow = random_signal_by_randint(slow_rng, span_scale)
+    assert (fast.lo, fast.values) == (slow.lo, slow.values)
+    # the level drawn next comes from the same generator state
+    assert fast_rng.next_u64() == slow_rng.next_u64()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, _MASK), span_scale=st.sampled_from((12, 35, 64, 385)))
+def test_random_signal_equals_randint_draws(seed, span_scale):
+    _assert_same_draw(seed, span_scale)
+
+
+def _unshift(y, s):
+    """Inverse of z -> z ^ (z >> s) on 64-bit words."""
+    z = y
+    for _ in range(64 // s + 1):
+        z = y ^ (z >> s)
+    return z
+
+
+def _unmix64(z):
+    """Inverse of rng.mix64."""
+    z = _unshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK
+    z = _unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK
+    return _unshift(z, 30)
+
+
+def _seed_rejecting(k):
+    """A seed whose output 2 + k is 2^64 - 1: value word k of its signal,
+    the one word randint(-8, 8) and randint(0, 2) reject."""
+    return (_unmix64(_MASK) - (k + 3) * _GAMMA) & _MASK
+
+
+def test_random_signal_rejected_word_falls_back():
+    assert mix64(_unmix64(_MASK)) == _MASK
+    rng = SplitMix64(_seed_rejecting(5))
+    assert [rng.next_u64() for _ in range(8)][-1] == _MASK
+    for span_scale in (12, 35, 64, 385):
+        lengths = [SplitMix64(_seed_rejecting(k)).randint(1, 4 * span_scale)
+                   for k in range(20_000)]
+        inside = [k for k, n in enumerate(lengths) if k < 2 * n]
+        # the rejected word last, so the fallback draws past the array
+        last = [k for k, n in enumerate(lengths) if k == 2 * n - 1]
+        assert last
+        for k in inside[:8] + last[:2]:
+            _assert_same_draw(_seed_rejecting(k), span_scale)
+
+
+# ---------------------------------------------------------------------------
+# batched batteries against one trial at a time
+
+BY_TRIAL = {
+    "window_weak": battery_window_weak_by_trial,
+    "window_strong": battery_window_strong_by_trial,
+    "progression_weak": battery_progression_weak_by_trial,
+    "deviation_l2": battery_deviation_l2_by_trial,
+}
+
+
+@pytest.mark.parametrize("trials", [1, 7, 250])
+@pytest.mark.parametrize("seed", [20250809, 20250816, 123])
+def test_batched_batteries_equal_trial_loops(seed, trials):
+    for name, by_trial in BY_TRIAL.items():
+        got = getattr(zbattery, f"battery_{name}")(seed, trials)
+        assert json.dumps(got, sort_keys=True) == \
+            json.dumps(by_trial(seed, trials), sort_keys=True), name
+
+
+def test_failed_trial_in_batch_is_shrunk_and_counted(monkeypatch):
+    seed, trials = 20250809, 12
+    # a trial whose level count is positive fails once the bound is 0
+    target = next(r["trial"] for r in battery_window_weak(seed, trials)
+                  if r["lhs"] >= 1)
+    batch = zbattery.level_count_window_sup_batch
+    one = zbattery.level_count_window_sup
+
+    def zero_bound(res):
+        return dict(res, bound=0.0, ok=res["count"] <= 0)
+
+    def failing_batch(sigs, lams):
+        out = batch(sigs, lams)
+        out[target] = zero_bound(out[target])
+        return out
+
+    # shrinking replays through the per-signal kernel, under the same bound
+    monkeypatch.setattr(zbattery, "level_count_window_sup_batch", failing_batch)
+    monkeypatch.setattr(zbattery, "level_count_window_sup",
+                        lambda sig, lam: zero_bound(one(sig, lam)))
+    res = run_all(seed, trials)
+    recs = res["records"]["window_weak"]
+    assert [r["pass"] for r in recs] == [r["trial"] != target for r in recs]
+    bad = recs[target]
+    assert bad["rhs"] == 0.0 and bad["ratio"] is None
+    blob = bad["counterexample"]
+    sig = FiniteSignal(blob["lo"], [int(v["num"]) / int(v["den"])
+                                    for v in blob["values"]])
+    assert not zbattery.level_count_window_sup(sig, bad["lambda"])["ok"]
+    assert one(sig, bad["lambda"])["count"] >= 1
+    assert res["summary"]["window_weak"]["failures"] == 1
+    assert sum(v["failures"] for v in res["summary"].values()) == 1

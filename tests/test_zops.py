@@ -479,9 +479,9 @@ def test_sup_profile_matches_exact_sweeps():
     for ctx in CTXS:
         sig = rational_signal(rng, ctx)
         lo, hi = sig.lo - 3 * ctx.p - 2, sig.hi + 2 * ctx.p + 3
-        plus = sup_profile(_lattice_tables(sig.as_floats(), ctx, "plus"),
+        plus = sup_profile(_lattice_tables([sig.as_floats()], ctx, "plus"),
                            ctx, lo, hi)
-        minus = sup_profile(_lattice_tables(sig.as_floats(), ctx, "minus"),
+        minus = sup_profile(_lattice_tables([sig.as_floats()], ctx, "minus"),
                             ctx, lo, hi)
         for i, n in enumerate(range(lo, hi + 1)):
             assert abs(plus[i] - float(progression_mean_sup(sig, ctx, n))) < 1e-9

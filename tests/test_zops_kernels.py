@@ -8,6 +8,7 @@ import pytest
 
 from _oracles import (
     deviation_lhs_by_residue,
+    lattice_table,
     strong_l2_lhs_by_n,
     sup_profile_by_residue,
     sup_sq_tail_row,
@@ -22,9 +23,13 @@ from primegrid.zops import (
     GridContext,
     _lattice_tables,
     deviation_sup_l2_bound,
+    deviation_sup_l2_bound_batch,
     level_count_progression_sup,
+    level_count_progression_sup_batch,
     level_count_window_sup,
+    level_count_window_sup_batch,
     strong_l2_window_sup,
+    strong_l2_window_sup_batch,
     sup_profile,
     sup_sq_tail,
 )
@@ -42,9 +47,11 @@ def _signals(primes, count=12):
     return ctx, sigs
 
 
-@pytest.fixture(params=[None, 7], ids=["one-block", "small-blocks"])
+@pytest.fixture(params=[None, 7, 200],
+                ids=["one-block", "small-blocks", "small-groups"])
 def block_entries(request, monkeypatch):
-    """Run each kernel whole, and split into many tiny row blocks."""
+    """Run each kernel in its default blocks, in many tiny row blocks with
+    every signal in a group of its own, and in small blocks and groups."""
     if request.param is not None:
         monkeypatch.setattr(zops, "_BLOCK_ENTRIES", request.param)
     return request.param
@@ -60,7 +67,7 @@ def test_sup_profile_equals_residue_loop(primes, block_entries):
         # rows at r = p - 1 and rows left of the support (negative j0)
         assert (n % ctx.p == ctx.p - 1).any() and (n < blk_lo).any()
         for kind in ("plus", "minus"):
-            fast = sup_profile(_lattice_tables(sig, ctx, kind), ctx, n_lo, n_hi)
+            fast = sup_profile(_lattice_tables([sig], ctx, kind), ctx, n_lo, n_hi)
             assert np.array_equal(
                 fast, sup_profile_by_residue(sig, ctx, n_lo, n_hi, kind))
 
@@ -91,11 +98,33 @@ def test_window_kernels_equal_per_n_loops(block_entries):
         assert strong_l2_window_sup(sig)["lhs"] == strong_l2_lhs_by_n(sig)
 
 
+def test_batches_equal_signals_alone(block_entries):
+    # every context, length-1 signals and supports left of 0: each result of
+    # a mixed batch is the one its signal gives alone, to the last bit
+    rng = SplitMix64(derive_seed(2024, "batches"))
+    for primes in GRIDS:
+        ctx, sigs = _signals(primes)
+        sigs.insert(3, FiniteSignal(-2 * ctx.p - 5, [0.0, -1.5, 4.0]))
+        lams = [(0.02 + 1.4 * rng.uniform()) * sig.l1 for sig in sigs]
+        assert level_count_progression_sup_batch(sigs, ctx, lams) == \
+            [level_count_progression_sup(s, ctx, lam) for s, lam in zip(sigs, lams)]
+        assert deviation_sup_l2_bound_batch(sigs, ctx) == \
+            [deviation_sup_l2_bound(s, ctx) for s in sigs]
+    sigs = [random_signal(rng, 12) for _ in range(30)]
+    sigs[5:5] = [FiniteSignal(-7, [2.0]), FiniteSignal(0, [-0.25]),
+                 FiniteSignal(-40, [-1.0, -2.0, -0.5])]   # sup <= 0 everywhere
+    lams = [(0.02 + 1.4 * rng.uniform()) * sig.l1 for sig in sigs]
+    assert level_count_window_sup_batch(sigs, lams) == \
+        [level_count_window_sup(s, lam) for s, lam in zip(sigs, lams)]
+    assert strong_l2_window_sup_batch(sigs) == \
+        [strong_l2_window_sup(s) for s in sigs]
+
+
 @pytest.mark.parametrize("primes", L2_CONTEXTS)
 def test_sup_sq_tail_rows_equal_scalar_calls(primes, block_entries):
     ctx, sigs = _signals(primes)
     for sig in sigs:
-        S = _lattice_tables(sig, ctx, "minus")[2][:, 1:]
+        S = lattice_table(sig, ctx, "minus")[2][:, 1:]
         # residues whose row is all <= 0 keep no hyperbola
         S = np.vstack([S, -S, np.zeros_like(S)])
         for k_start in (-1, 0, 1, 3):
