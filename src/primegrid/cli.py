@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .constants import constants_for
+from .constants import SCALAR_FIELDS, constants_for
 from .dynsim import (
     BernoulliSystem,
     CyclicSystem,
@@ -81,7 +81,7 @@ def read_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
-_OVERRIDABLE = ("gamma_beta", "gamma_small", "f19_p", "f4c_div", "f4c_floor")
+_OVERRIDABLE = SCALAR_FIELDS + ("gamma_main",)
 
 
 def _apply_overrides(profile: str, pairs: list[str]):
@@ -99,9 +99,9 @@ def _apply_overrides(profile: str, pairs: list[str]):
             raise ValueError(f"override must be name=value, got {pair!r}")
         name, val = pair.split("=", 1)
         name = name.strip()
-        if name not in _OVERRIDABLE + ("gamma_main",):
+        if name not in _OVERRIDABLE:
             raise ValueError(f"unknown constant {name!r}; overridable: "
-                             f"{', '.join(_OVERRIDABLE + ('gamma_main',))}")
+                             f"{', '.join(_OVERRIDABLE)}")
         try:
             value = Fraction(val)
         except ZeroDivisionError:
@@ -111,6 +111,8 @@ def _apply_overrides(profile: str, pairs: list[str]):
 
 
 def cmd_gen_params(args) -> int:
+    if args.horizon < 1:
+        raise ValueError(f"--horizon must be >= 1, got {args.horizon}")
     try:
         table = _apply_overrides(args.profile, args.set or [])
         ledger = new_ledger(table)

@@ -121,7 +121,7 @@ class ConstantTable:
 
     def to_json(self) -> dict:
         out = {"profile": self.profile}
-        for name in ("gamma_beta", "gamma_small", "f19_p", "f4c_div", "f4c_floor"):
+        for name in SCALAR_FIELDS:
             out[name] = frac_json(getattr(self, name))
         out["gamma_main"] = None if self.gamma_main is None else self.gamma_main.to_json()
         for name in _FAMILY_FIELDS:
@@ -131,7 +131,7 @@ class ConstantTable:
     @staticmethod
     def from_json(obj: dict) -> "ConstantTable":
         kwargs = {"profile": obj["profile"]}
-        for name in ("gamma_beta", "gamma_small", "f19_p", "f4c_div", "f4c_floor"):
+        for name in SCALAR_FIELDS:
             kwargs[name] = frac_parse(obj[name])
         gm = obj.get("gamma_main")
         kwargs["gamma_main"] = None if gm is None else Family.from_json(gm)
@@ -140,6 +140,8 @@ class ConstantTable:
         return ConstantTable(**kwargs)
 
 
+# the Fraction-valued constants; gamma_main (a Family or None) stands apart
+SCALAR_FIELDS = ("gamma_beta", "gamma_small", "f19_p", "f4c_div", "f4c_floor")
 _FAMILY_FIELDS = (
     "k_growth", "k_threshold", "spacing_rhs", "f19_sum", "f3c",
     "f15a", "d38f1", "d63", "e28", "f12", "d65", "suppl2", "d67",

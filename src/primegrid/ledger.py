@@ -19,6 +19,7 @@ module.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -83,17 +84,10 @@ class BlockParams:
     count: int | None = None
 
     def __post_init__(self):
-        if self.p != _prod(self.primes):
+        if self.p != math.prod(self.primes):
             raise ValueError("p must be the product of the primes")
         if self.Q != sum(F(1, q) for q in self.primes):
             raise ValueError("Q must be the exact reciprocal sum")
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 @dataclass(frozen=True)
@@ -294,7 +288,7 @@ def _choose_primes(ledger: Ledger, m: int, K: int, d: int,
     while q1 <= MAX_PRIME:
         ps = consecutive_primes(q1, K)
         Q = sum(F(1, q) for q in ps)
-        if ps[-1] < 2 * q1 and _prod(ps) > prev.p and Q < prev.Q:
+        if ps[-1] < 2 * q1 and math.prod(ps) > prev.p and Q < prev.Q:
             return tuple(ps)
         q1 = next_prime(q1)
     raise NoPrimeWindow(f"block {m}: no admissible window of {K} primes below {MAX_PRIME}")
@@ -319,7 +313,7 @@ def extend_ledger(ledger: Ledger) -> Ledger:
     gamma = tab.gamma(m, ledger.nb(m - 2))
     K = _choose_k(ledger, m)
     primes = _choose_primes(ledger, m, K, d, gamma)
-    p = _prod(primes)
+    p = math.prod(primes)
     Q = sum(F(1, q) for q in primes)
 
     prev = ledger.block(m - 1)

@@ -82,16 +82,6 @@ class SequenceStore:
             raise OutOfBuiltRange(f"block {m} not built (have {self.n_blocks})")
         return self.elements[self.offsets[m - 1]:self.offsets[m]]
 
-    def nbar_block(self, m: int) -> int:
-        """Count of elements below beta_m."""
-        return int(self.offsets[m])
-
-    def nk(self, k: int) -> int:
-        """The k-th element, 1-indexed."""
-        if not 1 <= k <= self.total:
-            raise IndexError(k)
-        return int(self.elements[k - 1])
-
     def count_range(self, a: int, b: int) -> int:
         """Number of elements in [a, b)."""
         if a > b:

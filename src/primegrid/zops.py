@@ -76,10 +76,7 @@ class GridContext:
 
     @property
     def p(self) -> int:
-        out = 1
-        for q in self.primes:
-            out *= q
-        return out
+        return math.prod(self.primes)
 
     @property
     def qtil(self) -> tuple[int, ...]:
@@ -155,9 +152,6 @@ class FiniteSignal:
     def l2sq(self):
         return sum(abs(v) ** 2 for v in self.values)
 
-    def as_floats(self) -> "FiniteSignal":
-        return FiniteSignal(self.lo, [float(v) for v in self.values])
-
     def __repr__(self):
         return f"FiniteSignal(lo={self.lo}, values={self.values!r})"
 
@@ -178,18 +172,13 @@ def dft(block: np.ndarray | list, p: int | None = None) -> Spectrum:
         p = block.size
     if block.size != p:
         raise LengthMismatch(f"need exactly {p} samples, got {block.size}")
-    n = np.arange(p)
-    kernel = np.exp(-2j * np.pi * np.outer(n, n) / p)
-    return Spectrum(p, kernel.T @ block / p)
+    return Spectrum(p, np.fft.fft(block) / p)
 
 
 def idft(spec: Spectrum) -> np.ndarray:
-    p = spec.p
-    if spec.coeffs.size != p:
+    if spec.coeffs.size != spec.p:
         raise LengthMismatch("spectrum length must equal its period")
-    n = np.arange(p)
-    kernel = np.exp(2j * np.pi * np.outer(n, n) / p)
-    return kernel @ spec.coeffs
+    return np.fft.ifft(spec.coeffs) * spec.p
 
 
 def parseval_residual(block, spec: Spectrum) -> float:
@@ -407,13 +396,16 @@ def lattice_sup_j(sig: FiniteSignal, ctx: GridContext, n: int, j: int):
 # residue) pair of the lattice tables.  Signals of unequal length are stacked
 # zero-padded on the right, which freezes every prefix sum and cumulative
 # table past a signal's end, so no row reads a value that differs from its
-# own signal's.  Row maxima are taken over (row, N') matrices in chunks of
-# bounded size.  Columns past a row's own range clip the window index to the
-# end of the table, so the numerator is frozen while the denominator grows,
-# and under correctly rounded division no such entry exceeds the last one in
-# the row's own range: every row maximum equals the one the row alone would
-# give.  Sums keep the order of the row-at-a-time evaluation, so a signal's
-# results are bit-for-bit the same in every batch, the batch of one included.
+# own signal's.  Every float maximum over window lengths goes through one
+# sweep, `_sweep`, the float counterpart of the exact `window_sup`: it takes
+# the prefix-difference averages (table[c + N] - table[c]) / N of table rows
+# as (row, N) matrices in chunks of bounded size.  Columns past a row's own
+# range clip the window index to the end of the table, so the numerator is
+# frozen while the denominator grows, and under correctly rounded division
+# no such entry exceeds the last one in the row's own range: every row
+# maximum equals the one the row alone would give.  Sums keep the order of
+# the row-at-a-time evaluation, so a signal's results are bit-for-bit the
+# same in every batch, the batch of one included.
 
 # entries per matrix chunk: keeps each temporary near 256 KB; a batch runs
 # in groups of signals with at most _BLOCK_ENTRIES // 8 rows together, which
@@ -463,12 +455,17 @@ def _grouped(fn, rows, sigs, *args) -> list:
     return out + fn(sigs[start:], *(a[start:] for a in args))
 
 
-def _row_blocks(widths: np.ndarray, fn) -> np.ndarray:
-    """fn(rows, w) over chunks of row indices, joined in row order.
+def _sweep(flat: np.ndarray, row0: np.ndarray, start: np.ndarray,
+           widths: np.ndarray, end: int, absolute: bool = True,
+           skip_first: np.ndarray | None = None) -> np.ndarray:
+    """Per row i, the maximum over N = 1..widths[i] of the window average
+    (table[c + N] - table[c]) / N along the table row at flat[row0[i]:],
+    where c = start[i] and table indices are clipped to [0, end].
 
-    fn returns the maxima of the given rows over the columns 1..w.  Rows are
-    taken in decreasing `widths` (the columns each row needs), so a chunk's w
-    is its first row's; each chunk holds at most _BLOCK_ENTRIES entries.
+    The average is taken in absolute value unless `absolute` is false; N = 1
+    is left out of the rows where `skip_first` is true.  Rows are taken in
+    decreasing width, so a chunk's column count is its first row's, and each
+    chunk holds at most _BLOCK_ENTRIES entries.
     """
     order = np.argsort(-widths, kind="stable")
     out = np.empty(widths.size)
@@ -476,7 +473,16 @@ def _row_blocks(widths: np.ndarray, fn) -> np.ndarray:
     while i < order.size:
         w = int(widths[order[i]])
         rows = order[i:i + max(1, _BLOCK_ENTRIES // w)]
-        out[rows] = fn(rows, w)
+        Ns = np.arange(1, w + 1)
+        c = start[rows]
+        base = flat[row0[rows] + np.clip(c, 0, end)]
+        vals = (flat[row0[rows, None] + np.clip(c[:, None] + Ns, 0, end)]
+                - base[:, None]) / Ns
+        if absolute:
+            np.abs(vals, out=vals)
+        if skip_first is not None:
+            vals[skip_first[rows], 0] = -np.inf
+        out[rows] = vals.max(axis=1)
         i += rows.size
     return out
 
@@ -556,18 +562,8 @@ def sup_profile(tables, ctx: GridContext, n_lo, n_hi) -> np.ndarray:
     r = n % p
     j0 = (n - blk_lo[owner]) // p
     row0 = (owner * p + r) * (end + 1)      # each row's table row in CH.flat
-    flat = CH.ravel()
-
-    def block(rows: np.ndarray, w: int) -> np.ndarray:
-        Nps = np.arange(1, w + 1)
-        j = j0[rows]
-        base = flat[row0[rows] + np.clip(j, 0, end)]
-        hi_idx = row0[rows, None] + np.clip(j[:, None] + Nps, 0, end)
-        vals = np.abs(flat[hi_idx] - base[:, None]) / Nps
-        vals[r[rows] == p - 1, 0] = -np.inf
-        return vals.max(axis=1)
-
-    return _row_blocks(np.maximum(T[owner] - j0, 2), block)
+    return _sweep(CH.ravel(), row0, j0, np.maximum(T[owner] - j0, 2), end,
+                  skip_first=r == p - 1)
 
 
 def _hyperbola_sq_sums(KS: np.ndarray, lengths: np.ndarray,
@@ -586,20 +582,21 @@ def _hyperbola_sq_sums(KS: np.ndarray, lengths: np.ndarray,
     return _run_sums(grid ** 2, lengths)
 
 
-def sup_sq_tail(S, k_start: int, cap: int = 200_000):
-    """Exact sum over k >= k_start of max(0, max_c S_c/(k+c))^2.
+# finite terms summed per row of sup_sq_tail before its bound takes over
+_TAIL_CAP = 200_000
 
-    S is one row S_1..S_C (returns a float) or a 2-D array of such rows
-    (returns one sum per row).  Per row, the maximum of finitely many
-    hyperbolas stabilizes to the largest-S one beyond the last pairwise
-    crossing; from there the series is a Hurwitz zeta value (polygamma).  If
-    crossings exceed `cap`, the remainder is over-bounded by the largest-S
-    hyperbola at the smallest kept offset, which keeps the result a valid
-    upper bound.
+
+def sup_sq_tail(S, k_start: int) -> np.ndarray:
+    """Per row S_1..S_C of the 2-D array S, the exact sum over k >= k_start
+    of max(0, max_c S_c/(k+c))^2.
+
+    Per row, the maximum of finitely many hyperbolas stabilizes to the
+    largest-S one beyond the last pairwise crossing; from there the series
+    is a Hurwitz zeta value (polygamma).  If crossings exceed _TAIL_CAP
+    terms, the remainder is over-bounded by the largest-S hyperbola at the
+    smallest kept offset, which keeps the result a valid upper bound.
     """
     S = np.asarray(S, dtype=float)
-    if S.ndim == 1:
-        return float(sup_sq_tail(S[None, :], k_start, cap)[0])
     out = np.zeros(S.shape[0])
     if k_start < 0 or S.shape[1] == 0:
         return out
@@ -615,11 +612,11 @@ def sup_sq_tail(S, k_start: int, cap: int = 200_000):
     r1, c1, c2 = rows[pair], cols[pair], cols[pair + 1]
     s1, s2 = S[r1, c1], S[r1, c2]
     cross = (s1 * (c2 + 1) - s2 * (c1 + 1)) / (s2 - s1)
-    cross = np.clip(cross, k_start - 1, k_start + cap + 1)
+    cross = np.clip(cross, k_start - 1, k_start + _TAIL_CAP + 1)
     k_star = np.full(kr.size, k_start, dtype=np.int64)
     np.maximum.at(k_star, r1, np.floor(cross).astype(np.int64) + 1)
-    capped = k_star - k_start > cap
-    k_star[capped] = k_start + cap
+    capped = k_star - k_start > _TAIL_CAP
+    k_star[capped] = k_start + _TAIL_CAP
     # the finite part k < k_star, in row groups of bounded total length
     lengths = k_star - k_start
     group = (np.cumsum(lengths) - lengths) // _BLOCK_ENTRIES
@@ -637,8 +634,6 @@ def sup_sq_tail(S, k_start: int, cap: int = 200_000):
     coef = np.array([v ** 2 for v in s_max.tolist()])
     out[kr] = finite + coef * polygamma(1, k_star + c_tail)
     return out
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -729,18 +724,9 @@ def _window_sups(sigs, W) -> list:
     lens = np.array([len(sig.values) for sig in sigs])
     P = _prefix_sums(sigs)
     end = P.shape[1] - 1
-    flat = P.ravel()
     owner, off = _ranges(-np.array(W), lens - 1)      # off = n - lo
-    row0 = owner * (end + 1)
-
-    def block(rows: np.ndarray, w: int) -> np.ndarray:
-        Ns = np.arange(1, w + 1)
-        o = off[rows]
-        idx = row0[rows, None] + np.clip(o[:, None] + Ns, 0, end)
-        base = flat[row0[rows] + np.clip(o, 0, end)]
-        return np.max(np.abs(flat[idx] - base[:, None]) / Ns, axis=1)
-
-    return _row_blocks(lens[owner] - off, block).tolist()
+    return _sweep(P.ravel(), owner * (end + 1), off, lens[owner] - off,
+                  end).tolist()
 
 
 def level_count_window_sup_batch(sigs, lams) -> list[dict]:
@@ -773,19 +759,10 @@ def _strong_lhs_sq(sigs) -> list[float]:
     lens = np.array([len(sig.values) for sig in sigs])
     P = _prefix_sums(sigs)
     end = P.shape[1] - 1
-    flat = P.ravel()
     # off = n + 1 - lo: the window [n+1, n+N] meets the support iff n < hi
     owner, off = _ranges(np.zeros_like(lens), lens - 1)
-    row0 = owner * (end + 1)
-
-    def block(rows: np.ndarray, w: int) -> np.ndarray:
-        Ns = np.arange(1, w + 1)
-        o = off[rows]
-        idx = row0[rows, None] + np.minimum(o[:, None] + Ns, end)
-        base = flat[row0[rows] + o]
-        return np.max((flat[idx] - base[:, None]) / Ns, axis=1)
-
-    sups = _row_blocks(lens[owner] - off, block)
+    sups = _sweep(P.ravel(), owner * (end + 1), off, lens[owner] - off, end,
+                  absolute=False)
     lhs_sq = [0.0] * len(sigs)
     for s, sup in zip(owner.tolist(), sups.tolist()):
         # in n order and through Python floats (libm pow): np.sum of numpy

@@ -16,9 +16,11 @@ where the library takes the value words as one array, and the
 `battery_*_by_trial` loops check one trial at a time through the per-signal
 kernels, where the library checks each battery's signals as one batch.
 
-Two helpers that only the tests call live here too: `block_elements`, one
-block's survivor sets merged into a sorted array, and `fragile_positions`,
-which marks orbit points too close to a breakpoint to trust at 128 bits.
+Helpers that only the tests call live here too: `block_elements`, one
+block's survivor sets merged into a sorted array; `fragile_positions`, which
+marks orbit points too close to a breakpoint to trust at 128 bits; `nk` and
+`nbar_block`, a store's k-th element and its count below beta_m; and
+`as_floats`, a signal's values in binary64.
 """
 
 from bisect import bisect_left, bisect_right
@@ -93,6 +95,23 @@ def banach_density_all_starts(store, L):
     hi = np.searchsorted(elems, elems[:k] + L, side="left")
     best = int((hi - np.arange(k)).max(initial=0))
     return F(max(best, store.count_range(last, store.horizon)), L)
+
+
+def nbar_block(store, m):
+    """Count of the store's elements below beta_m."""
+    return int(store.offsets[m])
+
+
+def nk(store, k):
+    """The store's k-th element, 1-indexed."""
+    if not 1 <= k <= store.total:
+        raise IndexError(k)
+    return int(store.elements[k - 1])
+
+
+def as_floats(sig):
+    """The signal with its values converted to binary64."""
+    return FiniteSignal(sig.lo, [float(v) for v in sig.values])
 
 
 # ---------------------------------------------------------------------------

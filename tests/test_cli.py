@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -17,6 +20,8 @@ from primegrid.dynsim import (
     indicator,
 )
 from primegrid.rng import derive_seed
+
+ROOT = Path(__file__).parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +75,34 @@ def test_gen_params_zero_denominator_is_config_error(tmp_path, capsys, pair):
     err = capsys.readouterr().err
     assert "config error: " in err and pair in err and "zero denominator" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_gen_params_rejects_nonpositive_horizon(tmp_path, capsys, horizon):
+    out = tmp_path / "ledger.json"
+    assert main(["gen-params", "--horizon", horizon, "--out", str(out)]) == 2
+    assert "--horizon must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tracer_finds_its_names(tmp_path):
+    # perfbench's tracer wraps library names it looks up by string; a missing
+    # one breaks every traced benchmark run
+    code = (
+        "import sys, tracing\n"
+        "from primegrid import cli\n"
+        "tracer = tracing.Tracer('t')\n"
+        "tracing.install(tracer)\n"
+        "code = cli.main(['gen-params', '--horizon', '4', '--out', sys.argv[1]])\n"
+        "print(code, tracer.counters['ledger.endpoint_candidates'])\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")])}
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "l.json")],
+                         cwd=tmp_path, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    exit_code, candidates = map(int, res.stdout.split())
+    assert exit_code == 0 and candidates > 0
 
 
 def test_gen_params_faithful_two_blocks(tmp_path):

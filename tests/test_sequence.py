@@ -23,7 +23,13 @@ from primegrid.sequence import (
     write_elements,
 )
 
-from _oracles import banach_density_all_starts, block_elements, oracle_block
+from _oracles import (
+    banach_density_all_starts,
+    block_elements,
+    nbar_block,
+    nk,
+    oracle_block,
+)
 
 
 def test_toy_block_matches_hand_value():
@@ -147,14 +153,14 @@ def test_store_demo_first_block(demo_ledger, demo_store):
     assert list(b1[:4]) == [0, 1, 2, 3]
     assert b1.size == beta1
     # n_k = k - 1 on the first block
-    assert demo_store.nk(1) == 0
-    assert demo_store.nk(beta1) == beta1 - 1
+    assert nk(demo_store, 1) == 0
+    assert nk(demo_store, beta1) == beta1 - 1
 
 
 def test_store_counts_match_ledger(demo_ledger, demo_store):
     for m in range(1, 6):
         assert demo_store.block(m).size == demo_ledger.blocks[m - 1].count
-        assert demo_store.nbar_block(m) == demo_ledger.nbar[m]
+        assert nbar_block(demo_store, m) == demo_ledger.nbar[m]
 
 
 def test_build_store_rejects_empty_interval():
@@ -200,7 +206,7 @@ def test_store_blocks_are_slices_of_one_array():
     assert store.n_blocks == 2
     assert list(store.block(2)) == [18, 27, 33, 42]
     assert np.shares_memory(store.block(2), store.elements)
-    assert store.nbar_block(1) == 15 and store.nbar_block(2) == 19
+    assert nbar_block(store, 1) == 15 and nbar_block(store, 2) == 19
     with pytest.raises(OutOfBuiltRange):
         store.block(3)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import window_count_exact
+from _oracles import as_floats, window_count_exact
 from primegrid.rng import SplitMix64, derive_seed
 from primegrid.zops import (
     FiniteSignal,
@@ -406,7 +406,7 @@ def test_weak_count_interval_signal():
     assert res["count"] == exact
     assert exact >= 60
     assert exact <= 8 * 60
-    fast = level_count_progression_sup(sig.as_floats(), ctx, 0.5)
+    fast = level_count_progression_sup(as_floats(sig), ctx, 0.5)
     assert fast["count"] == exact
 
 
@@ -441,7 +441,7 @@ def test_classic_weak_delta_exact_count():
     res = level_count_window_sup(delta, F(1, 2))
     assert res["count"] == 1
     assert res["bound"] == 4.0
-    assert level_count_window_sup(delta.as_floats(), 0.5)["count"] == 1
+    assert level_count_window_sup(as_floats(delta), 0.5)["count"] == 1
 
 
 def test_classic_zero_signal():
@@ -479,9 +479,9 @@ def test_sup_profile_matches_exact_sweeps():
     for ctx in CTXS:
         sig = rational_signal(rng, ctx)
         lo, hi = sig.lo - 3 * ctx.p - 2, sig.hi + 2 * ctx.p + 3
-        plus = sup_profile(_lattice_tables([sig.as_floats()], ctx, "plus"),
+        plus = sup_profile(_lattice_tables([as_floats(sig)], ctx, "plus"),
                            ctx, lo, hi)
-        minus = sup_profile(_lattice_tables([sig.as_floats()], ctx, "minus"),
+        minus = sup_profile(_lattice_tables([as_floats(sig)], ctx, "minus"),
                             ctx, lo, hi)
         for i, n in enumerate(range(lo, hi + 1)):
             assert abs(plus[i] - float(progression_mean_sup(sig, ctx, n))) < 1e-9

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    as_floats,
     deviation_lhs_by_residue,
     lattice_table,
     strong_l2_lhs_by_n,
@@ -132,21 +133,25 @@ def test_sup_sq_tail_rows_equal_scalar_calls(primes, block_entries):
             assert rows.shape == (S.shape[0],)
             assert rows.tolist() == [sup_sq_tail_row(s, k_start) for s in S]
             for s in S[:3]:
-                assert sup_sq_tail(s, k_start) == sup_sq_tail_row(s, k_start)
+                assert sup_sq_tail(s[None], k_start)[0] == \
+                    sup_sq_tail_row(s, k_start)
 
 
-def test_sup_sq_tail_cap_branch(block_entries):
+def test_sup_sq_tail_cap_branch(block_entries, monkeypatch):
     # near-equal heights cross far out, so a small cap cuts the finite part
     S = np.array([[1.0, 1.0 + 2.0 ** -20, 3.0],
                   [0.5, 2.0, 2.0 + 2.0 ** -12],
                   [4.0, 1.0, 0.0],
                   [-1.0, -2.0, -3.0]])
+    exact = sup_sq_tail(S, 1)
     for cap in (0, 2, 5, 200_000):
-        assert sup_sq_tail(S, 1, cap=cap).tolist() == \
+        monkeypatch.setattr(zops, "_TAIL_CAP", cap)
+        assert sup_sq_tail(S, 1).tolist() == \
             [sup_sq_tail_row(s, 1, cap=cap) for s in S]
     # row 1 crosses at k = 8190: exact under the default cap, over-bounded
     # under a small one
-    assert sup_sq_tail(S, 1, cap=2)[1] > sup_sq_tail(S, 1)[1]
+    monkeypatch.setattr(zops, "_TAIL_CAP", 2)
+    assert sup_sq_tail(S, 1)[1] > exact[1]
 
 
 def test_window_count_float_matches_exact():
@@ -156,10 +161,10 @@ def test_window_count_float_matches_exact():
         sig = FiniteSignal(draw.lo, [F(v) for v in draw.values])
         lam = F(rng.randint(1, 24), (1, 2, 3, 4, 8)[rng.randint(0, 4)])
         exact = window_count_exact(sig, lam)
-        fast = level_count_window_sup(sig.as_floats(), float(lam))["count"]
+        fast = level_count_window_sup(as_floats(sig), float(lam))["count"]
         assert fast == exact
     # a level equal to an attained average is not exceeded on either path
     sig = FiniteSignal(0, [F(3), F(-1), F(2)])
     for lam in (F(3), F(2), F(4, 3), F(1)):
         assert window_count_exact(sig, lam) == \
-            level_count_window_sup(sig.as_floats(), float(lam))["count"]
+            level_count_window_sup(as_floats(sig), float(lam))["count"]
