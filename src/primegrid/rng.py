@@ -56,12 +56,19 @@ class SplitMix64:
                 return lo + (u % span)
 
 
+class SeedOutOfRange(ValueError):
+    """A base seed outside [0, 2^64), which would otherwise wrap onto another."""
+
+
 def derive_seed(base: int, *parts) -> int:
     """Stable sub-seed for a named battery/trial: hash parts into the base.
 
     Strings hash byte-by-byte through mix64 so the derivation is portable.
+    The base must lie in [0, 2^64) (SeedOutOfRange otherwise).
     """
-    h = base & _MASK
+    if not 0 <= base <= _MASK:
+        raise SeedOutOfRange(f"seed must be in [0, 2^64), got {base}")
+    h = base
     for part in parts:
         if isinstance(part, str):
             for b in part.encode("utf-8"):

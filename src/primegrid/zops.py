@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import polygamma
 
 from .primes import is_prime
 
@@ -495,7 +494,8 @@ def _run_sums(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """
     starts = np.cumsum(lengths) - lengths
     out = np.zeros(lengths.size)
-    for L in np.unique(lengths[lengths > 0]).tolist():
+    # not np.unique: without return_* it loads numpy.ma on first use
+    for L in sorted(set(lengths[lengths > 0].tolist())):
         sel = np.flatnonzero(lengths == L)
         out[sel] = np.sum(flat[starts[sel][:, None] + np.arange(L)], axis=1)
     return out
@@ -585,6 +585,58 @@ def _hyperbola_sq_sums(KS: np.ndarray, lengths: np.ndarray,
 # finite terms summed per row of sup_sq_tail before its bound takes over
 _TAIL_CAP = 200_000
 
+# cephes zeta(x, q): the Euler-Maclaurin divisors (2k)!/B_2k, and the
+# relative size of a term at which the sums stop
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+           -1.8924375803183791606e9, 7.47242496e10,
+           -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17,
+           -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _zeta2(q: float) -> float:
+    """Hurwitz zeta(2, q) = sum over k >= 0 of 1/(q+k)^2, for q > 0.
+
+    A line-by-line port of cephes zeta(x, q) at x = 2, so bit-for-bit the
+    value of scipy.special.polygamma(1, q): the DLMF 25.11.43 form beyond
+    q = 1e8, else nine direct terms past q^-2 (cephes also runs on while
+    q + i <= 9, which no q > 0 needs) followed by Euler-Maclaurin with up to
+    12 Bernoulli terms.  Powers go through libm pow (math.pow), as in
+    cephes; numpy's power rounds some of them differently.
+    """
+    x = 2.0
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * math.pow(q, 1 - x)
+    s = math.pow(q, -x)
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for A in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / A
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
 
 def sup_sq_tail(S, k_start: int) -> np.ndarray:
     """Per row S_1..S_C of the 2-D array S, the exact sum over k >= k_start
@@ -592,7 +644,8 @@ def sup_sq_tail(S, k_start: int) -> np.ndarray:
 
     Per row, the maximum of finitely many hyperbolas stabilizes to the
     largest-S one beyond the last pairwise crossing; from there the series
-    is a Hurwitz zeta value (polygamma).  If crossings exceed _TAIL_CAP
+    is S_max^2 times the Hurwitz zeta value zeta(2, k_star + c), taken from
+    the port _zeta2 once per distinct argument.  If crossings exceed _TAIL_CAP
     terms, the remainder is over-bounded by the largest-S hyperbola at the
     smallest kept offset, which keeps the result a valid upper bound.
     """
@@ -622,7 +675,7 @@ def sup_sq_tail(S, k_start: int) -> np.ndarray:
     group = (np.cumsum(lengths) - lengths) // _BLOCK_ENTRIES
     KS = np.where(kept, S, -np.inf)
     finite = np.zeros(kr.size)
-    for g in np.unique(group).tolist():
+    for g in sorted(set(group.tolist())):       # as in _run_sums
         sel = group == g
         finite[sel] = _hyperbola_sq_sums(KS[sel], lengths[sel], k_start)
     # the tail from k_star: the last kept hyperbola (the first c reaching the
@@ -632,7 +685,9 @@ def sup_sq_tail(S, k_start: int) -> np.ndarray:
     # square through Python floats (libm pow): numpy's square rounds some
     # exact ties the other way
     coef = np.array([v ** 2 for v in s_max.tolist()])
-    out[kr] = finite + coef * polygamma(1, k_star + c_tail)
+    args, inverse = np.unique(k_star + c_tail, return_inverse=True)
+    zeta = np.array([_zeta2(float(q)) for q in args.tolist()])
+    out[kr] = finite + coef * zeta[inverse]
     return out
 
 

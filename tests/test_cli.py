@@ -304,6 +304,36 @@ def test_ops_test_rejects_nonpositive_trials(tmp_path, capsys, trials):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_ops_test_rejects_out_of_range_seed(tmp_path, capsys, seed):
+    # reduced mod 2^64 these would replay the runs of 2^64 - 1 and 0
+    out = tmp_path / "b.jsonl"
+    assert main(["ops-test", "--seed", seed, "--trials", "2",
+                 "--out", str(out)]) == 2
+    assert f"seed must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ops_test_accepts_largest_seed(tmp_path):
+    assert main(["ops-test", "--seed", str((1 << 64) - 1), "--trials", "2",
+                 "--out", str(tmp_path / "b.jsonl")]) == 0
+
+
+@pytest.mark.parametrize("system", ["system=bernoulli",
+                                    "system=rotation\nx0=random"])
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_simulate_rejects_out_of_range_seed(tmp_path, capsys, demo_ledger_file,
+                                            system, seed):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{system}\nseed={seed}\n")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg),
+                 "--ledger", str(demo_ledger_file), "--out", str(out)]) == 2
+    assert f"config error: seed must be in [0, 2^64), got {seed}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_constant_observable(tmp_path, demo_ledger_file):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("system=rotation\nalpha=golden\nf_lo=0\nf_hi=1\nx0=1/7\n")

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from primegrid.primes import consecutive_primes, is_prime, next_prime
-from primegrid.rng import SplitMix64, derive_seed, index_u64, index_u64_array
+from primegrid.rng import (
+    SeedOutOfRange,
+    SplitMix64,
+    derive_seed,
+    index_u64,
+    index_u64_array,
+)
 
 
 def test_splitmix64_reference_vectors():
@@ -30,6 +36,13 @@ def test_derive_seed_stable_and_distinct():
     assert a == derive_seed(1, "battery", (5, 7), 3)
     assert a != derive_seed(1, "battery", (5, 7), 4)
     assert a != derive_seed(2, "battery", (5, 7), 3)
+
+
+def test_derive_seed_takes_bases_in_u64_only():
+    assert derive_seed(0, "x") != derive_seed((1 << 64) - 1, "x")
+    for base in (-1, 1 << 64, -(1 << 64)):
+        with pytest.raises(SeedOutOfRange, match=r"\[0, 2\^64\)"):
+            derive_seed(base, "x")
 
 
 def test_index_u64_is_stateless_random_access():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.special import polygamma
 
 from _oracles import (
     as_floats,
@@ -152,6 +153,24 @@ def test_sup_sq_tail_cap_branch(block_entries, monkeypatch):
     # under a small one
     monkeypatch.setattr(zops, "_TAIL_CAP", 2)
     assert sup_sq_tail(S, 1)[1] > exact[1]
+
+
+def test_zeta2_port_matches_scipy_polygamma():
+    # polygamma(1, q) is cephes zeta(2, q) times exactly 1; the port must give
+    # the same double, not a close one
+    rng = SplitMix64(derive_seed(2024, "zeta2"))
+    qs = [float(q) for q in range(1, 5001)]
+    qs += [float(rng.randint(1, 10 ** 12)) for _ in range(3000)]
+    # the asymptotic form starts strictly above 1e8
+    qs += [float(q) for q in range(10 ** 8 - 50, 10 ** 8 + 51)]
+    # small non-integers: the Bernoulli sum stops after its 6th to 8th term
+    qs += [1.0 + 19.0 * rng.uniform() for _ in range(3000)]
+    # below about 1e-8 the direct terms stop at once
+    qs += [1e-9 * (1.0 + 9.0 * rng.uniform()) for _ in range(50)]
+    got = [zops._zeta2(q) for q in qs]
+    want = polygamma(1, np.array(qs)).tolist()
+    bad = [(q, g, w) for q, g, w in zip(qs, got, want) if g != w]
+    assert not bad, f"{len(bad)} of {len(qs)} differ, first {bad[0]}"
 
 
 def test_window_count_float_matches_exact():
