@@ -25,11 +25,17 @@ than it saves.  `block_count` counts the tiled interior in closed form:
 whole periods times the period's survivor count, plus binary searches in
 the period for the partial ones.
 
-`survivors_by_progression` decides block contents: the sequence store merges
-its arrays of every block into one element array, and `block_count`, which
-the ledger calls while choosing block endpoints, counts what it would
-return.  A brute-force oracle in the test suite re-derives both point by
-point.
+`fill_block` decides block contents: it writes a block's survivors in
+increasing order into the block's slice of the sequence store's one element
+array, in five pieces around the tiled interior [a, b): the left end, the
+period holding a cut at a, the whole periods, the period holding b cut at
+b, and the right end.  The period is the merge of the progressions'
+residues, so each piece comes out sorted and the pieces follow one another.  `block_count`, which the ledger calls while choosing block
+endpoints and the store calls to size each slice, counts what it writes, and
+a fill that does not end exactly at that count raises.
+`survivors_by_progression` is the per-modulus view of one filled block: a
+survivor is a multiple of exactly one modulus.  A brute-force oracle in the
+test suite re-derives both point by point.
 """
 
 from __future__ import annotations
@@ -94,22 +100,63 @@ def _period(primes, d: int, P: int) -> list[np.ndarray]:
     return _rule(primes, d, -d, P + d, 0, P)
 
 
+# fill_block writes the whole periods of a block this many at a time, so
+# that a period-1 block of 10^8 integers needs no array of period starts as
+# long as the block
+_FILL_PERIODS = 1 << 16
+
+
+def _merged(arrays: list[np.ndarray]) -> np.ndarray:
+    """The per-progression arrays as one sorted array."""
+    return np.sort(np.concatenate(arrays))
+
+
+def _put(out: np.ndarray, pos: int, piece: np.ndarray) -> int:
+    """Write `piece` into `out` at `pos`; return the position after it."""
+    end = pos + piece.size
+    if end > out.size:
+        raise ValueError(f"block fill overruns its {out.size} places")
+    out[pos:end] = piece
+    return end
+
+
+def fill_block(primes, d: int, lo: int, hi: int, out: np.ndarray) -> None:
+    """Write the survivors of the block [lo, hi) into `out`, increasing.
+
+    `out` must have exactly `block_count(primes, d, lo, hi)` places; a fill
+    that ends anywhere else raises ValueError.
+    """
+    primes, P, a, b = _layout(primes, d, lo, hi)
+    pos = _put(out, 0, _merged(_rule(primes, d, lo, hi, lo, a)))
+    if a < b:
+        res = _merged(_period(primes, d, P))
+        # the periods holding a and b start at first and last, with the
+        # n >= 1 whole periods between them
+        first, last = a // P * P, b // P * P
+        pos = _put(out, pos, first + res[np.searchsorted(res, a - first):])
+        n = (last - first) // P - 1
+        end = pos + n * res.size
+        if end > out.size:
+            raise ValueError(f"block fill overruns its {out.size} places")
+        whole = out[pos:end].reshape(n, res.size)
+        for i in range(0, n, _FILL_PERIODS):
+            k = min(_FILL_PERIODS, n - i)
+            starts = first + P * np.arange(i + 1, i + k + 1, dtype=np.int64)
+            np.add.outer(starts, res, out=whole[i:i + k])
+        pos = _put(out, end, last + res[:np.searchsorted(res, b - last)])
+    pos = _put(out, pos, _merged(_rule(primes, d, lo, hi, b, hi)))
+    if pos != out.size:
+        raise ValueError(f"block [{lo}, {hi}) filled {pos} of its "
+                         f"{out.size} places")
+
+
 def survivors_by_progression(primes, d: int, lo: int,
                              hi: int) -> list[np.ndarray]:
     """Survivor arrays of the block [lo, hi), indexed like `primes`."""
-    primes, P, a, b = _layout(primes, d, lo, hi)
-    lefts = _rule(primes, d, lo, hi, lo, a)
-    if a == b:
-        return lefts
-    out = []
-    for left, res, right in zip(lefts, _period(primes, d, P),
-                                _rule(primes, d, lo, hi, b, hi)):
-        # every period that meets [a, b), cut to [a, b)
-        tile = np.add.outer(
-            np.arange(a // P * P, b, P, dtype=np.int64), res).ravel()
-        tile = tile[np.searchsorted(tile, a):np.searchsorted(tile, b)]
-        out.append(np.concatenate((left, tile, right)))
-    return out
+    primes = list(primes)
+    blk = np.empty(block_count(primes, d, lo, hi), dtype=np.int64)
+    fill_block(primes, d, lo, hi, blk)
+    return [blk[blk % q == 0] for q in primes]
 
 
 def block_count(primes, d: int, lo: int, hi: int) -> int:

@@ -16,8 +16,12 @@ every window starting in the bucket, is no more than an exact window count
 already in hand, so no skipped window can be the maximum.  Block 1 holds
 every integer of [0, beta_1), so for L <= beta_1 its first window reaches L
 and every bucket is skipped at once.  `write_elements` formats a run of
-elements with the same number of digits as one byte matrix, a digit column
-at a time.
+elements with the same number of digits as one byte matrix, four digits at a
+time through a table of the 10,000 four-byte texts 0000 to 9999.
+
+`build_store` sizes the element array from `block_count` and has
+`fill_block` write each block, already sorted, into its slice, so the
+array is allocated once and never sorted or copied.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blocksets import survivors_by_progression
+# survivors_by_progression is not called here; the benchmark's tracer wraps
+# it under this module's name
+from .blocksets import block_count, fill_block, survivors_by_progression
 from .ledger import Ledger, LedgerError
 
 F = Fraction
@@ -105,22 +111,20 @@ def build_store(ledger: Ledger, through: int | None = None) -> SequenceStore:
     if not 1 <= through <= ledger.complete_horizon:
         raise LedgerIncomplete(
             f"ledger closes only {ledger.complete_horizon} blocks")
-    betas = [0]
-    parts = []
-    for m in range(1, through + 1):
-        blk = ledger.block(m)
+    rows = [ledger.block(m) for m in range(1, through + 1)]
+    # each block's slice is sized by the closed form, not by the ledger's
+    # count, so that verify's check of that count stays a comparison
+    betas, ends = [0], [0]
+    for m, blk in enumerate(rows, 1):
         if blk.beta_prev != betas[-1]:
             raise ValueError(f"block {m} starts at {blk.beta_prev}, "
                              f"not at beta_{m - 1} = {betas[-1]}")
-        parts.extend(survivors_by_progression(
-            blk.primes, blk.d, blk.beta_prev, blk.beta))
         betas.append(blk.beta)
-    elements = np.concatenate(parts)
-    del parts       # free the per-progression arrays before the store's checks
-    # the blocks are disjoint increasing intervals and each array is sorted,
-    # so the concatenation is a sequence of sorted runs, which a merge sort
-    # joins without sorting them again
-    elements.sort(kind="stable")
+        ends.append(ends[-1] + block_count(blk.primes, blk.d, blk.beta_prev,
+                                           blk.beta))
+    elements = np.empty(ends[-1], dtype=np.int64)
+    for blk, s, e in zip(rows, ends, ends[1:]):
+        fill_block(blk.primes, blk.d, blk.beta_prev, blk.beta, elements[s:e])
     return SequenceStore(betas, elements)
 
 
@@ -142,13 +146,18 @@ class BlockReport:
         return self.lower_ok and self.upper_ok and self.gap_ok and self.spacing_ok
 
 
-def _min_gap(elems: np.ndarray) -> int | None:
-    return int(np.diff(elems).min()) if elems.size >= 2 else None
-
-
-# verify_block counts the aligned windows this many at a time, so that a
-# period-1 block of 10^8 integers needs no array as long as its windows
+# verify_block counts the aligned windows, and _min_gap takes the gaps, this
+# many at a time, so that a period-1 block of 10^8 integers needs no array as
+# long as its windows or its gaps
 _WINDOW_CHUNK = 1 << 20
+
+
+def _min_gap(elems: np.ndarray) -> int | None:
+    n = elems.size
+    if n < 2:
+        return None
+    return min(int(np.diff(elems[i:min(i + _WINDOW_CHUNK, n - 1) + 1]).min())
+               for i in range(0, n - 1, _WINDOW_CHUNK))
 
 
 def verify_block(ledger: Ledger, store: SequenceStore, m: int) -> BlockReport:
@@ -273,12 +282,27 @@ def banach_density(store: SequenceStore, L: int) -> Fraction:
 _WRITE_CHUNK = 1 << 16
 
 
+def _four_digit_table() -> np.ndarray:
+    """The four ASCII bytes of 0000 .. 9999, one uint32 each, in memory order."""
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    table = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for k in range(4):
+        # byte k is the digit that axis k (thousands first) indexes
+        table[..., k] = digits.reshape((10,) + (1,) * (3 - k))
+    return table.view(np.uint32).ravel()
+
+
+_DIGITS4 = _four_digit_table()
+
+
 def write_elements(store: SequenceStore, path) -> None:
-    """One decimal element per line, as bytes built column by column.
+    """One decimal element per line, as bytes built four digits at a time.
 
     The elements are sorted, so those with w digits are one contiguous run.
     Each run is written _WRITE_CHUNK rows at a time as a (rows, w + 1) byte
-    matrix: the digits filled from the last column back, then a newline.
+    matrix: the run's groups of four digits, from the last back, looked up
+    as uint32 words in a table of 0000 .. 9999, cut to their last w bytes,
+    then a newline.
     """
     elems = store.elements
     # run w (1..19 digits, int64 has at most 19) is elems[edges[w-1]:edges[w]]
@@ -287,17 +311,21 @@ def write_elements(store: SequenceStore, path) -> None:
         [elems.size]))
     with open(path, "wb") as fh:
         for width in range(1, 20):
+            groups = -(-width // 4)
             for i in range(edges[width - 1], edges[width], _WRITE_CHUNK):
                 # unsigned division is faster, and 32 bits hold 9 digits
                 x = elems[i:min(i + _WRITE_CHUNK, edges[width])].astype(
                     np.uint32 if width <= 9 else np.uint64)
+                words = np.empty((x.size, groups), dtype=np.uint32)
+                for g in range(groups - 1, 0, -1):
+                    q = x // 10000
+                    words[:, g] = np.take(_DIGITS4, x - q * 10000)
+                    x = q
+                words[:, 0] = np.take(_DIGITS4, x)
                 rows = np.empty((x.size, width + 1), dtype=np.uint8)
+                rows[:, :width] = words.view(np.uint8)[:, 4 * groups - width:]
                 rows[:, width] = ord("\n")
-                for col in range(width - 1, -1, -1):
-                    x, digit = np.divmod(x, 10)
-                    rows[:, col] = digit
-                rows[:, :width] += ord("0")
-                fh.write(rows.tobytes())
+                fh.write(rows)
 
 
 def block_summaries(store: SequenceStore) -> list[dict]:

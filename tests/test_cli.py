@@ -138,13 +138,15 @@ def test_verify_demo_passes(tmp_path, demo_ledger_file):
     assert [d["L"] for d in ds] == [1000, 10000, 100000, 1000000]
 
 
-def test_construct_h6_matches_recorded_digests(tmp_path):
-    # the benchmark's demo h6 construction must stay byte-identical to the
-    # digests it records in perfbench/refs.json
-    refs = json.loads((Path(__file__).parents[1] / "perfbench" / "refs.json")
-                      .read_text(encoding="utf-8"))["exact"]["h6"]
+@pytest.mark.parametrize("horizon", [6, 10])
+def test_construct_matches_recorded_digests(tmp_path, horizon):
+    # the benchmark's demo h6 and h10 constructions must stay byte-identical
+    # to the digests it records in perfbench/refs.json; only h10 has
+    # elements of more than eight digits and blocks of thousands of periods
+    refs = json.loads((ROOT / "perfbench" / "refs.json")
+                      .read_text(encoding="utf-8"))["exact"][f"h{horizon}"]
     ledger = str(tmp_path / "ledger.json")
-    for argv in (["gen-params", "--profile", "demo", "--horizon", "6",
+    for argv in (["gen-params", "--profile", "demo", "--horizon", str(horizon),
                   "--out", ledger],
                  ["build-seq", "--ledger", ledger,
                   "--out", str(tmp_path / "sequence.txt"),

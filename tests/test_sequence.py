@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primegrid import sequence
-from primegrid.blocksets import block_count, survivors_by_progression
+from primegrid import blocksets, sequence
+from primegrid.blocksets import block_count, fill_block, survivors_by_progression
 from primegrid.constants import demo_constants
 from primegrid.ledger import MAX_BETA, BlockParams, Ledger
 from primegrid.rng import SplitMix64
@@ -95,24 +95,42 @@ def test_deleted_counts_match_oracle():
     lo=st.integers(0, 10**6),
     periods=st.integers(0, 4),
     extra=st.integers(-9, 9),
+    fill_periods=st.sampled_from([1, 2, blocksets._FILL_PERIODS]),
 )
 # 12 survives: its one neighbour in the other progression, 10, is outside
 # the block, and so is 65 for 63; both sit one point outside [lo + d, hi - d)
-@example(moduli=[3, 5], d=2, lo=11, periods=3, extra=5)
-@example(moduli=[1], d=3, lo=0, periods=0, extra=4)              # block 1
-@example(moduli=[1, 4, 6], d=1, lo=7, periods=3, extra=1)
-@example(moduli=[4, 6, 9], d=0, lo=5, periods=2, extra=0)        # d = 0
-@example(moduli=[4, 6, 9], d=2, lo=41, periods=2, extra=0)       # 2 periods
-@example(moduli=[4, 6, 9], d=2, lo=41, periods=2, extra=-1)
-@example(moduli=[6, 10, 15], d=4, lo=3, periods=0, extra=-3)     # < 2d
-def test_tiled_kernel_matches_oracle(moduli, d, lo, periods, extra):
+@example(moduli=[3, 5], d=2, lo=11, periods=3, extra=5, fill_periods=1)
+@example(moduli=[1], d=3, lo=0, periods=0, extra=4, fill_periods=1)  # block 1
+@example(moduli=[1], d=0, lo=3, periods=9, extra=0, fill_periods=2)
+@example(moduli=[1, 4, 6], d=1, lo=7, periods=3, extra=1, fill_periods=2)
+@example(moduli=[4, 6, 9], d=0, lo=5, periods=2, extra=0,
+         fill_periods=1)                                           # d = 0
+@example(moduli=[4, 6, 9], d=2, lo=41, periods=2, extra=0,
+         fill_periods=1)                                           # 2 periods
+@example(moduli=[4, 6, 9], d=2, lo=41, periods=2, extra=-1, fill_periods=1)
+@example(moduli=[6, 10, 15], d=4, lo=3, periods=0, extra=-3,
+         fill_periods=2)                                           # < 2d
+def test_tiled_kernel_matches_oracle(moduli, d, lo, periods, extra,
+                                     fill_periods):
     # the interior [lo + d, hi - d) spans `periods` periods plus `extra`
     # points, so its length crosses 0, one period and the two-period
-    # threshold for tiling; lo is rarely a multiple of the period
+    # threshold for tiling; lo is rarely a multiple of the period, and the
+    # whole periods are written 1, 2 or the default number at a time
     P = math.lcm(*moduli)
     hi = lo + max(0, periods * P + 2 * d + extra)
     want = oracle_block(moduli, d, lo, hi)
-    got = survivors_by_progression(moduli, d, lo, hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blocksets, "_FILL_PERIODS", fill_periods)
+        blk = np.empty(len(want), dtype=np.int64)
+        fill_block(moduli, d, lo, hi, blk)
+        assert blk.tolist() == want
+        # a slice of any other size is not filled exactly
+        for size in (len(want) - 1, len(want) + 1):
+            if size >= 0:
+                with pytest.raises(ValueError, match="block fill|filled"):
+                    fill_block(moduli, d, lo, hi,
+                               np.empty(size, dtype=np.int64))
+        got = survivors_by_progression(moduli, d, lo, hi)
     for q, arr in zip(moduli, got):
         # a survivor is a multiple of exactly one modulus
         assert arr.tolist() == [n for n in want if n % q == 0], q
@@ -124,6 +142,22 @@ def test_tiled_kernel_matches_oracle(moduli, d, lo, periods, extra):
         moved = survivors_by_progression(moduli, d, lo + shift, hi + shift)
         assert [(a - shift).tolist() for a in moved] == \
             [a.tolist() for a in got]
+
+
+@pytest.mark.parametrize("fill_periods", [1, 2, blocksets._FILL_PERIODS])
+def test_build_store_merges_progressions(monkeypatch, demo_ledger,
+                                         fill_periods):
+    # each block is filled sorted into its slice; merging the per-modulus
+    # arrays of every block gives the same array
+    monkeypatch.setattr(blocksets, "_FILL_PERIODS", fill_periods)
+    store = build_store(demo_ledger)
+    merged = np.sort(np.concatenate([
+        arr for blk in demo_ledger.blocks[:store.n_blocks]
+        for arr in survivors_by_progression(blk.primes, blk.d,
+                                            blk.beta_prev, blk.beta)]))
+    assert np.array_equal(store.elements, merged)
+    assert [store.block(m).size for m in range(1, store.n_blocks + 1)] == \
+        [blk.count for blk in demo_ledger.blocks[:store.n_blocks]]
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +285,14 @@ def test_verify_blocks_demo(demo_ledger, demo_store):
 @pytest.mark.parametrize("chunk", [1, 3, 1000])
 def test_verify_block_window_chunks(monkeypatch, demo_ledger, demo_store,
                                     chunk):
-    # windows counted a few at a time give the report of one pass; block 1
-    # has one window per integer
+    # windows counted and gaps taken a few at a time give the reports of one
+    # pass; block 1 has one window per integer
     want = [verify_block(demo_ledger, demo_store, m) for m in range(1, 6)]
+    summaries = block_summaries(demo_store)
     monkeypatch.setattr(sequence, "_WINDOW_CHUNK", chunk)
     assert [verify_block(demo_ledger, demo_store, m)
             for m in range(1, 6)] == want
+    assert block_summaries(demo_store) == summaries
 
 
 def test_window_counts_are_flat_inside_blocks(demo_ledger, demo_store):
@@ -455,6 +491,29 @@ def test_write_elements_every_digit_count(tmp_path, demo_store):
         write_elements(store, path)
         assert path.read_bytes() == "".join(
             f"{n}\n" for n in store.elements.tolist()).encode()
+
+
+# values at the edges of a digit count (10^k - 1, 10^k, 10^k + 1) and of
+# a four-digit group (a multiple of 10^(4g) plus 0, 1, 9998 or 9999)
+_edge_values = st.one_of(
+    st.integers(0, MAX_BETA - 1),
+    st.builds(lambda k, j: 10**k + j, st.integers(0, 18), st.integers(-1, 1)),
+    st.builds(lambda g, top, low: top * 10**(4 * g) + low,
+              st.integers(1, 4), st.integers(0, 10**4),
+              st.sampled_from([0, 1, 9998, 9999])),
+).filter(lambda n: 0 <= n < MAX_BETA)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, sequence._WRITE_CHUNK])
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(_edge_values, max_size=40, unique=True))
+def test_write_elements_matches_fstrings(tmp_path_factory, chunk, values):
+    elems = np.array(sorted(values), dtype=np.int64)
+    path = tmp_path_factory.mktemp("write") / "seq.txt"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequence, "_WRITE_CHUNK", chunk)
+        write_elements(SequenceStore((0, MAX_BETA), elems), path)
+    assert path.read_bytes() == "".join(f"{n}\n" for n in sorted(values)).encode()
 
 
 def test_build_store_partial(demo_ledger):
