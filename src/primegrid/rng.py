@@ -91,15 +91,26 @@ def index_u64(seed: int, n: int) -> int:
     return mix64((seed + (n + 1) * _GAMMA) & _MASK)
 
 
-def index_u64_array(seed: int, positions) -> np.ndarray:
-    """`index_u64(seed, n)` for every n in `positions`, as a uint64 array.
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """`mix64` of every word of a uint64 array.
 
     The same splitmix64 step in numpy's wrapping uint64 arithmetic: every
-    product and sum of `mix64` is taken mod 2^64, so the outputs are
-    bit-for-bit those of the scalar form.
+    product of `mix64` is taken mod 2^64, so the outputs are bit-for-bit
+    those of the scalar form.
     """
-    z = np.asarray(positions, dtype=np.int64).astype(np.uint64) + np.uint64(1)
-    z = z * np.uint64(_GAMMA) + np.uint64(seed & _MASK)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
+
+
+def index_u64_array(seed, positions) -> np.ndarray:
+    """`index_u64(seed, n)` for every n in `positions`, as a uint64 array.
+
+    `seed` is one int or an array of uint64 seeds; an array broadcasts
+    against `positions`, so a position array paired element by element with
+    its seeds draws output n of each seed's own stream.
+    """
+    if isinstance(seed, int):
+        seed = seed & _MASK
+    z = np.asarray(positions, dtype=np.int64).astype(np.uint64) + np.uint64(1)
+    return mix64_array(z * np.uint64(_GAMMA) + np.asarray(seed, dtype=np.uint64))

@@ -146,18 +146,28 @@ class BlockReport:
         return self.lower_ok and self.upper_ok and self.gap_ok and self.spacing_ok
 
 
-# verify_block counts the aligned windows, and _min_gap takes the gaps, this
-# many at a time, so that a period-1 block of 10^8 integers needs no array as
-# long as its windows or its gaps
+# verify_block counts the aligned windows, and _argmin_gap takes the gaps,
+# this many at a time, so that a period-1 block of 10^8 integers needs no
+# array as long as its windows or its gaps
 _WINDOW_CHUNK = 1 << 20
+
+
+def _argmin_gap(elems: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """The first i in [lo, hi) with the least gap elems[i+1] - elems[i], and
+    that gap (hi < elems.size, lo < hi)."""
+    best = None
+    for i in range(lo, hi, _WINDOW_CHUNK):
+        gaps = np.diff(elems[i:min(i + _WINDOW_CHUNK, hi) + 1])
+        j = int(np.argmin(gaps))
+        # strictly less: a tie in a later chunk keeps the earlier place
+        if best is None or gaps[j] < best[1]:
+            best = (i + j, int(gaps[j]))
+    return best
 
 
 def _min_gap(elems: np.ndarray) -> int | None:
     n = elems.size
-    if n < 2:
-        return None
-    return min(int(np.diff(elems[i:min(i + _WINDOW_CHUNK, n - 1) + 1]).min())
-               for i in range(0, n - 1, _WINDOW_CHUNK))
+    return _argmin_gap(elems, 0, n - 1)[1] if n >= 2 else None
 
 
 def verify_block(ledger: Ledger, store: SequenceStore, m: int) -> BlockReport:
@@ -206,16 +216,18 @@ def gap_profile(store: SequenceStore) -> list[tuple[int, int, int]]:
 
     The gap from a block's last element to the next block's first element is
     attributed to the earlier block.  k is 1-based over the global sequence.
+    The gaps are taken `_WINDOW_CHUNK` at a time, never as one array of the
+    whole sequence.
     """
     out = []
-    gaps = np.diff(store.elements)
+    n_gaps = store.elements.size - 1
     for m in range(1, store.n_blocks + 1):
         lo = int(store.offsets[m - 1])
-        upper = min(int(store.offsets[m]), gaps.size)   # last block has no trailing gap
+        upper = min(int(store.offsets[m]), n_gaps)   # last block has no trailing gap
         if upper <= lo:
             continue
-        j = int(np.argmin(gaps[lo:upper]))
-        out.append((m, lo + j + 1, int(gaps[lo + j])))
+        k, gap = _argmin_gap(store.elements, lo, upper)
+        out.append((m, k + 1, gap))
     return out
 
 

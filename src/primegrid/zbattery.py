@@ -10,12 +10,17 @@ Four inequalities are hammered with random signals; none may ever fail:
 
 Each trial is reproducible from (base seed, battery name, context, trial
 index) through the fixed splitmix64 derivation.  A battery first draws every
-trial's signal, then checks them all in one call of the batched kernel
-(`zops.*_batch`), once per grid context where it has them.  A signal's
-result does not depend on the batch it is checked in, so every record is the
-one its trial gives alone.  A violation is shrunk greedily through the
-per-signal kernel (zeroing and trimming samples while it persists) and
-dumped as a replayable JSON record; the run then reports failure.
+trial's seed, signal and level in one pass of uint64 arrays per grid context
+(`_draw`): splitmix64 gives word k of a stream directly, so the words of all
+trials are mixed at once.  A trial holding a word that `randint` would
+reject (under 2^-56 per word at the batteries' span scales) is drawn again
+through `random_signal`, the definition of a trial's draw.  The battery then
+checks all trials in one call of the batched kernel (`zops.*_batch`), once
+per grid context where it has them.  A signal's result does not depend on
+the batch it is checked in, so every record is the one its trial gives
+alone.  A violation is shrunk greedily through the per-signal kernel
+(zeroing and trimming samples while it persists) and dumped as a replayable
+JSON record; the run then reports failure.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import SplitMix64, derive_seed
+from .rng import _MASK, SplitMix64, derive_seed, index_u64_array, mix64_array
 from .zops import (
     FiniteSignal,
     GridContext,
@@ -55,7 +60,8 @@ def random_signal(rng: SplitMix64, span_scale: int) -> FiniteSignal:
     The values are the floats num / den with |num| <= 8 and den in {1, 2, 4},
     so each equals the rational num/den exactly; at least one is nonzero.
     The (num, den) words are taken as one array; values and generator state
-    are those of drawing each by `rng.randint` in turn.
+    are those of drawing each by `rng.randint` in turn.  `_draw_seeded`
+    draws the same signals for many seeds at once.
     """
     length = rng.randint(1, 4 * span_scale)
     lo = rng.randint(-2 * span_scale, span_scale)
@@ -140,16 +146,82 @@ class Draws(NamedTuple):
 
 def _draw(base_seed: int, parts: tuple, trials: int, span_scale: int,
           levels: bool) -> Draws:
-    seeds, sigs, lams = [], [], []
-    # derive_seed folds its parts in turn, so the shared prefix folds once
+    # derive_seed folds its parts in turn, so the shared prefix folds once;
+    # derive_seed(prefix, trial) is mix64(prefix ^ trial)
     prefix = derive_seed(base_seed, *parts)
-    for trial in range(trials):
-        seeds.append(derive_seed(prefix, trial))
-        rng = SplitMix64(seeds[-1])
-        sigs.append(random_signal(rng, span_scale))
-        lams.append((0.02 + 1.4 * rng.uniform()) * sigs[-1].l1
-                    if levels else None)
-    return Draws(seeds, sigs, lams)
+    seeds = mix64_array(np.uint64(prefix) ^ np.arange(trials, dtype=np.uint64))
+    return _draw_seeded(seeds, span_scale, levels)
+
+
+def _kept_max(span):
+    """The largest word `randint` keeps over `span` values (per element of
+    an array of spans): rejection drops the 2^64 mod span words above it."""
+    top = np.uint64(_MASK)
+    span = np.asarray(span, dtype=np.uint64)
+    return top - (top % span + np.uint64(1)) % span
+
+
+def _level(u, l1):
+    """A trial's level from its uniform draw u and its signal's l1 norm."""
+    return (0.02 + 1.4 * u) * l1
+
+
+def _draw_seeded(seeds: np.ndarray, span_scale: int, levels: bool) -> Draws:
+    """Each seed's `random_signal(SplitMix64(seed), span_scale)`, then its
+    level from the generator's next `uniform()`, for all seeds at once.
+
+    Word k of a seed's stream is `index_u64(seed, k)`: words 0 and 1 give
+    length L and offset, words 2..2L+1 the (num, den) pairs, word 2L+2 the
+    sample an all-zero draw sets to 1, and the word after those the level.
+    The value words of all trials are drawn as one flat array.  Every
+    |value| is a multiple of 1/4 up to 8 and a signal has at most
+    4 * span_scale of them, so every partial sum of its l1 norm is exact,
+    and the per-trial sum is `FiniteSignal.l1` in any order.  A trial with
+    a word that `randint` rejects is drawn again through `random_signal`.
+    """
+    n = seeds.size
+    head = index_u64_array(seeds[:, None], np.arange(2))
+    span, lo_span = 4 * span_scale, 3 * span_scale + 1
+    lengths = (head[:, 0] % np.uint64(span)).astype(np.int64) + 1
+    los = (head[:, 1] % np.uint64(lo_span)).astype(np.int64) - 2 * span_scale
+    redo = (head[:, 0] > _kept_max(span)) | (head[:, 1] > _kept_max(lo_span))
+
+    # trial t's values sit at flat places start[t] .. start[t] + L - 1, and
+    # its value words at twice those places and the next ones
+    start = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(n), 2 * lengths)
+    words = index_u64_array(seeds[owner],
+                            np.arange(owner.size) - 2 * start[owner] + 2)
+    redo |= np.bincount(owner[words == np.uint64(_REJECTED)], minlength=n) > 0
+    nums = (words[0::2] % np.uint64(17)).astype(np.int64) - 8
+    dens = np.array([1, 2, 4])[(words[1::2] % np.uint64(3)).astype(np.intp)]
+    vals = nums / dens
+    l1 = np.bincount(owner[0::2], weights=np.abs(vals), minlength=n)
+
+    next_word = 2 * lengths + 2
+    zero = np.flatnonzero(l1 == 0)
+    if zero.size:
+        fix = index_u64_array(seeds[zero], next_word[zero])
+        redo[zero] |= fix > _kept_max(lengths[zero])
+        at = fix % lengths[zero].astype(np.uint64)
+        vals[start[zero] + at.astype(np.int64)] = 1.0
+        l1[zero] = 1.0
+        next_word[zero] += 1
+
+    if levels:
+        u = (index_u64_array(seeds, next_word) >> np.uint64(11)) * 2.0**-53
+        lams = _level(u, l1).tolist()
+    else:
+        lams = [None] * n
+    flat = vals.tolist()
+    sigs = [FiniteSignal(lo, flat[a:a + m]) for lo, a, m
+            in zip(los.tolist(), start.tolist(), lengths.tolist())]
+    seed_list = seeds.tolist()
+    for t in np.flatnonzero(redo).tolist():
+        rng = SplitMix64(seed_list[t])
+        sigs[t] = random_signal(rng, span_scale)
+        lams[t] = _level(rng.uniform(), sigs[t].l1) if levels else None
+    return Draws(seed_list, sigs, lams)
 
 
 def _records(test, primes, draws, results, keys, fails, extra) -> list[dict]:

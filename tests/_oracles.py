@@ -97,6 +97,20 @@ def banach_density_all_starts(store, L):
     return F(max(best, store.count_range(last, store.horizon)), L)
 
 
+def gap_profile_whole(store):
+    """gap_profile from one np.diff of the whole sequence."""
+    out = []
+    gaps = np.diff(store.elements)
+    for m in range(1, store.n_blocks + 1):
+        lo = int(store.offsets[m - 1])
+        upper = min(int(store.offsets[m]), gaps.size)
+        if upper <= lo:
+            continue
+        j = int(np.argmin(gaps[lo:upper]))
+        out.append((m, lo + j + 1, int(gaps[lo + j])))
+    return out
+
+
 def nbar_block(store, m):
     """Count of the store's elements below beta_m."""
     return int(store.offsets[m])

@@ -26,6 +26,7 @@ from primegrid.sequence import (
 from _oracles import (
     banach_density_all_starts,
     block_elements,
+    gap_profile_whole,
     nbar_block,
     nk,
     oracle_block,
@@ -355,6 +356,33 @@ def test_gap_profile(demo_ledger, demo_store):
     assert by_m[1] == 1
     for m in range(2, 6):
         assert by_m[m] >= demo_ledger.blocks[m - 1].d
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_gap_profile_chunks_match_whole_array(monkeypatch, demo_store, chunk):
+    # block 3's four gaps of 2 tie across every chunk boundary and the first
+    # must win; block 2's least gap is 9 -> 10, the one into block 3
+    ties = SequenceStore((0, 4, 10, 20, 24, 28), [0, 2, 3, 5, 7, 9, 10, 12,
+                                                  14, 16, 18, 21, 23, 24, 26])
+    want = [gap_profile_whole(s) for s in (demo_store, ties)]
+    assert want[1] == [(1, 2, 1), (2, 6, 1), (3, 7, 2), (4, 13, 1), (5, 14, 2)]
+    monkeypatch.setattr(sequence, "_WINDOW_CHUNK", chunk)
+    assert [gap_profile(s) for s in (demo_store, ties)] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaps=st.lists(st.integers(1, 3), max_size=40),
+       cuts=st.lists(st.integers(0, 130), max_size=6),
+       chunk=st.sampled_from((1, 2, 3)))
+def test_gap_profile_chunks_match_whole_array_random(gaps, cuts, chunk):
+    # gaps from {1, 2, 3} tie often; empty blocks and a last block with no
+    # trailing gap come up too
+    elems = np.cumsum([0] + gaps)
+    betas = sorted({0, *cuts, int(elems[-1]) + 1})
+    store = SequenceStore(betas, elems)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequence, "_WINDOW_CHUNK", chunk)
+        assert gap_profile(store) == gap_profile_whole(store)
 
 
 def test_min_gap_grows_block_to_block(demo_store):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,8 @@ from _oracles import (
     battery_window_weak_by_trial,
     random_signal_by_randint,
 )
-from primegrid import zbattery
-from primegrid.rng import _GAMMA, _MASK, mix64
+from primegrid import rng, zbattery
+from primegrid.rng import _GAMMA, _MASK, index_u64, mix64
 from primegrid.zbattery import (
     battery_deviation_l2,
     battery_progression_weak,
@@ -125,10 +126,16 @@ def _unmix64(z):
     return _unshift(z, 30)
 
 
+def _seed_with_word(k, w=_MASK):
+    """A seed whose output k is w (by default 2^64 - 1, the word every
+    randint over a span that does not divide 2^64 rejects)."""
+    return (_unmix64(w) - (k + 1) * _GAMMA) & _MASK
+
+
 def _seed_rejecting(k):
     """A seed whose output 2 + k is 2^64 - 1: value word k of its signal,
     the one word randint(-8, 8) and randint(0, 2) reject."""
-    return (_unmix64(_MASK) - (k + 3) * _GAMMA) & _MASK
+    return _seed_with_word(k + 2)
 
 
 def test_random_signal_rejected_word_falls_back():
@@ -144,6 +151,121 @@ def test_random_signal_rejected_word_falls_back():
         assert last
         for k in inside[:8] + last[:2]:
             _assert_same_draw(_seed_rejecting(k), span_scale)
+
+
+# ---------------------------------------------------------------------------
+# all trials of a context drawn at once against one generator per trial
+
+def _assert_draws_one_by_one(seeds, span_scale, levels):
+    got = zbattery._draw_seeded(np.array(seeds, dtype=np.uint64), span_scale,
+                                levels)
+    assert got.seeds == list(seeds)
+    for seed, sig, lam in zip(*got):
+        gen = SplitMix64(seed)
+        want = random_signal(gen, span_scale)
+        assert (sig.lo, sig.values) == (want.lo, want.values)
+        assert all(type(v) is float for v in sig.values)
+        if levels:
+            # the level comes from the word right after the signal's
+            assert lam == (0.02 + 1.4 * gen.uniform()) * want.l1
+            assert type(lam) is float
+        else:
+            assert lam is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds=st.lists(st.integers(0, _MASK), min_size=1, max_size=6),
+       span_scale=st.sampled_from((12, 35, 64, 385)), levels=st.booleans())
+def test_draw_seeded_equals_random_signal(seeds, span_scale, levels):
+    _assert_draws_one_by_one(seeds, span_scale, levels)
+
+
+def _all_zero_seeds(span_scale, count):
+    """Seeds whose signal draws length 1 with value 0, found by scanning."""
+    found = []
+    seed = 0
+    while len(found) < count:
+        if (index_u64(seed, 0) % (4 * span_scale) == 0
+                and index_u64(seed, 2) % 17 == 8):
+            found.append(seed)
+        seed += 1
+    return found
+
+
+@pytest.mark.parametrize("span_scale", [12, 64])
+def test_draw_seeded_fixes_all_zero_draws(span_scale):
+    zero = _all_zero_seeds(span_scale, 4)
+    for seed in zero:
+        assert random_signal(SplitMix64(seed), span_scale).values == [1.0]
+    for levels in (True, False):
+        _assert_draws_one_by_one(zero + [5, 6] + zero, span_scale, levels)
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The seeds the array draw hands to random_signal, in order."""
+    seen = []
+
+    def counted(gen, span_scale):
+        seen.append(gen._state)
+        return random_signal(gen, span_scale)
+
+    monkeypatch.setattr(zbattery, "random_signal", counted)
+    return seen
+
+
+@pytest.mark.parametrize("span_scale", [12, 35, 64, 385])
+def test_draw_seeded_replays_rejected_words(replays, span_scale):
+    span = 4 * span_scale
+    head = [_seed_with_word(0), _seed_with_word(1)]
+    # value words: the first num and den, and the last den of a signal
+    values = [_seed_with_word(2), _seed_with_word(3)]
+    values += [next(_seed_rejecting(k) for k in range(1, 20_000)
+                    if k == 2 * SplitMix64(_seed_rejecting(k)).randint(1, span) - 1)]
+    plain = [1, 2]
+    # 4 * 64 = 256 divides 2^64: randint(1, 256) keeps every word
+    rejected = head[1:] + values if span_scale == 64 else head + values
+    for levels in (True, False):
+        replays.clear()
+        seeds = plain + head + values + plain
+        _assert_draws_one_by_one(seeds, span_scale, levels)
+        assert replays == rejected
+
+
+def _script_words(monkeypatch, seed, words):
+    """Make output k of seed's stream words[k], in the scalar and the array
+    mix alike."""
+    by_state = {(seed + (k + 1) * _GAMMA) & _MASK: w for k, w in words.items()}
+    mix, mix_array = rng.mix64, rng.mix64_array
+
+    def scripted_array(z):
+        out = mix_array(z)
+        for state, w in by_state.items():
+            out[z == np.uint64(state)] = w
+        return out
+
+    monkeypatch.setattr(rng, "mix64", lambda z: by_state.get(z & _MASK, mix(z)))
+    monkeypatch.setattr(rng, "mix64_array", scripted_array)
+
+
+@pytest.mark.parametrize("fix_word, replayed", [(5, False), (_MASK, True)])
+def test_draw_seeded_replays_rejected_zero_fix(monkeypatch, replays, fix_word,
+                                               replayed):
+    # no single seed found by inverting the mix draws all zeros and then a
+    # rejected index, so the words are scripted: length 3 (span 48), three
+    # zero values, then the index of the sample set to 1; randint(0, 2)
+    # rejects 2^64 - 1 and takes the next word instead
+    seed = 77
+    _script_words(monkeypatch, seed,
+                  {0: 2, 1: 0, 2: 8, 3: 0, 4: 8, 5: 1, 6: 8, 7: 2, 8: fix_word})
+    sig = random_signal(SplitMix64(seed), 12)
+    assert sig.values.count(1.0) == 1 and sig.l1 == 1.0
+    if not replayed:
+        assert sig.values == [0.0, 0.0, 1.0]
+    replays.clear()
+    for levels in (True, False):
+        _assert_draws_one_by_one([3, seed, 4], 12, levels)
+    assert replays == ([seed, seed] if replayed else [])
 
 
 # ---------------------------------------------------------------------------
