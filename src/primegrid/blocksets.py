@@ -30,9 +30,10 @@ increasing order into the block's slice of the sequence store's one element
 array, in five pieces around the tiled interior [a, b): the left end, the
 period holding a cut at a, the whole periods, the period holding b cut at
 b, and the right end.  The period is the merge of the progressions'
-residues, so each piece comes out sorted and the pieces follow one another.  `block_count`, which the ledger calls while choosing block
-endpoints and the store calls to size each slice, counts what it writes, and
-a fill that does not end exactly at that count raises.
+residues, so each piece comes out sorted and the pieces follow one another.
+`block_count`, which the ledger calls while choosing block endpoints and the
+store calls to size each slice, counts what it writes, and a fill that does
+not end exactly at that count raises.
 `survivors_by_progression` is the per-modulus view of one filled block: a
 survivor is a multiple of exactly one modulus.  A brute-force oracle in the
 test suite re-derives both point by point.

@@ -226,57 +226,60 @@ def sample_orbit(system, x0, n_max: int, observable: StepObservable | None = Non
 # ---------------------------------------------------------------------------
 # subsequence averages
 #
-# Integer samples give exact Fraction averages, float samples float ones;
-# the result type follows the samples' dtype, also when no element is below N.
+# Every average reads its mean from one running sum over the samples, added
+# in sequence order.  Integer samples give exact Fraction averages, float
+# samples float ones; the result type follows the samples' dtype, also when
+# no element is below N.
 
-def _is_exact(samples: np.ndarray) -> bool:
-    return samples.dtype.kind in "biu"
+def _check_horizon(N: int, store: SequenceStore, orbit: Orbit | None = None):
+    if orbit is not None and N > orbit.n_max:
+        raise HorizonExceeded(f"N={N} beyond orbit horizon {orbit.n_max}")
+    if N > store.horizon:
+        raise HorizonExceeded(f"N={N} beyond store horizon {store.horizon}")
 
 
-def _element_prefix(samples: np.ndarray) -> np.ndarray:
-    if _is_exact(samples):
-        return np.concatenate([[0], np.cumsum(samples, dtype=np.int64)])
-    return np.concatenate([[0.0], np.cumsum(samples)])
+def _running_sum(samples: np.ndarray) -> np.ndarray:
+    """pref[k], the sum of the first k samples (int64 for integer samples)."""
+    exact = samples.dtype.kind in "biu"
+    return np.concatenate([[0], np.cumsum(samples,
+                                          dtype=np.int64 if exact else None)])
+
+
+def _mean(pref: np.ndarray, k: int):
+    """The mean of the first k samples from their running sum (0 if k is 0)."""
+    if pref.dtype.kind == "i":
+        return F(int(pref[k]), k) if k else F(0)
+    return float(pref[k]) / k if k else 0.0
+
+
+def _orbit_sum(orbit: Orbit, store: SequenceStore, N: int) -> np.ndarray:
+    """The running sum of f over the orbit at the sequence points < N."""
+    _check_horizon(N, store, orbit)
+    return _running_sum(orbit.at(store.elements[:store.count_range(0, N)]))
 
 
 def average_from_samples(samples, store: SequenceStore, N: int):
     """Mean of the sampled values over sequence elements below N (0 if none)."""
-    if N > store.horizon:
-        raise HorizonExceeded(f"N={N} beyond store horizon {store.horizon}")
+    _check_horizon(N, store)
     k = store.count_range(0, N)
-    samples = np.asarray(samples)
-    exact = _is_exact(samples)
-    if k == 0:
-        return F(0) if exact else 0.0
-    total = samples[:k].sum()
-    return F(int(total), k) if exact else float(total) / k
+    return _mean(_running_sum(np.asarray(samples)[:k]), k)
 
 
 def subseq_average(orbit: Orbit, store: SequenceStore, N: int):
     """A(f, x, N): average of f over the orbit at the sequence points < N."""
-    if N > orbit.n_max:
-        raise HorizonExceeded(f"N={N} beyond orbit horizon {orbit.n_max}")
-    if N > store.horizon:
-        raise HorizonExceeded(f"N={N} beyond store horizon {store.horizon}")
-    samples = orbit.at(store.elements[:store.count_range(0, N)])
-    return average_from_samples(samples, store, N)
+    pref = _orbit_sum(orbit, store, N)
+    return _mean(pref, pref.size - 1)
 
 
 def subseq_max(orbit: Orbit, store: SequenceStore, n_max: int):
     """sup over 1 <= N <= n_max of |A(f, x, N)|."""
-    if n_max > orbit.n_max:
-        raise HorizonExceeded(n_max)
-    k_top = store.count_range(0, min(n_max, store.horizon))
-    samples = orbit.at(store.elements[:k_top])
-    exact = _is_exact(samples)
+    pref = _orbit_sum(orbit, store, n_max)
+    k_top = pref.size - 1
     if k_top == 0:
-        return F(0) if exact else 0.0
-    pref = _element_prefix(samples)
-    vals = np.abs(pref[1:]) / np.arange(1, k_top + 1)
-    if not exact:
-        return float(vals.max())
-    best_k = int(np.argmax(vals)) + 1
-    return abs(F(int(pref[best_k]), best_k))
+        return _mean(pref, 0)
+    # |pref[k]| / k is the float of each |mean|: the argmax picks the best k
+    best_k = int(np.argmax(np.abs(pref[1:]) / np.arange(1, k_top + 1))) + 1
+    return abs(_mean(pref, best_k))
 
 
 def default_checkpoints(store: SequenceStore) -> list[int]:
@@ -314,15 +317,12 @@ def convergence_report(orbit: Orbit, store: SequenceStore,
     if checkpoints is None:
         checkpoints = default_checkpoints(store)
     checkpoints = sorted(set(int(c) for c in checkpoints))
-    if checkpoints and checkpoints[-1] > min(orbit.n_max, store.horizon):
-        raise HorizonExceeded(checkpoints[-1])
-    k_top = store.count_range(0, checkpoints[-1]) if checkpoints else 0
-    pref = _element_prefix(orbit.at(store.elements[:k_top]))
+    pref = _orbit_sum(orbit, store, checkpoints[-1] if checkpoints else 0)
     mean = float(orbit.mean_true)
     rows = []
     for N in checkpoints:
-        k = store.count_range(0, N)
-        a = float(pref[k]) / k if k else 0.0
+        # float(Fraction(p, k)) and float(p) / k round the same quotient once
+        a = float(_mean(pref, store.count_range(0, N)))
         rows.append(ConvergenceRow(N, a, abs(a - mean), store.block_of(N - 1)))
     devs = [(math.log(r.N), math.log(r.deviation)) for r in rows if r.deviation > 0]
     slope = None

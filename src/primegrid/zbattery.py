@@ -12,9 +12,10 @@ Each trial is reproducible from (base seed, battery name, context, trial
 index) through the fixed splitmix64 derivation.  A battery first draws every
 trial's seed, signal and level in one pass of uint64 arrays per grid context
 (`_draw`): splitmix64 gives word k of a stream directly, so the words of all
-trials are mixed at once.  A trial holding a word that `randint` would
-reject (under 2^-56 per word at the batteries' span scales) is drawn again
-through `random_signal`, the definition of a trial's draw.  The battery then
+trials are mixed at once.  `random_signal` is the definition of a trial's
+draw, one `randint` at a time; the array draw is the only other, and it
+hands a trial holding a word that `randint` would reject (under 2^-56 per
+word at the batteries' span scales) to `random_signal`.  The battery then
 checks all trials in one call of the batched kernel (`zops.*_batch`), once
 per grid context where it has them.  A signal's result does not depend on
 the batch it is checked in, so every record is the one its trial gives
@@ -55,28 +56,17 @@ _REJECTED = (1 << 64) - 1
 
 
 def random_signal(rng: SplitMix64, span_scale: int) -> FiniteSignal:
-    """Random signal; span and offset scale with the context.
+    """A trial's random signal: the definition of the battery draw.
 
-    The values are the floats num / den with |num| <= 8 and den in {1, 2, 4},
-    so each equals the rational num/den exactly; at least one is nonzero.
-    The (num, den) words are taken as one array; values and generator state
-    are those of drawing each by `rng.randint` in turn.  `_draw_seeded`
-    draws the same signals for many seeds at once.
+    One `rng.randint` each for the length and the offset (both scale with
+    the context), then for each value its num in [-8, 8] and its den in
+    {1, 2, 4}; the floats num / den equal the rationals exactly.  An
+    all-zero draw sets one sample, drawn last, to 1.
     """
     length = rng.randint(1, 4 * span_scale)
     lo = rng.randint(-2 * span_scale, span_scale)
-    words = rng.next_u64_array(2 * length)
-    if (words == np.uint64(_REJECTED)).any():
-        # randint draws one more word in place of each rejected one
-        kept = [w for w in words.tolist() if w != _REJECTED]
-        while len(kept) < 2 * length:
-            w = rng.next_u64()
-            if w != _REJECTED:
-                kept.append(w)
-        words = np.array(kept, dtype=np.uint64)
-    nums = (words[0::2] % np.uint64(17)).astype(np.int64) - 8
-    dens = np.array([1, 2, 4])[(words[1::2] % np.uint64(3)).astype(np.intp)]
-    vals = (nums / dens).tolist()
+    vals = [rng.randint(-8, 8) / (1, 2, 4)[rng.randint(0, 2)]
+            for _ in range(length)]
     if all(v == 0 for v in vals):
         vals[rng.randint(0, length - 1)] = 1.0
     return FiniteSignal(lo, vals)

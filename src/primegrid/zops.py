@@ -762,10 +762,7 @@ def deviation_sup_l2_bound_batch(sigs, ctx: GridContext) -> list[dict]:
     for sig, total in zip(sigs, _grouped(lhs, rows, sigs)):
         M = float(sig.bound_M)
         rhs = 32.0 / ctx.K * M * float(sig.l1)
-        # the unsquared norm form is checked alongside; the squared-sum bound
-        # is the one asserted by the batteries
-        out.append({"lhs": total, "rhs": rhs, "ok": total <= rhs,
-                    "norm_ok": total ** 0.5 <= rhs})
+        out.append({"lhs": total, "rhs": rhs, "ok": total <= rhs})
     return out
 
 

@@ -11,10 +11,10 @@ the library evaluates it only at the positions asked for.
 `banach_density_all_starts` counts the window at every element start,
 where the library prunes whole buckets of starts.
 
-`random_signal_by_randint` draws a battery signal one `randint` at a time,
-where the library takes the value words as one array, and the
-`battery_*_by_trial` loops check one trial at a time through the per-signal
-kernels, where the library checks each battery's signals as one batch.
+The `battery_*_by_trial` loops draw each trial through `random_signal`,
+one `randint` at a time, where the library draws a context's trials as one
+array, and check it through the per-signal kernels, where the library
+checks each battery's signals as one batch.
 
 Helpers that only the tests call live here too: `block_elements`, one
 block's survivor sets merged into a sorted array; `fragile_positions`, which
@@ -42,6 +42,7 @@ from primegrid.zbattery import (
     L2_CONTEXTS,
     WEAK_CONTEXTS,
     _record,
+    random_signal,
     shrink_signal,
     signal_json,
 )
@@ -261,26 +262,12 @@ def strong_l2_lhs_by_n(sig):
 # ---------------------------------------------------------------------------
 # the inequality batteries one trial at a time
 
-def random_signal_by_randint(rng, span_scale):
-    """The battery signal draw, one randint per length, offset and value."""
-    length = rng.randint(1, 4 * span_scale)
-    lo = rng.randint(-2 * span_scale, span_scale)
-    vals = []
-    for _ in range(length):
-        num = rng.randint(-8, 8)
-        den = (1, 2, 4)[rng.randint(0, 2)]
-        vals.append(num / den)
-    if all(v == 0 for v in vals):
-        vals[rng.randint(0, length - 1)] = 1.0
-    return FiniteSignal(lo, vals)
-
-
 def battery_window_weak_by_trial(base_seed, trials):
     out = []
     for trial in range(trials):
         seed = derive_seed(base_seed, "window_weak", trial)
         rng = SplitMix64(seed)
-        sig = random_signal_by_randint(rng, 12)
+        sig = random_signal(rng, 12)
         lam = (0.02 + 1.4 * rng.uniform()) * sig.l1
         res = level_count_window_sup(sig, lam)
         rec = _record("window_weak", None, seed, trial,
@@ -299,7 +286,7 @@ def battery_window_strong_by_trial(base_seed, trials):
     for trial in range(trials):
         seed = derive_seed(base_seed, "window_strong", trial)
         rng = SplitMix64(seed)
-        sig = random_signal_by_randint(rng, 12)
+        sig = random_signal(rng, 12)
         res = strong_l2_window_sup(sig)
         rec = _record("window_strong", None, seed, trial,
                       res["lhs"], res["rhs"], res["ok"])
@@ -318,7 +305,7 @@ def battery_progression_weak_by_trial(base_seed, trials):
         for trial in range(per_ctx):
             seed = derive_seed(base_seed, "progression_weak", primes, trial)
             rng = SplitMix64(seed)
-            sig = random_signal_by_randint(rng, ctx.p)
+            sig = random_signal(rng, ctx.p)
             lam = (0.02 + 1.4 * rng.uniform()) * sig.l1
             res = level_count_progression_sup(sig, ctx, lam)
             rec = _record("progression_weak", primes, seed, trial,
@@ -341,7 +328,7 @@ def battery_deviation_l2_by_trial(base_seed, trials):
         for trial in range(per_ctx):
             seed = derive_seed(base_seed, "deviation_l2", primes, trial)
             rng = SplitMix64(seed)
-            sig = random_signal_by_randint(rng, min(ctx.p, 64))
+            sig = random_signal(rng, min(ctx.p, 64))
             res = deviation_sup_l2_bound(sig, ctx)
             rec = _record("deviation_l2", primes, seed, trial,
                           res["lhs"], res["rhs"], res["ok"],

@@ -181,6 +181,20 @@ def test_horizon_guard(demo_store):
         subseq_average(orb, demo_store, 101)
 
 
+def test_horizon_guard_past_the_store(demo_store):
+    # an orbit longer than the store: every average stops at the store's end
+    # rather than averaging over fewer horizons than asked
+    past = demo_store.horizon + 1
+    orb = sample_orbit(RotationSystem.golden(), 0, past, indicator(F(0), F(1, 2)))
+    samples = orb.at(demo_store.elements)
+    for average in (lambda: average_from_samples(samples, demo_store, past),
+                    lambda: subseq_average(orb, demo_store, past),
+                    lambda: subseq_max(orb, demo_store, past),
+                    lambda: convergence_report(orb, demo_store, [past])):
+        with pytest.raises(HorizonExceeded, match="store horizon"):
+            average()
+
+
 def test_cyclic_closed_form_block_boundaries(demo_ledger, demo_store):
     # with P equal to the block-2 period and f the indicator of a residue
     # class, the average over any horizon is the count of sequence elements
@@ -202,6 +216,26 @@ def test_subseq_max_dominates_averages(demo_store):
     sup = subseq_max(orb, demo_store, demo_store.horizon)
     for N in (10, 8174, 51709, demo_store.horizon):
         assert sup >= abs(subseq_average(orb, demo_store, N))
+
+
+def test_float_averages_agree_bit_for_bit(demo_store):
+    # a float observable: every path reads the same running sum, added in
+    # sequence order, so the averages agree to the last bit at every
+    # checkpoint (a pairwise sum differs from it at 24 of the 28)
+    obs = StepObservable((F(0), F(1, 3), F(1)), (F(1, 10), F(7, 10)))
+    orb = sample_orbit(RotationSystem.golden(), F(1, 7), demo_store.horizon, obs)
+    samples = orb.at(demo_store.elements)
+    assert samples.dtype == np.float64
+    rows = convergence_report(orb, demo_store).rows
+    assert len(rows) == 28
+    sup = subseq_max(orb, demo_store, demo_store.horizon)
+    for row in rows:
+        a = subseq_average(orb, demo_store, row.N)
+        assert type(a) is float
+        assert a == average_from_samples(samples, demo_store, row.N) == row.average
+        assert sup >= abs(a)
+    assert subseq_average(orb, demo_store, demo_store.betas[5]) == \
+        0.5003122596884239
 
 
 def _late_store():

@@ -10,7 +10,6 @@ from _oracles import (
     battery_progression_weak_by_trial,
     battery_window_strong_by_trial,
     battery_window_weak_by_trial,
-    random_signal_by_randint,
 )
 from primegrid import rng, zbattery
 from primegrid.rng import _GAMMA, _MASK, index_u64, mix64
@@ -92,22 +91,7 @@ def test_window_batteries_have_margin():
 
 
 # ---------------------------------------------------------------------------
-# the array draw against one randint per word
-
-def _assert_same_draw(seed, span_scale):
-    fast_rng, slow_rng = SplitMix64(seed), SplitMix64(seed)
-    fast = random_signal(fast_rng, span_scale)
-    slow = random_signal_by_randint(slow_rng, span_scale)
-    assert (fast.lo, fast.values) == (slow.lo, slow.values)
-    # the level drawn next comes from the same generator state
-    assert fast_rng.next_u64() == slow_rng.next_u64()
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, _MASK), span_scale=st.sampled_from((12, 35, 64, 385)))
-def test_random_signal_equals_randint_draws(seed, span_scale):
-    _assert_same_draw(seed, span_scale)
-
+# words that randint rejects
 
 def _unshift(y, s):
     """Inverse of z -> z ^ (z >> s) on 64-bit words."""
@@ -136,21 +120,6 @@ def _seed_rejecting(k):
     """A seed whose output 2 + k is 2^64 - 1: value word k of its signal,
     the one word randint(-8, 8) and randint(0, 2) reject."""
     return _seed_with_word(k + 2)
-
-
-def test_random_signal_rejected_word_falls_back():
-    assert mix64(_unmix64(_MASK)) == _MASK
-    rng = SplitMix64(_seed_rejecting(5))
-    assert [rng.next_u64() for _ in range(8)][-1] == _MASK
-    for span_scale in (12, 35, 64, 385):
-        lengths = [SplitMix64(_seed_rejecting(k)).randint(1, 4 * span_scale)
-                   for k in range(20_000)]
-        inside = [k for k, n in enumerate(lengths) if k < 2 * n]
-        # the rejected word last, so the fallback draws past the array
-        last = [k for k, n in enumerate(lengths) if k == 2 * n - 1]
-        assert last
-        for k in inside[:8] + last[:2]:
-            _assert_same_draw(_seed_rejecting(k), span_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +185,10 @@ def replays(monkeypatch):
 
 @pytest.mark.parametrize("span_scale", [12, 35, 64, 385])
 def test_draw_seeded_replays_rejected_words(replays, span_scale):
+    assert mix64(_unmix64(_MASK)) == _MASK
+    # randint passes over the rejected word to the next one
+    seed = _seed_with_word(0)
+    assert SplitMix64(seed).randint(-8, 8) == index_u64(seed, 1) % 17 - 8
     span = 4 * span_scale
     head = [_seed_with_word(0), _seed_with_word(1)]
     # value words: the first num and den, and the last den of a signal
