@@ -74,7 +74,10 @@ def read_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is set twice")
+            out[key] = val.strip()
     return out
 
 
@@ -217,6 +220,11 @@ def cmd_ops_test(args) -> int:
 _SIMULATE_KEYS = ("system", "alpha", "f_lo", "f_hi", "x0", "seed",
                   "cyclic_p", "residues", "prob", "checkpoints")
 
+# cap on the cyclic period: the system holds its residue table as a P-entry
+# tuple and then as a P-entry int64 array, about 80 MB each at the cap, while
+# the demo block periods stay below 10^5 through horizon 10
+MAX_CYCLIC_P = 10**7
+
 
 def _build_system(cfg: dict):
     system = cfg.get("system", "rotation")
@@ -229,6 +237,8 @@ def _build_system(cfg: dict):
         return sys_obj, obs
     if system == "cyclic":
         P = int(cfg["cyclic_p"])
+        if not 1 <= P <= MAX_CYCLIC_P:
+            raise ValueError(f"cyclic_p must be in [1, {MAX_CYCLIC_P}], got {P}")
         chosen = set()
         for part in cfg.get("residues", "0").split(","):
             a, _, b = part.partition("-")
@@ -299,10 +309,15 @@ def cmd_export(args) -> int:
         head = fh.read(1)
         fh.seek(0)
         if head == "{" or args.infile.endswith((".jsonl", ".ndjson")):
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line:
-                    rows.append(json.loads(line))
+                    row = json.loads(line)
+                    if not isinstance(row, dict):
+                        raise ValueError(f"{args.infile}:{lineno}: a row is a "
+                                         f"JSON object, not "
+                                         f"{type(row).__name__}")
+                    rows.append(row)
         else:
             rows.extend(dict(r) for r in csv.DictReader(fh))
     if not rows:
@@ -375,7 +390,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _err(f"config error: {exc}")
         return 2
 

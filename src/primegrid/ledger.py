@@ -1,9 +1,11 @@
 """Inductive parameter system for the sparse sequence construction.
 
-A ledger holds one row per block m: the prime count K_m, the primes q_{j,m},
-their product p_m (the block period), Q(m) = sum 1/q_{j,m}, the deletion
-distance d_m, and the density-defect bound gamma_m, together with the block
-endpoints beta_{m-1} < beta_m and the element count of each finished block.
+A ledger holds one row per block m: the primes q_{j,m}, the deletion distance
+d_m and the density-defect bound gamma_m, together with the block endpoints
+beta_{m-1} < beta_m and the element count of each finished block.  The prime
+count K_m, the product p_m (the block period) and Q(m) = sum 1/q_{j,m} are
+derived from the primes, and the cumulative counts nbar from the block counts;
+a ledger file states all four again, and reading one checks them.
 
 The induction follows the construction's ordering exactly: the parameters of
 block m are chosen first (K_m from the count through block m-2, then the
@@ -22,6 +24,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, takewhile
 
 from .blocksets import block_count
 from .constants import ConstantTable, frac_json, frac_parse, constants_for
@@ -72,22 +76,30 @@ def default_d(m: int) -> int:
 
 @dataclass(frozen=True)
 class BlockParams:
+    """What the construction chooses for block m; K, p and Q follow from the
+    primes."""
+
     m: int
     beta_prev: int
-    K: int
     primes: tuple[int, ...]
-    p: int
-    Q: Fraction
     d: int
     gamma: Fraction
     beta: int | None = None
     count: int | None = None
 
-    def __post_init__(self):
-        if self.p != math.prod(self.primes):
-            raise ValueError("p must be the product of the primes")
-        if self.Q != sum(F(1, q) for q in self.primes):
-            raise ValueError("Q must be the exact reciprocal sum")
+    @property
+    def K(self) -> int:
+        return len(self.primes)
+
+    @cached_property
+    def p(self) -> int:
+        """The block period, the product of the primes."""
+        return math.prod(self.primes)
+
+    @cached_property
+    def Q(self) -> Fraction:
+        """The exact reciprocal sum of the primes."""
+        return sum(F(1, q) for q in self.primes)
 
 
 @dataclass(frozen=True)
@@ -116,7 +128,14 @@ class ConstraintReport:
 class Ledger:
     constants: ConstantTable
     blocks: tuple[BlockParams, ...]
-    nbar: tuple[int, ...]   # nbar[i] = count of elements below beta_i, i = 0..H
+
+    @cached_property
+    def nbar(self) -> tuple[int, ...]:
+        """nbar[i] = count of elements below beta_i, i = 0..H: the running
+        sum of the counts of the closed blocks."""
+        counts = takewhile(lambda c: c is not None,
+                           (b.count for b in self.blocks))
+        return (0, *accumulate(counts))
 
     @property
     def complete_horizon(self) -> int:
@@ -139,11 +158,9 @@ class Ledger:
 
 def new_ledger(constants: ConstantTable) -> Ledger:
     """Base ledger: block 1 uses the single modulus 1 (every integer)."""
-    b1 = BlockParams(
-        m=1, beta_prev=0, K=1, primes=(1,), p=1, Q=F(1),
-        d=default_d(1), gamma=constants.gamma_small,
-    )
-    return Ledger(constants=constants, blocks=(b1,), nbar=(0,))
+    b1 = BlockParams(m=1, beta_prev=0, primes=(1,), d=default_d(1),
+                     gamma=constants.gamma_small)
+    return Ledger(constants=constants, blocks=(b1,))
 
 
 def _check(name, lhs, rhs, op) -> ConstraintRecord:
@@ -151,12 +168,6 @@ def _check(name, lhs, rhs, op) -> ConstraintRecord:
     rhs = F(rhs)
     ok = {"<": lhs < rhs, ">": lhs > rhs, "==": lhs == rhs}[op]
     return ConstraintRecord(name, lhs, rhs, op, ok)
-
-
-def _block_count_for(ledger: Ledger, m: int, beta_prev: int, beta: int) -> int:
-    """Exact element count of block m on [beta_prev, beta)."""
-    blk = ledger.block(m)
-    return block_count(blk.primes, blk.d, beta_prev, beta)
 
 
 # Records of block m that compare against the count through block m-1.  Their
@@ -314,7 +325,6 @@ def extend_ledger(ledger: Ledger) -> Ledger:
     K = _choose_k(ledger, m)
     primes = _choose_primes(ledger, m, K, d, gamma)
     p = math.prod(primes)
-    Q = sum(F(1, q) for q in primes)
 
     prev = ledger.block(m - 1)
     beta_pp = prev.beta_prev               # beta_{m-2}
@@ -337,14 +347,12 @@ def extend_ledger(ledger: Ledger) -> Ledger:
     while True:
         if cand > MAX_BETA:
             raise InfeasibleAtScale(m, "beta_{m-1}", cand, MAX_BETA)
-        count = _block_count_for(ledger, m - 1, beta_pp, cand)
+        count = block_count(prev.primes, prev.d, beta_pp, cand)
         closed_prev = replace(prev, beta=cand, count=count)
-        new_block = BlockParams(
-            m=m, beta_prev=cand, K=K, primes=primes, p=p, Q=Q, d=d, gamma=gamma,
-        )
+        new_block = BlockParams(m=m, beta_prev=cand, primes=primes, d=d,
+                                gamma=gamma)
         out = Ledger(constants=tab, blocks=ledger.blocks[: m - 2]
-                     + (closed_prev, new_block),
-                     nbar=ledger.nbar + (ledger.nb(m - 2) + count,))
+                     + (closed_prev, new_block))
         reports = [check_constraints(out, mm) for mm in (m - 1, m)]
         for rep in reports:
             bad = [r.name for r in rep.failing()]
@@ -418,36 +426,58 @@ def ledger_to_json(ledger: Ledger) -> dict:
     }
 
 
-def _parsed(what: str, parse, value):
-    """parse(value), with a missing key or a value of the wrong type reported
+def _parsed(what: str, parse, *args):
+    """parse(*args), with a missing key or a value of the wrong type reported
     as a ValueError that names `what`."""
     try:
-        return parse(value)
+        return parse(*args)
     except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"{what} is malformed ({type(exc).__name__}: {exc})") \
             from exc
 
 
-def _block_from_json(b: dict) -> BlockParams:
-    return BlockParams(
-        m=int(b["m"]),
-        beta_prev=int(b["beta_prev"]),
-        beta=None if b["beta"] is None else int(b["beta"]),
-        K=int(b["K"]),
-        primes=tuple(int(q) for q in b["primes"]),
-        p=int(b["p"]),
-        Q=frac_parse(b["Q"]),
-        d=int(b["d"]),
+def _json_int(what: str, value) -> int:
+    """value, which must be a JSON integer: a bool, float or string is a
+    TypeError, not read as one."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be a JSON integer, not {value!r}")
+    return value
+
+
+def _block_from_json(b: dict, row: int) -> BlockParams:
+    """Ledger row `row`.  An integer field that is not a JSON integer is a
+    TypeError; a stated K, p or Q that the primes do not give is a ValueError
+    naming the row."""
+    def integer(key):
+        return _json_int(key, b[key])
+
+    def integer_or_null(key):
+        return None if b[key] is None else integer(key)
+
+    blk = BlockParams(
+        m=integer("m"),
+        beta_prev=integer("beta_prev"),
+        beta=integer_or_null("beta"),
+        primes=tuple(_json_int("each prime", q) for q in b["primes"]),
+        d=integer("d"),
         gamma=frac_parse(b["gamma"]),
-        count=None if b["count"] is None else int(b["count"]),
+        count=integer_or_null("count"),
     )
+    for key, stated in (("K", integer("K")), ("p", integer("p")),
+                        ("Q", frac_parse(b["Q"]))):
+        derived = getattr(blk, key)
+        if stated != derived:
+            raise ValueError(f"ledger row {row} has {key} = {stated}, but its "
+                             f"primes give {derived}")
+    return blk
 
 
 def ledger_from_json(obj: dict) -> Ledger:
-    """Parse a ledger; ValueError unless it has the ledger's shape and its
-    rows chain into one construction: numbered 1..H, each starting at the
-    previous beta, beta and count set together, only the last row open, and
-    nbar the running sum of the counts.
+    """Parse a ledger; ValueError unless it has the ledger's shape, each row
+    states the K, p and Q of its primes, and the rows chain into one
+    construction: numbered 1..H, each starting at the previous beta, beta and
+    count set together, only the last row open, and nbar the running sum of
+    the counts.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a ledger is a JSON object, not {type(obj).__name__}")
@@ -459,9 +489,8 @@ def ledger_from_json(obj: dict) -> Ledger:
             raise ValueError(f"ledger {key} must be a JSON list, not "
                              f"{type(obj[key]).__name__}")
     tab = _parsed("ledger constants", ConstantTable.from_json, obj["constants"])
-    blocks = tuple(_parsed(f"ledger row {i}", _block_from_json, b)
+    blocks = tuple(_parsed(f"ledger row {i}", _block_from_json, b, i)
                    for i, b in enumerate(obj["blocks"], start=1))
-    nbar = [0]
     for i, b in enumerate(blocks, start=1):
         if b.m != i:
             raise ValueError(f"ledger row {i} is numbered {b.m}")
@@ -472,11 +501,13 @@ def ledger_from_json(obj: dict) -> Ledger:
             raise ValueError(f"block {i} sets only one of beta and count")
         if b.beta is None and i < len(blocks):
             raise ValueError(f"block {i} is open but is not the last block")
-        if b.count is not None:
-            nbar.append(nbar[-1] + b.count)
-    if _parsed("ledger nbar", lambda v: [int(x) for x in v], obj["nbar"]) != nbar:
+    ledger = Ledger(constants=tab, blocks=blocks)
+    nbar = _parsed("ledger nbar",
+                   lambda v: tuple(_json_int("each entry", n) for n in v),
+                   obj["nbar"])
+    if nbar != ledger.nbar:
         raise ValueError("nbar is not the running sum of the block counts")
-    return Ledger(constants=tab, blocks=blocks, nbar=tuple(nbar))
+    return ledger
 
 
 def save_ledger(ledger: Ledger, path) -> None:

@@ -186,7 +186,7 @@ def verify_block(ledger: Ledger, store: SequenceStore, m: int) -> BlockReport:
         raise ValueError(f"store block {m} is [{lo}, {hi}), ledger row "
                          f"[{params.beta_prev}, {params.beta})")
     p = params.p
-    pQ = sum(p // q for q in params.primes)   # p*Q(m), an integer
+    pQ = p * params.Q   # an integer: each q divides p
     n_win = (hi - lo) // p
     extremes = []
     for i in range(0, n_win, _WINDOW_CHUNK):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -186,7 +187,19 @@ def test_verify_flags_corruption(tmp_path, demo_ledger_file):
     assert main(["verify", "--ledger", str(bad)]) == 1
 
 
-# each defect on row 3 (index 2) of the demo ledger, and the words of its error
+def _retype_prime(d, retype):
+    primes = d["blocks"][2]["primes"]
+    primes[0] = retype(primes[0])
+
+
+def _float_beta(d):
+    # block 4 still starts where block 3 ends
+    d["blocks"][2]["beta"] += 0.5
+    d["blocks"][3]["beta_prev"] = d["blocks"][2]["beta"]
+
+
+# each defect on row 3 (index 2) of the demo ledger unless it names another
+# row, and the words of its error
 LEDGER_DEFECTS = {
     "row-numbering": ("row 3 is numbered 7",
                       lambda d: d["blocks"][2].update(m=7)),
@@ -199,6 +212,25 @@ LEDGER_DEFECTS = {
     "nbar-short": ("running sum", lambda d: d["nbar"].pop()),
     "nbar-raised": ("running sum",
                     lambda d: d["nbar"].__setitem__(3, d["nbar"][3] + 5)),
+    # K, p and Q that the primes (83, 89) do not give
+    "K-disagrees": ("ledger row 3 has K = 3, but its primes give 2",
+                    lambda d: d["blocks"][2].update(K=3)),
+    "p-disagrees": ("ledger row 3 has p = 7388, but its primes give 7387",
+                    lambda d: d["blocks"][2].update(p=7388)),
+    "Q-disagrees": ("ledger row 3 has Q = 173/7387, but its primes give "
+                    "172/7387", lambda d: d["blocks"][2].update(
+                        Q={"num": "173", "den": "7387"})),
+    # integer fields that int() would read, retyped
+    "prime-float": ("each prime must be a JSON integer, not 83.5",
+                    lambda d: _retype_prime(d, lambda q: q + 0.5)),
+    "prime-string": ("each prime must be a JSON integer, not '83'",
+                     lambda d: _retype_prime(d, str)),
+    "d-float": ("d must be a JSON integer, not 3.7",
+                lambda d: d["blocks"][2].update(d=3.7)),
+    "beta-float": ("beta must be a JSON integer, not 208060.5", _float_beta),
+    "m-bool-row-1": ("ledger row 1 is malformed (TypeError: m must be a JSON "
+                     "integer, not True)",
+                     lambda d: d["blocks"][0].update(m=True)),
 }
 
 
@@ -403,10 +435,14 @@ def test_simulate_config_errors(tmp_path, demo_ledger_file):
     "systme=cyclic\ncyclic_p=4\nresidues=1\nx0=0\n",
     "system=rotation\nx0=0\nhorizon=1\n",
     "system=rotation\nx0=1/0\n",
+    "system=cyclic\ncyclic_p=7\nresidues=0\ncyclic_p=11\n",
+    # only the value one above the cap: the check comes before the table
+    f"system=cyclic\ncyclic_p={cli.MAX_CYCLIC_P + 1}\n",
 ], ids=["x0-outside-unit", "empty-indicator", "prob-outside-unit",
         "fractional-residue", "checkpoint-zero", "checkpoint-past-horizon",
         "residue-outside-cycle", "empty-residue-range", "unknown-key",
-        "retired-horizon-key", "x0-zero-denominator"])
+        "retired-horizon-key", "x0-zero-denominator", "key-set-twice",
+        "cyclic-period-over-cap"])
 def test_simulate_rejects_bad_spec(tmp_path, capsys, demo_ledger_file, text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -497,10 +533,28 @@ def test_export_jsonl_to_csv(tmp_path):
     assert "lhs" in lines[0] and len(lines) > 4
 
 
+def test_export_rejects_non_object_line(tmp_path, capsys):
+    src = tmp_path / "r.jsonl"
+    src.write_text('{"a": 1}\n[1, 2]\n')
+    out = tmp_path / "r.csv"
+    assert main(["export", "--in", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {src}:2: a row is a JSON object, not list" in err
+    assert not out.exists()
+
+
+def test_verify_ledger_directory_is_config_error(tmp_path, capsys):
+    assert main(["verify", "--ledger", str(tmp_path)]) == 2
+    assert "config error: " in capsys.readouterr().err
+
+
 def test_read_config_parsing(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# comment\na=1\n b = two words \n\n")
     assert read_config(cfg) == {"a": "1", "b": "two words"}
     cfg.write_text("oops\n")
     with pytest.raises(ValueError):
+        read_config(cfg)
+    cfg.write_text("a=1\nb=2\na=3\n")
+    with pytest.raises(ValueError, match=re.escape(f"{cfg}:3: key 'a' is set twice")):
         read_config(cfg)

@@ -111,11 +111,10 @@ def test_toy_5aa_record_fails():
     tab = default_constants()
     led = new_ledger(tab)
     b1 = led.blocks[0]
-    b1 = BlockParams(m=1, beta_prev=0, K=1, primes=(1,), p=1, Q=F(1),
-                     d=1, gamma=tab.gamma_small, beta=15, count=15)
-    b2 = BlockParams(m=2, beta_prev=15, K=2, primes=(3, 5), p=15,
-                     Q=F(8, 15), d=2, gamma=F(1, 8))
-    toy = Ledger(constants=tab, blocks=(b1, b2), nbar=(0, 15))
+    b1 = BlockParams(m=1, beta_prev=0, primes=(1,), d=1,
+                     gamma=tab.gamma_small, beta=15, count=15)
+    b2 = BlockParams(m=2, beta_prev=15, primes=(3, 5), d=2, gamma=F(1, 8))
+    toy = Ledger(constants=tab, blocks=(b1, b2))
     r = rec(check_constraints(toy, 2), "5aa")
     assert r.lhs == F(1, 8)
     assert r.rhs == F(2 * 2 * 3, 3)          # = 4
@@ -126,13 +125,12 @@ def test_beta_not_multiple_rejected():
     led = extend_ledger(new_ledger(demo_constants()))
     blocks = list(led.blocks)
     b2 = blocks[1]
-    bad = BlockParams(m=2, beta_prev=b2.beta_prev + 1, K=b2.K, primes=b2.primes,
-                      p=b2.p, Q=b2.Q, d=b2.d, gamma=b2.gamma)
+    bad = BlockParams(m=2, beta_prev=b2.beta_prev + 1, primes=b2.primes,
+                      d=b2.d, gamma=b2.gamma)
     b1 = blocks[0]
-    b1 = BlockParams(m=1, beta_prev=0, K=1, primes=(1,), p=1, Q=F(1), d=1,
-                     gamma=b1.gamma, beta=b2.beta_prev + 1, count=b2.beta_prev + 1)
-    corrupt = Ledger(constants=led.constants, blocks=(b1, bad),
-                     nbar=(0, b2.beta_prev + 1))
+    b1 = BlockParams(m=1, beta_prev=0, primes=(1,), d=1, gamma=b1.gamma,
+                     beta=b2.beta_prev + 1, count=b2.beta_prev + 1)
+    corrupt = Ledger(constants=led.constants, blocks=(b1, bad))
     r = rec(check_constraints(corrupt, 2), "pmbbb")
     assert not r.satisfied
 
@@ -212,13 +210,13 @@ def test_demo_monotonicity(demo_ledger):
 def counted_blocks(monkeypatch):
     """Block counts the endpoint scan asks for, one per candidate."""
     calls = []
-    inner = ledger_mod._block_count_for
+    inner = ledger_mod.block_count
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(ledger_mod, "_block_count_for", counted)
+    monkeypatch.setattr(ledger_mod, "block_count", counted)
     return calls
 
 
@@ -251,8 +249,7 @@ def test_endpoints_are_minimal(request, which):
             constants=led.constants,
             blocks=led.blocks[:m - 2] + (
                 replace(prev, beta=beta, count=count),
-                replace(blk, beta_prev=beta, beta=None, count=None)),
-            nbar=led.nbar[:m - 1] + (led.nb(m - 2) + count,))
+                replace(blk, beta_prev=beta, beta=None, count=None)))
         assert not (check_constraints(earlier, m - 1).overall
                     and check_constraints(earlier, m).overall), m
 
@@ -295,11 +292,16 @@ def test_missing_block_raises(demo_ledger):
 def test_missing_count_raises(demo_ledger):
     from primegrid.ledger import MissingCount
 
-    truncated = Ledger(constants=demo_ledger.constants,
-                       blocks=demo_ledger.blocks,
-                       nbar=demo_ledger.nbar[:3])
+    # block 6 is open: the count through it is not yet determined
     with pytest.raises(MissingCount):
-        check_constraints(truncated, 6)
+        demo_ledger.nb(6)
+    # nor is any count past a block without one
+    blocks = list(demo_ledger.blocks)
+    blocks[2] = replace(blocks[2], count=None)
+    uncounted = Ledger(constants=demo_ledger.constants, blocks=tuple(blocks))
+    assert uncounted.nbar == demo_ledger.nbar[:3]
+    with pytest.raises(MissingCount):
+        check_constraints(uncounted, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -201,22 +201,22 @@ def test_store_counts_match_ledger(demo_ledger, demo_store):
 def test_build_store_rejects_empty_interval():
     # endpoints strictly increase: a block [20, 20) is no block
     tab = demo_constants()
-    b1 = BlockParams(m=1, beta_prev=0, K=1, primes=(1,), p=1, Q=F(1), d=1,
+    b1 = BlockParams(m=1, beta_prev=0, primes=(1,), d=1,
                      gamma=tab.gamma_small, beta=20, count=20)
-    b2 = BlockParams(m=2, beta_prev=20, K=2, primes=(3, 5), p=15, Q=F(8, 15),
+    b2 = BlockParams(m=2, beta_prev=20, primes=(3, 5),
                      d=2, gamma=F(1, 5), beta=20, count=0)
-    led = Ledger(constants=tab, blocks=(b1, b2), nbar=(0, 20, 20))
+    led = Ledger(constants=tab, blocks=(b1, b2))
     with pytest.raises(ValueError, match="strictly increase"):
         build_store(led)
 
 
 def test_build_store_rejects_gap_between_blocks():
     tab = demo_constants()
-    b1 = BlockParams(m=1, beta_prev=0, K=1, primes=(1,), p=1, Q=F(1), d=1,
+    b1 = BlockParams(m=1, beta_prev=0, primes=(1,), d=1,
                      gamma=tab.gamma_small, beta=15, count=15)
-    b2 = BlockParams(m=2, beta_prev=30, K=2, primes=(3, 5), p=15, Q=F(8, 15),
+    b2 = BlockParams(m=2, beta_prev=30, primes=(3, 5),
                      d=1, gamma=F(1, 5), beta=60, count=4)
-    led = Ledger(constants=tab, blocks=(b1, b2), nbar=(0, 15, 19))
+    led = Ledger(constants=tab, blocks=(b1, b2))
     with pytest.raises(ValueError, match="beta_1 = 15"):
         build_store(led)
 
@@ -259,11 +259,11 @@ def test_block_of_at_endpoints():
 
 def test_verify_block_rejects_endpoint_mismatch():
     tab = demo_constants()
-    b1 = BlockParams(m=1, beta_prev=0, K=1, primes=(1,), p=1, Q=F(1), d=1,
+    b1 = BlockParams(m=1, beta_prev=0, primes=(1,), d=1,
                      gamma=tab.gamma_small, beta=15, count=15)
-    b2 = BlockParams(m=2, beta_prev=15, K=2, primes=(3, 5), p=15, Q=F(8, 15),
+    b2 = BlockParams(m=2, beta_prev=15, primes=(3, 5),
                      d=1, gamma=F(1, 5), beta=60, count=5)
-    led = Ledger(constants=tab, blocks=(b1, b2), nbar=(0, 15, 20))
+    led = Ledger(constants=tab, blocks=(b1, b2))
     with pytest.raises(ValueError, match="ledger row"):
         verify_block(led, toy_store(), 2)
 
@@ -305,11 +305,11 @@ def test_window_counts_are_flat_inside_blocks(demo_ledger, demo_store):
 
 def test_k1_edge_case_flagged():
     tab = demo_constants()
-    b1 = BlockParams(m=1, beta_prev=0, K=1, primes=(1,), p=1, Q=F(1), d=1,
+    b1 = BlockParams(m=1, beta_prev=0, primes=(1,), d=1,
                      gamma=tab.gamma_small, beta=14, count=14)
-    b2 = BlockParams(m=2, beta_prev=14, K=1, primes=(7,), p=7, Q=F(1, 7),
+    b2 = BlockParams(m=2, beta_prev=14, primes=(7,),
                      d=2, gamma=F(1, 5), beta=70, count=8)
-    led = Ledger(constants=tab, blocks=(b1, b2), nbar=(0, 14, 22))
+    led = Ledger(constants=tab, blocks=(b1, b2))
     elems = block_elements((7,), 2, 14, 70)
     store = SequenceStore((0, 14, 70), np.concatenate([np.arange(14), elems]))
     rep = verify_block(led, store, 2)
@@ -321,11 +321,11 @@ def test_k1_edge_case_flagged():
 def test_toy_block_ratio_fails_lower_bound():
     # period 15, d=1 toy: 4 survivors against p*Q = 8 per period
     tab = demo_constants()
-    b1 = BlockParams(m=1, beta_prev=0, K=1, primes=(1,), p=1, Q=F(1), d=1,
+    b1 = BlockParams(m=1, beta_prev=0, primes=(1,), d=1,
                      gamma=tab.gamma_small, beta=15, count=15)
-    b2 = BlockParams(m=2, beta_prev=15, K=2, primes=(3, 5), p=15, Q=F(8, 15),
+    b2 = BlockParams(m=2, beta_prev=15, primes=(3, 5),
                      d=1, gamma=F(1, 5), beta=45, count=4)
-    led = Ledger(constants=tab, blocks=(b1, b2), nbar=(0, 15, 19))
+    led = Ledger(constants=tab, blocks=(b1, b2))
     store = toy_store()
     rep = verify_block(led, store, 2)
     assert rep.min_ratio == F(2, 8)    # window [15, 30) holds 18 and 27
@@ -335,11 +335,11 @@ def test_toy_block_ratio_fails_lower_bound():
 def test_spacing_flags_element_near_left_endpoint():
     # with d = 2 the positions beta_1 and beta_1 + 1 must stay empty
     tab = demo_constants()
-    b1 = BlockParams(m=1, beta_prev=0, K=1, primes=(1,), p=1, Q=F(1), d=1,
+    b1 = BlockParams(m=1, beta_prev=0, primes=(1,), d=1,
                      gamma=tab.gamma_small, beta=15, count=15)
-    b2 = BlockParams(m=2, beta_prev=15, K=2, primes=(3, 5), p=15, Q=F(8, 15),
+    b2 = BlockParams(m=2, beta_prev=15, primes=(3, 5),
                      d=2, gamma=F(1, 5), beta=45, count=4)
-    led = Ledger(constants=tab, blocks=(b1, b2), nbar=(0, 15, 19))
+    led = Ledger(constants=tab, blocks=(b1, b2))
     for first, ok in ((16, False), (17, True)):
         elems = np.concatenate([np.arange(15), [first, 27, 33, 42]])
         rep = verify_block(led, SequenceStore((0, 15, 45), elems), 2)
