@@ -146,6 +146,13 @@ def cmd_build_seq(args) -> int:
         _err("ledger closes no blocks; extend it first")
         return 2
     store = build_store(ledger)
+    # verify reports a wrong count as a failed check; build-seq writes no
+    # sequence that disagrees with its ledger
+    for m in range(1, store.n_blocks + 1):
+        built, stated = store.block(m).size, ledger.block(m).count
+        if built != stated:
+            raise ValueError(f"ledger row {m} has count = {stated}, but its "
+                             f"block builds {built} elements")
     write_elements(store, args.out)
     if args.summary_out:
         _emit_json(block_summaries(store), args.summary_out)

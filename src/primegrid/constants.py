@@ -66,9 +66,24 @@ def frac_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
+def _frac_int(what: str, value) -> int:
+    """A num or den: a JSON integer, or the integer string frac_json writes.
+    A float, bool or any other string is a TypeError, not read as one."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        try:
+            if str(int(value)) == value:
+                return int(value)
+        except ValueError:
+            pass
+    raise TypeError(f"{what} must be a JSON integer or an integer string, "
+                    f"not {value!r}")
+
+
 def frac_parse(obj) -> Fraction:
     if isinstance(obj, dict):
-        return Fraction(int(obj["num"]), int(obj["den"]))
+        return Fraction(_frac_int("num", obj["num"]), _frac_int("den", obj["den"]))
     return Fraction(obj)
 
 

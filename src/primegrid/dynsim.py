@@ -14,7 +14,6 @@ onto the grid operators, and the per-block count-bound records.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,12 +164,63 @@ def _residue(system: CyclicSystem, x0) -> int:
     return int(x0) % system.P
 
 
+# positions per pass of the rotation kernel: about ten uint64 temporaries of
+# this length (64 KB each) are live at once, whatever the number of positions
+_ROTATION_CHUNK = 1 << 13
+_U32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _words(v: int) -> tuple[np.uint64, np.uint64]:
+    """The high and low 64-bit words of 0 <= v < 2^128."""
+    return np.uint64(v >> 64), np.uint64(v & _U64_MAX)
+
+
+def _rotation_words(x0f: int, alpha: int, n: np.ndarray):
+    """(x0f + n * alpha) mod 2^128 as its high and low uint64 words.
+
+    n * alpha_lo is assembled from the four 32-bit partial products of the
+    limbs of n and of alpha_lo, each below 2^64, with the carries out of the
+    middle column taken explicitly; n * alpha_hi only reaches the high word,
+    where uint64 arithmetic wraps modulo 2^64 as the 128-bit sum does.  An
+    int64 n < 0 is its uint64 view minus 2^64, which takes alpha_lo off the
+    high word.
+    """
+    a_hi, a_lo = _words(alpha)
+    x_hi, x_lo = _words(x0f)
+    u = n.view(np.uint64)
+    n0, n1 = u & _U32, u >> _S32
+    a0, a1 = a_lo & _U32, a_lo >> _S32
+    p00, p01, p10 = n0 * a0, n0 * a1, n1 * a0
+    mid = (p00 >> _S32) + (p01 & _U32) + (p10 & _U32)        # < 3 * 2^32
+    lo = (mid << _S32) | (p00 & _U32)
+    hi = n1 * a1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32) + u * a_hi
+    hi -= (n < 0) * a_lo
+    lo += x_lo
+    hi += x_hi + (lo < x_lo)                                 # carry of the add
+    return hi, lo
+
+
+def _rotation_pieces(thresholds: list[int], x0f: int, alpha: int,
+                     n: np.ndarray) -> np.ndarray:
+    """Per position, the index of the step piece holding its orbit point:
+    how many of the thresholds after the first (which is 0) it reaches."""
+    hi, lo = _rotation_words(x0f, alpha, n)
+    piece = np.zeros(n.size, dtype=np.intp)
+    for t in thresholds[1:]:
+        if t < _ONE:                       # 2^128 is past every point
+            t_hi, t_lo = _words(t)
+            piece += (hi > t_hi) | ((hi == t_hi) & (lo >= t_lo))
+    return piece
+
+
 def sample_at(system, x0, positions, observable: StepObservable | None = None) -> np.ndarray:
     """Observable values f(T^n x0) at the orbit positions n in `positions`.
 
     The only code that evaluates an observable along an orbit.  The dtype is
     int64 when every value f can take is an integer (Bernoulli symbols
-    always), float64 otherwise, also for an empty `positions`.
+    always), float64 otherwise, also for an empty `positions`.  A rotation
+    point is exact in 128-bit fixed point, held as two uint64 words.
     """
     positions = np.asarray(positions, dtype=np.int64)
     if isinstance(system, RotationSystem):
@@ -178,13 +228,16 @@ def sample_at(system, x0, positions, observable: StepObservable | None = None) -
             raise BadSpec("rotation systems need a step observable")
         thr = observable.thresholds_fixed()
         ints = all(v.denominator == 1 for v in observable.values)
-        piece_vals = [int(v) if ints else float(v) for v in observable.values]
+        pieces = np.array([int(v) if ints else float(v) for v in observable.values],
+                          dtype=np.int64 if ints else np.float64)
         x0f = _x0_fixed(x0)
-        alpha = system.alpha_fixed
-        mask = _ONE - 1
-        vals = [piece_vals[bisect.bisect_right(thr, (x0f + n * alpha) & mask) - 1]
-                for n in positions.tolist()]
-        return np.array(vals, dtype=np.int64 if ints else np.float64)
+        flat = positions.ravel()
+        out = np.empty(flat.size, dtype=pieces.dtype)
+        for a in range(0, flat.size, _ROTATION_CHUNK):
+            chunk = flat[a:a + _ROTATION_CHUNK]
+            out[a:a + chunk.size] = pieces[_rotation_pieces(
+                thr, x0f, system.alpha_fixed, chunk)]
+        return out.reshape(positions.shape)
     if isinstance(system, CyclicSystem):
         return system.table_array()[(_residue(system, x0) + positions) % system.P]
     if isinstance(system, BernoulliSystem):

@@ -166,8 +166,10 @@ def _draw_seeded(seeds: np.ndarray, span_scale: int, levels: bool) -> Draws:
     The value words of all trials are drawn as one flat array.  Every
     |value| is a multiple of 1/4 up to 8 and a signal has at most
     4 * span_scale of them, so every partial sum of its l1 norm is exact,
-    and the per-trial sum is `FiniteSignal.l1` in any order.  A trial with
-    a word that `randint` rejects is drawn again through `random_signal`.
+    and the per-trial sum is `FiniteSignal.l1` in any order.  Each signal
+    gets its l1, bound_M and l2sq from these arrays (`with_norms`), so no
+    kernel walks its values for them.  A trial with a word that `randint`
+    rejects is drawn again through `random_signal`.
     """
     n = seeds.size
     head = index_u64_array(seeds[:, None], np.arange(2))
@@ -203,9 +205,14 @@ def _draw_seeded(seeds: np.ndarray, span_scale: int, levels: bool) -> Draws:
         lams = _level(u, l1).tolist()
     else:
         lams = [None] * n
+    # the squares are multiples of 1/16 up to 64, so l2sq is exact too
+    bound_M = np.maximum.reduceat(np.abs(vals), start)
+    l2sq = np.bincount(owner[0::2], weights=vals * vals, minlength=n)
     flat = vals.tolist()
-    sigs = [FiniteSignal(lo, flat[a:a + m]) for lo, a, m
-            in zip(los.tolist(), start.tolist(), lengths.tolist())]
+    sigs = [FiniteSignal.with_norms(lo, flat[a:a + m], *norms)
+            for lo, a, m, *norms in zip(los.tolist(), start.tolist(),
+                                        lengths.tolist(), l1.tolist(),
+                                        bound_M.tolist(), l2sq.tolist())]
     seed_list = seeds.tolist()
     for t in np.flatnonzero(redo).tolist():
         rng = SplitMix64(seed_list[t])

@@ -121,14 +121,43 @@ class GridContext:
         return 2 if n % self.p == self.p - 1 else 1
 
 
+class _ReadOnlyValues(list):
+    """The value list of a signal built with its norms: in-place changes
+    raise, so the norms it was built with stay its norms."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("the values of a signal built with its norms are read-only")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+
 class FiniteSignal:
     """Function on Z supported on [lo, lo+len(values))."""
+
+    _known = None        # (values, {norm name: value}) given by with_norms
 
     def __init__(self, lo: int, values):
         self.lo = int(lo)
         self.values = list(values)
         if not self.values:
             raise ValueError("signal needs at least one sample")
+
+    @classmethod
+    def with_norms(cls, lo: int, values, l1, bound_M, l2sq) -> "FiniteSignal":
+        """A signal whose norms the caller already holds, e.g. a battery
+        draw that computed them as arrays.  Its values are read-only, and
+        binding new ones to `values` drops the given norms."""
+        sig = cls(lo, values)
+        sig.values = _ReadOnlyValues(sig.values)
+        sig._known = (sig.values, {"l1": l1, "bound_M": bound_M, "l2sq": l2sq})
+        return sig
+
+    def _given(self, name: str):
+        """The norm with_norms gave, while `values` is still the list it
+        gave it for; None otherwise."""
+        known = self._known
+        return known[1][name] if known is not None and known[0] is self.values else None
 
     @property
     def hi(self) -> int:
@@ -141,15 +170,18 @@ class FiniteSignal:
 
     @property
     def bound_M(self):
-        return max(abs(v) for v in self.values)
+        given = self._given("bound_M")
+        return max(abs(v) for v in self.values) if given is None else given
 
     @property
     def l1(self):
-        return sum(abs(v) for v in self.values)
+        given = self._given("l1")
+        return sum(abs(v) for v in self.values) if given is None else given
 
     @property
     def l2sq(self):
-        return sum(abs(v) ** 2 for v in self.values)
+        given = self._given("l2sq")
+        return sum(abs(v) ** 2 for v in self.values) if given is None else given
 
     def __repr__(self):
         return f"FiniteSignal(lo={self.lo}, values={self.values!r})"
@@ -418,8 +450,11 @@ def _padded(sigs, width: int, offsets) -> np.ndarray:
     lens = np.array([len(s.values) for s in sigs])
     out = np.zeros((len(sigs), width))
     first = np.arange(len(sigs)) * width + offsets - (np.cumsum(lens) - lens)
-    out.flat[np.repeat(first, lens) + np.arange(lens.sum())] = [
-        float(v) for s in sigs for v in s.values]
+    values = []
+    for s in sigs:
+        values += s.values
+    # numpy converts each value as float() does
+    out.flat[np.repeat(first, lens) + np.arange(lens.sum())] = values
     return out
 
 
@@ -486,18 +521,33 @@ def _sweep(flat: np.ndarray, row0: np.ndarray, start: np.ndarray,
     return out
 
 
+def _run_bounds(x: np.ndarray) -> np.ndarray:
+    """0, each later place where a run of equal consecutive entries of x
+    begins, and x.size (just 0 for an empty x)."""
+    return np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1], [x.size > 0])))
+
+
 def _run_sums(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """np.sum of each consecutive run of lengths[i] entries of `flat`.
 
-    Runs of equal length go through one 2-D np.sum, which adds each run in
+    The runs are copied once into length order, so the runs of one length
+    lie side by side and go through one 2-D np.sum, which adds each run in
     the same (pairwise) order as np.sum on the run alone.
     """
+    order = np.argsort(lengths, kind="stable")
+    by_len = lengths[order]
+    to = np.cumsum(by_len) - by_len            # each sorted run's first place
     starts = np.cumsum(lengths) - lengths
-    out = np.zeros(lengths.size)
-    # not np.unique: without return_* it loads numpy.ma on first use
-    for L in sorted(set(lengths[lengths > 0].tolist())):
-        sel = np.flatnonzero(lengths == L)
-        out[sel] = np.sum(flat[starts[sel][:, None] + np.arange(L)], axis=1)
+    runs = flat[np.repeat(starts[order] - to, by_len) + np.arange(by_len.sum())]
+    sums = np.zeros(lengths.size)
+    edges = _run_bounds(by_len).tolist()
+    for a, b in zip(edges, edges[1:]):
+        L = int(by_len[a])
+        if L:
+            np.sum(runs[to[a]:to[a] + (b - a) * L].reshape(b - a, L), axis=1,
+                   out=sums[a:b])
+    out = np.empty(lengths.size)
+    out[order] = sums
     return out
 
 
@@ -566,19 +616,23 @@ def sup_profile(tables, ctx: GridContext, n_lo, n_hi) -> np.ndarray:
                   skip_first=r == p - 1)
 
 
-def _hyperbola_sq_sums(KS: np.ndarray, lengths: np.ndarray,
-                       k_start: int) -> np.ndarray:
+def _hyperbola_sq_sums(s: np.ndarray, c: np.ndarray, at: np.ndarray,
+                       lengths: np.ndarray, k_start: int) -> np.ndarray:
     """Per row i, np.sum over k in [k_start, k_start + lengths[i]) of
-    (max_c KS[i, c-1] / (k + c))^2, where -inf entries drop out.
+    (max over the hyperbolas j of row i of s[j] / (k + c[j]))^2.
 
-    The rows are flattened into one (row, k) array and summed by _run_sums.
+    Hyperbola j belongs to row at[j] (nondecreasing), and each row with
+    terms has one.  Every hyperbola is spread over its row's terms in one
+    flat array, the maximum taken in place, and the rows summed by
+    _run_sums.
     """
     starts = np.cumsum(lengths) - lengths
-    owner = np.repeat(np.arange(lengths.size), lengths)
-    ks = (k_start + np.arange(owner.size) - starts[owner]).astype(float)
-    grid = np.full(owner.size, -np.inf)
-    for c in range(1, KS.shape[1] + 1):
-        grid = np.maximum(grid, KS[owner, c - 1] / (ks + c))
+    n = lengths[at]                            # terms of hyperbola j
+    owner = np.repeat(np.arange(at.size), n)
+    off = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)   # k - k_start
+    grid = np.full(starts[-1] + lengths[-1], -np.inf)
+    np.maximum.at(grid, starts[at][owner] + off,
+                  s[owner] / (off + (k_start + c)[owner]).astype(float))
     return _run_sums(grid ** 2, lengths)
 
 
@@ -653,40 +707,54 @@ def sup_sq_tail(S, k_start: int) -> np.ndarray:
     out = np.zeros(S.shape[0])
     if k_start < 0 or S.shape[1] == 0:
         return out
-    best = np.maximum.accumulate(np.maximum(S, 0.0), axis=1)
-    kr = np.flatnonzero(best[:, -1] > 0)       # rows with a positive value
-    S, best = S[kr], best[kr]
-    # keep (c, S_c) when S_c beats 0 and every smaller-c value of its row
-    kept = S > np.c_[np.zeros(kr.size), best[:, :-1]]
-    rows, cols = np.nonzero(kept)              # row-major: c ascending
+    # one row per c, so each step over c runs along all rows of S at once
+    St = np.ascontiguousarray(S.T)
+    best = np.maximum.accumulate(np.maximum(St, 0.0), axis=0)
+    # keep (c, S_c) when S_c beats 0 and every smaller-c value of its row;
+    # a row with no positive value keeps nothing and its sum is 0
+    kept = np.empty(St.shape, dtype=bool)
+    np.greater(St[0], 0.0, out=kept[0])
+    np.greater(St[1:], best[:-1], out=kept[1:])
+    rows, cols = np.nonzero(kept.T)            # row by row, c ascending
+    if not rows.size:
+        return out
+    bounds = _run_bounds(rows)
+    first, last = bounds[:-1], bounds[1:] - 1  # last: first c at the row max
+    kr = rows[first]
+    kept_n = np.diff(bounds)
+    at = np.repeat(np.arange(kr.size), kept_n)  # each kept value's row in kr
+    sk = St[cols, rows]
     # beyond a crossing of consecutive kept pairs the larger-S one dominates;
     # clipping keeps the int conversion in range and the cap test unchanged
     pair = np.flatnonzero(rows[1:] == rows[:-1])
-    r1, c1, c2 = rows[pair], cols[pair], cols[pair + 1]
-    s1, s2 = S[r1, c1], S[r1, c2]
+    c1, c2 = cols[pair], cols[pair + 1]
+    s1, s2 = sk[pair], sk[pair + 1]
     cross = (s1 * (c2 + 1) - s2 * (c1 + 1)) / (s2 - s1)
     cross = np.clip(cross, k_start - 1, k_start + _TAIL_CAP + 1)
     k_star = np.full(kr.size, k_start, dtype=np.int64)
-    np.maximum.at(k_star, r1, np.floor(cross).astype(np.int64) + 1)
+    np.maximum.at(k_star, at[pair], np.floor(cross).astype(np.int64) + 1)
     capped = k_star - k_start > _TAIL_CAP
     k_star[capped] = k_start + _TAIL_CAP
-    # the finite part k < k_star, in row groups of bounded total length
+    # the finite part k < k_star, in runs of rows holding at most
+    # _BLOCK_ENTRIES // 8 (hyperbola, k) terms together (a row with more
+    # alone), which bounds the half-dozen flat arrays each run spreads
     lengths = k_star - k_start
-    group = (np.cumsum(lengths) - lengths) // _BLOCK_ENTRIES
-    KS = np.where(kept, S, -np.inf)
+    terms = lengths * kept_n
+    quota = max(1, _BLOCK_ENTRIES // 8)
+    edges = _run_bounds((np.cumsum(terms) - terms) // quota).tolist()
     finite = np.zeros(kr.size)
-    for g in sorted(set(group.tolist())):       # as in _run_sums
-        sel = group == g
-        finite[sel] = _hyperbola_sq_sums(KS[sel], lengths[sel], k_start)
-    # the tail from k_star: the last kept hyperbola (the first c reaching the
-    # row maximum), or past the cap the row maximum at the first kept offset
-    s_max = best[:, -1]
-    c_tail = np.where(capped, np.argmax(S > 0, axis=1), np.argmax(S, axis=1)) + 1
-    # square through Python floats (libm pow): numpy's square rounds some
-    # exact ties the other way
-    coef = np.array([v ** 2 for v in s_max.tolist()])
+    for a, b in zip(edges, edges[1:]):
+        j = slice(bounds[a], bounds[b])
+        finite[a:b] = _hyperbola_sq_sums(sk[j], cols[j] + 1, at[j] - a,
+                                         lengths[a:b], k_start)
+    # the tail from k_star: the last kept hyperbola, or past the cap the row
+    # maximum at the first kept offset.  np.float_power squares through libm
+    # pow, the rounding the sums were defined with; np.square and np.power
+    # round some products the other way
+    c_tail = np.where(capped, cols[first], cols[last]) + 1
+    coef = np.float_power(sk[last], 2.0)
     args, inverse = np.unique(k_star + c_tail, return_inverse=True)
-    zeta = np.array([_zeta2(float(q)) for q in args.tolist()])
+    zeta = np.fromiter(map(_zeta2, args.astype(float).tolist()), float, args.size)
     out[kr] = finite + coef * zeta[inverse]
     return out
 
@@ -749,13 +817,13 @@ def deviation_sup_l2_bound_batch(sigs, ctx: GridContext) -> list[dict]:
         tables = _lattice_tables(group, ctx, "minus")
         blk_lo, T, CH = tables
         sups = sup_profile(tables, ctx, blk_lo, blk_lo + T * p - 1)
-        near = _run_sums(sups ** 2, T * p).tolist()
-        # row r: n = blk_lo + r - k*p, k >= 1
-        tails = sup_sq_tail(CH[:, :, 1:].reshape(-1, CH.shape[2] - 1), 1)
-        for s, row_tails in enumerate(tails.reshape(-1, p).tolist()):
-            for tail in row_tails:        # added residue by residue
-                near[s] += tail
-        return near
+        # the near sum, then row r's tail (n = blk_lo + r - k*p, k >= 1)
+        # residue by residue: cumsum adds along a row in order
+        terms = np.empty((len(group), p + 1))
+        terms[:, 0] = _run_sums(sups ** 2, T * p)
+        terms[:, 1:] = sup_sq_tail(CH[:, :, 1:].reshape(-1, CH.shape[2] - 1),
+                                   1).reshape(-1, p)
+        return np.cumsum(terms, axis=1)[:, -1].tolist()
 
     rows = [(ctx.t(sig.hi) - ctx.t(sig.lo) + 1) * p for sig in sigs]
     out = []
@@ -815,15 +883,14 @@ def _strong_lhs_sq(sigs) -> list[float]:
     owner, off = _ranges(np.zeros_like(lens), lens - 1)
     sups = _sweep(P.ravel(), owner * (end + 1), off, lens[owner] - off, end,
                   absolute=False)
-    lhs_sq = [0.0] * len(sigs)
-    for s, sup in zip(owner.tolist(), sups.tolist()):
-        # in n order and through Python floats (libm pow): np.sum of numpy
-        # squares would move the last bit
-        lhs_sq[s] += max(0.0, sup) ** 2
-    # far left: n = lo - 1 - k, k >= 1; value max(0, max_c P_c/(k + c))
-    for s, tail in enumerate(sup_sq_tail(P[:, 1:], k_start=1).tolist()):
-        lhs_sq[s] += tail
-    return lhs_sq
+    # row s: the squares in n order, zeros past the signal's end, then the
+    # far-left tail (n = lo - 1 - k, k >= 1; value max(0, max_c P_c/(k + c)));
+    # cumsum adds them in that order.  np.float_power squares through libm
+    # pow, the rounding the sum was defined with
+    terms = np.zeros((len(sigs), end + 1))
+    terms[owner, off] = np.float_power(np.maximum(sups, 0.0), 2.0)
+    terms[:, -1] = sup_sq_tail(P[:, 1:], k_start=1)
+    return np.cumsum(terms, axis=1)[:, -1].tolist()
 
 
 def strong_l2_window_sup_batch(sigs) -> list[dict]:
@@ -833,7 +900,9 @@ def strong_l2_window_sup_batch(sigs) -> list[dict]:
     Real signals only (the inner sum carries no absolute value).  The far
     left field is summed exactly through the hyperbola-tail closed form.
     """
-    if any(isinstance(v, complex) for sig in sigs for v in sig.values):
+    # the types of all values, gathered without a Python step per value
+    if any(issubclass(t, complex)
+           for t in set().union(*(map(type, sig.values) for sig in sigs))):
         raise TypeError("one-sided strong bound is implemented for real signals")
     rows = [len(sig.values) for sig in sigs]
     out = []

@@ -8,6 +8,9 @@ as one array operation, and `window_count_exact` counts levels by brute
 force in exact arithmetic.  `dense_orbit` walks an orbit step by step, where
 the library evaluates it only at the positions asked for.
 
+`rotation_at` evaluates a rotation orbit one position at a time with Python's
+128-bit integers, where the library works in pairs of uint64 words.
+
 `banach_density_all_starts` counts the window at every element start,
 where the library prunes whole buckets of starts.
 
@@ -343,6 +346,19 @@ def battery_deviation_l2_by_trial(base_seed, trials):
 
 # ---------------------------------------------------------------------------
 # dense orbits: f(T^n x0) for every n in [0, n_max), one step at a time
+
+def rotation_at(system, x0, positions, observable):
+    """f(T^n x0) on a rotation at each n of `positions`: one 128-bit multiply
+    and one bisection per position."""
+    thr = observable.thresholds_fixed()
+    ints = all(v.denominator == 1 for v in observable.values)
+    pieces = [int(v) if ints else float(v) for v in observable.values]
+    x0f = _x0_fixed(x0)
+    mask = (1 << FIXED_BITS) - 1
+    vals = [pieces[bisect_right(thr, (x0f + n * system.alpha_fixed) & mask) - 1]
+            for n in positions]
+    return np.array(vals, dtype=np.int64 if ints else np.float64)
+
 
 def dense_orbit(system, x0, n_max, observable=None):
     """Observable values along the whole orbit prefix, by iterating T.

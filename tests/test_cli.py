@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -231,6 +232,17 @@ LEDGER_DEFECTS = {
     "m-bool-row-1": ("ledger row 1 is malformed (TypeError: m must be a JSON "
                      "integer, not True)",
                      lambda d: d["blocks"][0].update(m=True)),
+    # a num or den that int() would truncate or read loosely
+    "gamma-num-float": ("ledger row 3 is malformed (TypeError: num must be a "
+                        "JSON integer or an integer string, not 1.9)",
+                        lambda d: d["blocks"][2].update(
+                            gamma={"num": 1.9, "den": "5"})),
+    "gamma-den-padded": ("den must be a JSON integer or an integer string, "
+                         "not ' 5'", lambda d: d["blocks"][2].update(
+                             gamma={"num": "1", "den": " 5"})),
+    "constant-den-float": ("ledger constants is malformed (TypeError: den must "
+                           "be a JSON integer or an integer string, not 1.0)",
+                           lambda d: d["constants"]["f19_p"].update(den=1.0)),
 }
 
 
@@ -305,6 +317,26 @@ def test_verify_checks_ledger_counts_against_blocks(tmp_path, demo_ledger_file):
     assert {c["block"]: c["overall"] for c in checks
             if c["kind"] == "count_bounds"} == {1: True, 2: True, 3: False,
                                                 4: True, 5: True}
+
+
+@pytest.mark.parametrize("row,change", [
+    (3, lambda b: b.update(count=b["count"] - 3)),
+    (2, lambda b: b.update(d=10**9)),           # deletes every point
+], ids=["count-short", "huge-d"])
+def test_build_seq_checks_ledger_counts(tmp_path, capsys, demo_ledger_file,
+                                        row, change):
+    data = json.loads(demo_ledger_file.read_text())
+    blk = data["blocks"][row - 1]
+    count = blk["count"]
+    change(blk)
+    data["nbar"][row:] = [n - count + blk["count"] for n in data["nbar"][row:]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "seq.txt"
+    assert main(["build-seq", "--ledger", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: ledger row {row} has count = {blk['count']}" in err
+    assert not out.exists()
 
 
 def test_build_seq_rejects_negative_d(tmp_path, capsys, demo_ledger_file):
@@ -390,6 +422,60 @@ def test_simulate_deterministic(tmp_path, demo_ledger_file):
                      "--ledger", str(demo_ledger_file), "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def _load_workloads():
+    # perfbench is not a package: load its workload table by path
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module          # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
+
+# sha256 of the benchmark's golden-rotation `simulate` CSV, recorded at commit
+# 5811e81, when every orbit point was one 128-bit Python multiply and bisect
+ROTATION_DIGESTS = {
+    (6, 20250809): "519943bc2aa191c9090342beb8bbbc7b95a64ffb20c5afd7d164e12f7d11df9f",
+    (6, 20250810): "2e239ee7d4723e7bf34202e15319436cae962aaf6df897296975255ed289aede",
+    (6, 20250811): "b852509d6d65d658c0d8405b4e95c25d7ce7ae9fbc2a8d87cea24a7bedd74223",
+    (6, 20250812): "c7dafea1c40751543567c31c9c39b18cf6bca7132ed363fe4a427a5d7ecf6f02",
+    (6, 20250813): "2037e08e46c80c65f1f9f1be89371927a574cf81c0325bb1f23a43d3f27768e7",
+    (6, 20250814): "842a5e310fdaf30535aaf57bf1e949b34f970ae8a5680c63e74d9b3935021dfa",
+    (6, 20250815): "35402744ee4a9a75525fae10edf48fce98311fa6d4453bed724ca28500e009d7",
+    (6, 20250816): "da13df1bb4dc5236c0c73dffac027ccace12d932028a9241a9936bb7ddd6bce2",
+    (10, 20250809): "88644747abcf1312cb65822a1ec8e282ced5ecbf465b4a02599672b045a634f4",
+}
+
+
+@pytest.fixture(scope="module")
+def demo_h10_ledger_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "ledger10.json"
+    assert main(["gen-params", "--profile", "demo", "--horizon", "10",
+                 "--out", str(path)]) == 0
+    return path
+
+
+def test_rotation_seeds_cover_the_benchmark_pool():
+    assert {s for h, s in ROTATION_DIGESTS if h == 6} == \
+        set(WORKLOADS.PROGRAM_SEEDS)
+
+
+@pytest.mark.parametrize("horizon,seed", sorted(ROTATION_DIGESTS))
+def test_simulate_rotation_matches_recorded_digests(tmp_path, demo_ledger_file,
+                                                   demo_h10_ledger_file,
+                                                   horizon, seed):
+    ledger = demo_ledger_file if horizon == 6 else demo_h10_ledger_file
+    cfg = tmp_path / "rotation.cfg"
+    cfg.write_text(WORKLOADS.ROTATION_CFG.format(seed=seed))
+    out = tmp_path / "rotation.csv"
+    assert main(["simulate", "--config", str(cfg), "--ledger", str(ledger),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        ROTATION_DIGESTS[horizon, seed]
 
 
 def test_simulate_cyclic_and_checkpoints(tmp_path, demo_ledger_file):

@@ -2,8 +2,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import dense_orbit, fragile_positions
+from _oracles import dense_orbit, fragile_positions, rotation_at
+from primegrid import dynsim
 from primegrid.dynsim import (
     BadSpec,
     BernoulliSystem,
@@ -120,6 +123,81 @@ def test_sample_at_matches_dense():
         assert (got == dense[pos]).all(), system
         pos = np.arange(0, 3000, 7)
         assert (sample_orbit(system, x0, 3000, obs).at(pos) == dense[pos]).all(), system
+
+
+ONE = 1 << 128
+I64 = 1 << 63
+
+
+def _near(*centres, spread=4):
+    return st.sampled_from(centres).flatmap(
+        lambda c: st.integers(c - spread, c + spread))
+
+
+# positions: past the 32-bit limb (2^32), up to the largest block endpoint
+# (2^62) and the int64 ends, and where a limb's partial products carry
+# (low limb 2^32 - 1 under any high limb)
+POSITIONS = st.one_of(
+    _near(0, 1 << 32, 1 << 62, I64 - 5, -I64 + 4),
+    st.integers(0, (1 << 30) - 1).map(lambda h: (h << 32) | 0xFFFFFFFF),
+    st.integers(-I64, I64 - 1),
+)
+# words near 0 and 2^64 - 1 in either half, and anything else in [1, 2^128)
+WORDS = st.one_of(
+    st.tuples(_near(4, 1 << 32, (1 << 64) - 5),
+              _near(4, 1 << 32, (1 << 64) - 5)).map(
+        lambda w: (w[0] << 64) | w[1]),
+    st.integers(1, ONE - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=WORDS, x0f=WORDS, positions=st.lists(POSITIONS, max_size=12),
+       cut=st.integers(0, 11), ints=st.booleans(), past_end=st.booleans(),
+       data=st.data())
+def test_rotation_words_match_128bit_loop(alpha, x0f, positions, cut, ints,
+                                          past_end, data):
+    system = RotationSystem(alpha % ONE or 1)
+    x0 = F(x0f % ONE, ONE)
+    one_point = [(x0f % ONE + n * system.alpha_fixed) % ONE
+                 for n in positions[cut:cut + 1]]
+    # thresholds one unit apart at an orbit point, so ties are compared
+    # exactly; past_end adds a break whose threshold rounds up to 2^128
+    ts = {t for x in one_point for t in (x, x + 1) if 0 < t < ONE}
+    ts |= set(data.draw(st.lists(st.integers(1, ONE - 1), max_size=3)))
+    breaks = [F(0)] + [F(t, ONE) for t in sorted(ts)]
+    if past_end:
+        breaks.append(1 - F(1, 3 * ONE))
+    breaks.append(F(1))
+    values = data.draw(st.lists(
+        st.integers(-9, 9) if ints else st.fractions(-9, 9, max_denominator=8),
+        min_size=len(breaks) - 1, max_size=len(breaks) - 1))
+    obs = StepObservable(tuple(breaks), tuple(F(v) for v in values))
+    if past_end:
+        assert obs.thresholds_fixed()[-2:] == [ONE, ONE]
+    got = sample_at(system, x0, np.array(positions, dtype=np.int64), obs)
+    want = rotation_at(system, x0, positions, obs)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("values,dtype", [((F(0), F(1)), np.int64),
+                                          ((F(0), F(1, 2)), np.float64)])
+def test_rotation_empty_positions(values, dtype):
+    obs = StepObservable((F(0), F(1, 3), F(1)), values)
+    got = sample_at(RotationSystem.golden(), F(1, 7), [], obs)
+    assert got.dtype == dtype and got.shape == (0,)
+
+
+def test_rotation_chunks_join(monkeypatch):
+    # positions spanning several passes give what one pass gives
+    pos = np.arange(0, 10**12, 10**12 // 1000, dtype=np.int64)
+    want = sample_at(RotationSystem.golden(), F(1, 7), pos, STEP3)
+    monkeypatch.setattr(dynsim, "_ROTATION_CHUNK", 64)
+    got = sample_at(RotationSystem.golden(), F(1, 7), pos, STEP3)
+    assert got.tolist() == want.tolist()
+    assert want.tolist() == rotation_at(RotationSystem.golden(), F(1, 7),
+                                        pos.tolist(), STEP3).tolist()
 
 
 def test_sample_at_cyclic_keeps_fractional_table():

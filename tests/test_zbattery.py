@@ -122,6 +122,20 @@ def _seed_rejecting(k):
     return _seed_with_word(k + 2)
 
 
+def test_drawn_norms_never_go_stale():
+    sig = zbattery._draw(7, ("window_weak",), 1, 12, levels=False).sigs[0]
+    assert sig._known is not None            # the draw gave its norms
+    with pytest.raises(TypeError, match="read-only"):
+        sig.values[0] = 100.0
+    with pytest.raises(TypeError, match="read-only"):
+        sig.values.append(100.0)
+    assert sig.l1 == sum(abs(v) for v in sig.values)
+    sig.values = [100.0] + list(sig.values[1:])
+    assert sig.l1 == sum(abs(v) for v in sig.values)
+    assert sig.bound_M == 100.0
+    assert sig.l2sq == sum(v * v for v in sig.values)
+
+
 # ---------------------------------------------------------------------------
 # all trials of a context drawn at once against one generator per trial
 
@@ -134,6 +148,10 @@ def _assert_draws_one_by_one(seeds, span_scale, levels):
         want = random_signal(gen, span_scale)
         assert (sig.lo, sig.values) == (want.lo, want.values)
         assert all(type(v) is float for v in sig.values)
+        # the norms the draw hands over are the ones the values give
+        for norm in ("l1", "bound_M", "l2sq"):
+            assert getattr(sig, norm) == getattr(want, norm)
+            assert type(getattr(sig, norm)) is float
         if levels:
             # the level comes from the word right after the signal's
             assert lam == (0.02 + 1.4 * gen.uniform()) * want.l1

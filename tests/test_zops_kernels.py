@@ -17,7 +17,7 @@ from _oracles import (
     window_count_by_n,
     window_count_exact,
 )
-from primegrid import zops
+from primegrid import zbattery, zops
 from primegrid.rng import SplitMix64, derive_seed
 from primegrid.zbattery import L2_CONTEXTS, WEAK_CONTEXTS, random_signal
 from primegrid.zops import (
@@ -187,3 +187,35 @@ def test_window_count_float_matches_exact():
     for lam in (F(3), F(2), F(4, 3), F(1)):
         assert window_count_exact(sig, lam) == \
             level_count_window_sup(as_floats(sig), float(lam))["count"]
+
+
+def test_float_power_squares_as_python_floats(monkeypatch):
+    # the kernels square sups and row maxima with np.float_power(x, 2.0),
+    # taken to be libm pow as Python's float ** 2 is; np.square and
+    # np.power round some of these products the other way.  Every squared
+    # array of a battery run (the s_max rows of each L2_CONTEXTS grid and of
+    # the strong bound, and the strong-bound sups) and 10^5 random doubles
+    # must square alike, or no recorded digest can hold
+    squared = []
+    float_power = np.float_power
+
+    def spy(x, y, *args, **kwargs):
+        squared.append(np.array(x, dtype=float))
+        return float_power(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "float_power", spy)
+    calls = {}
+    for name in ("battery_deviation_l2", "battery_window_strong"):
+        before = len(squared)
+        getattr(zbattery, name)(20250809, 250)
+        calls[name] = len(squared) - before
+    # deviation squares one s_max array per grid group; strong also squares
+    # its sups
+    assert calls["battery_deviation_l2"] >= len(L2_CONTEXTS)
+    assert calls["battery_window_strong"] >= 2
+    monkeypatch.undo()
+    rng = np.random.default_rng(20250809)
+    squared.append(rng.standard_normal(10**5)
+                   * 10.0 ** rng.integers(-8, 9, size=10**5))
+    for x in squared:
+        assert np.float_power(x, 2.0).tolist() == [v ** 2 for v in x.tolist()]
