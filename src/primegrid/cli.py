@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -345,7 +346,10 @@ def cmd_export(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every `main` call shares it."""
     ap = argparse.ArgumentParser(
         prog="primegrid",
         description="Sparse good-sequence construction, operator checks, and "

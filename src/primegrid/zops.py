@@ -26,6 +26,7 @@ representation identities in Fractions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -429,19 +430,16 @@ def lattice_sup_j(sig: FiniteSignal, ctx: GridContext, n: int, j: int):
 # table past a signal's end, so no row reads a value that differs from its
 # own signal's.  Every float maximum over window lengths goes through one
 # sweep, `_sweep`, the float counterpart of the exact `window_sup`: it takes
-# the prefix-difference averages (table[c + N] - table[c]) / N of table rows
-# as (row, N) matrices in chunks of bounded size.  Columns past a row's own
-# range clip the window index to the end of the table, so the numerator is
-# frozen while the denominator grows, and under correctly rounded division
-# no such entry exceeds the last one in the row's own range: every row
-# maximum equals the one the row alone would give.  Sums keep the order of
-# the row-at-a-time evaluation, so a signal's results are bit-for-bit the
-# same in every batch, the batch of one included.
+# the prefix-difference averages (table[c + N] - table[c]) / N of each row
+# for exactly its own N = 1..width, in one pass per N over the rows at least
+# N wide.  Sums keep the order of the row-at-a-time evaluation, so a signal's
+# results are bit-for-bit the same in every batch, the batch of one included.
 
-# entries per matrix chunk: keeps each temporary near 256 KB; a batch runs
-# in groups of signals with at most _BLOCK_ENTRIES // 8 rows together, which
-# bounds its per-row index arrays alike
-_BLOCK_ENTRIES = 1 << 15
+# a batch runs in groups of signals with at most _BLOCK_ENTRIES // 8 rows
+# together, and sup_sq_tail spreads its hyperbolas in runs of at most as many
+# terms, which bounds the per-row and per-term arrays; at 2^16 the tracemalloc
+# peak of run_all(20250809, 250) is 2.4 MB, at 2^17 4.1 MB for no less time
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _padded(sigs, width: int, offsets) -> np.ndarray:
@@ -492,32 +490,38 @@ def _grouped(fn, rows, sigs, *args) -> list:
 def _sweep(flat: np.ndarray, row0: np.ndarray, start: np.ndarray,
            widths: np.ndarray, end: int, absolute: bool = True,
            skip_first: np.ndarray | None = None) -> np.ndarray:
-    """Per row i, the maximum over N = 1..widths[i] of the window average
-    (table[c + N] - table[c]) / N along the table row at flat[row0[i]:],
-    where c = start[i] and table indices are clipped to [0, end].
+    """Per row i, the maximum over exactly N = 1..widths[i] (widths >= 1) of
+    the window average (table[c + N] - table[c]) / N along the table row at
+    flat[row0[i]:], where c = start[i] and table indices are clipped to
+    [0, end].
 
     The average is taken in absolute value unless `absolute` is false; N = 1
-    is left out of the rows where `skip_first` is true.  Rows are taken in
-    decreasing width, so a chunk's column count is its first row's, and each
-    chunk holds at most _BLOCK_ENTRIES entries.
+    is left out of the rows where `skip_first` is true.  The rows are sorted
+    by width once, so the rows at least N wide are one suffix, and each N is
+    one gather and one divide over that suffix.
     """
-    order = np.argsort(-widths, kind="stable")
-    out = np.empty(widths.size)
-    i = 0
-    while i < order.size:
-        w = int(widths[order[i]])
-        rows = order[i:i + max(1, _BLOCK_ENTRIES // w)]
-        Ns = np.arange(1, w + 1)
-        c = start[rows]
-        base = flat[row0[rows] + np.clip(c, 0, end)]
-        vals = (flat[row0[rows, None] + np.clip(c[:, None] + Ns, 0, end)]
-                - base[:, None]) / Ns
+    order = np.argsort(widths, kind="stable")
+    lo = row0[order]
+    hi = lo + end
+    pos = lo + start[order]                     # unclipped flat index of c
+    base = flat.take(np.minimum(np.maximum(pos, lo), hi))
+    best = np.full(order.size, -np.inf)
+    firsts = np.searchsorted(widths[order],
+                             np.arange(1, widths.max(initial=0) + 1))
+    for N, a in enumerate(firsts.tolist(), start=1):
+        idx = pos[a:] + N
+        np.maximum(idx, lo[a:], out=idx)
+        np.minimum(idx, hi[a:], out=idx)
+        vals = flat.take(idx)
+        vals -= base[a:]
+        vals /= N
         if absolute:
             np.abs(vals, out=vals)
-        if skip_first is not None:
-            vals[skip_first[rows], 0] = -np.inf
-        out[rows] = vals.max(axis=1)
-        i += rows.size
+        if N == 1 and skip_first is not None:
+            vals[skip_first[order]] = -np.inf
+        np.maximum(best[a:], vals, out=best[a:])
+    out = np.empty(order.size)
+    out[order] = best
     return out
 
 
@@ -602,7 +606,7 @@ def sup_profile(tables, ctx: GridContext, n_lo, n_hi) -> np.ndarray:
     a maximum over the cumulative kernel table row r = n mod p from lattice
     offset j0 = (n - blk_lo - r)/p: values with the window beyond the support
     keep a frozen numerator and only dilute, so columns past the support
-    never raise the maximum and the finite matrix is exact.  N' = 1 is
+    never raise the maximum and the finite range of N' is exact.  N' = 1 is
     unreachable at r = p - 1 and is masked there.
     """
     p = ctx.p
@@ -649,6 +653,7 @@ _ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
 _MACHEP = 1.11022302462515654042e-16
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _zeta2(q: float) -> float:
     """Hurwitz zeta(2, q) = sum over k >= 0 of 1/(q+k)^2, for q > 0.
 
@@ -658,6 +663,10 @@ def _zeta2(q: float) -> float:
     q + i <= 9, which no q > 0 needs) followed by Euler-Maclaurin with up to
     12 Bernoulli terms.  Powers go through libm pow (math.pow), as in
     cephes; numpy's power rounds some of them differently.
+
+    Memoised: sup_sq_tail asks for integers k_star + c, which repeat across
+    its calls (run_all(20250809, 250) makes 412 calls on 149 values).
+    The cache is bounded, as a search over many signals could ask for more.
     """
     x = 2.0
     if q > 1e8:
@@ -699,9 +708,9 @@ def sup_sq_tail(S, k_start: int) -> np.ndarray:
     Per row, the maximum of finitely many hyperbolas stabilizes to the
     largest-S one beyond the last pairwise crossing; from there the series
     is S_max^2 times the Hurwitz zeta value zeta(2, k_star + c), taken from
-    the port _zeta2 once per distinct argument.  If crossings exceed _TAIL_CAP
-    terms, the remainder is over-bounded by the largest-S hyperbola at the
-    smallest kept offset, which keeps the result a valid upper bound.
+    the memoised port _zeta2.  If crossings exceed _TAIL_CAP terms, the
+    remainder is over-bounded by the largest-S hyperbola at the smallest kept
+    offset, which keeps the result a valid upper bound.
     """
     S = np.asarray(S, dtype=float)
     out = np.zeros(S.shape[0])
@@ -873,8 +882,7 @@ def _strong_lhs_sq(sigs) -> list[float]:
     """Squared l2 norm of n -> max(0, sup_N (1/N) sum_{k=1..N} phi(n+k)),
     per signal.
 
-    Rows whose supremum is negative count as 0, so the frozen columns past a
-    row's own range, which can exceed a negative maximum, change nothing.
+    Rows whose supremum is negative count as 0.
     """
     lens = np.array([len(sig.values) for sig in sigs])
     P = _prefix_sums(sigs)

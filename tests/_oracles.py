@@ -164,6 +164,27 @@ def sup_profile_by_residue(sig, ctx, n_lo, n_hi, kind):
     return out
 
 
+def sweep_rows(flat, row0, start, widths, end, absolute=True, skip_first=None):
+    """zops._sweep's contract, one row and one window length at a time: per
+    row i the maximum over exactly N = 1..widths[i] (N = 1 left out where
+    skip_first[i]) of (table[c + N] - table[c]) / N, its absolute value if
+    `absolute`, on the table row at flat[row0[i]:] with c = start[i] and
+    indices clipped to [0, end]."""
+    out = []
+    for i, width in enumerate(widths.tolist()):
+        row = flat[row0[i]:row0[i] + end + 1].tolist()
+        c = int(start[i])
+        base = row[min(max(c, 0), end)]
+        best = -np.inf
+        for N in range(1, width + 1):
+            if N == 1 and skip_first is not None and skip_first[i]:
+                continue
+            v = (row[min(max(c + N, 0), end)] - base) / N
+            best = max(best, abs(v) if absolute else v)
+        out.append(best)
+    return out
+
+
 def prune_hyperbolas(S):
     """Keep (c, S_c) pairs not dominated by an earlier (smaller-c) value."""
     kept = []

@@ -41,6 +41,21 @@ def test_gen_params_deterministic(tmp_path, demo_ledger_file):
     assert other.read_bytes() == demo_ledger_file.read_bytes()
 
 
+def test_parser_is_built_once_and_survives_bad_argv(tmp_path, capsys):
+    assert cli.make_parser() is cli.make_parser()
+    for bad in (["ops-test", "--seed", "x"], ["no-such-command"],
+                ["ops-test", "--trials", "3"], ["verify", "--bogus", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    assert "usage: primegrid" in capsys.readouterr().err
+    out = tmp_path / "b.jsonl"
+    argv = ["ops-test", "--seed", "5", "--trials", "2", "--out", str(out)]
+    assert vars(cli.make_parser().parse_args(argv)) == \
+        vars(cli.make_parser.__wrapped__().parse_args(argv))
+    assert main(argv) == 0 and out.exists()
+
+
 def test_gen_params_faithful_infeasible(capsys):
     code = main(["gen-params", "--profile", "faithful", "--horizon", "3"])
     assert code == 1
@@ -161,10 +176,18 @@ def test_construct_matches_recorded_digests(tmp_path, horizon):
     assert got == refs
 
 
-# sha256 of `ops-test --trials 250` output, recorded at commit 42ed48a, when
-# every trial still ran through its own kernel calls
+# sha256 of `ops-test --trials 250` output: 20250809 and 20250816 recorded at
+# commit 42ed48a, when every trial still ran through its own kernel calls;
+# the other six at commit 3792f90, before the battery kernels lost their
+# index matrices
 OPS_TEST_DIGESTS = {
     20250809: "c4ac9ba9f906c611570f5ec296645cfb0983aaa514c9e0d60b3b80dceb8d8e13",
+    20250810: "1743dac65fa5a62d16bbc90ca1826b36fa76138340a05b919a5c2e81dcd65c3c",
+    20250811: "aa733e49f6640d393510d4394d211f9af2367fefe1e83f99079fe15ac9b11569",
+    20250812: "ce1c9c4c9d89e60df6cd9174827045013703fdb497b895ea826f46d3e9741dec",
+    20250813: "c46c161378ddee7343070d35fbc77e7ac8ed2f26f4baab371f70e49ba092823f",
+    20250814: "efa540bc5b861bfac8350835f27daf86f6e600319f3b396cb0727d762796e853",
+    20250815: "f737658c1c802c759fc33d5f46df42e03818e407d9c4060c822ba66f2531a27a",
     20250816: "771dd4f50b80c870ffba58e2ff96a5dec0496fa1b6f3e0d3c6aad5090080247c",
 }
 
@@ -177,6 +200,10 @@ def test_ops_test_matches_recorded_digests(tmp_path, seed):
     data = out.read_bytes()
     assert data.count(b"\n") == 1004
     assert hashlib.sha256(data).hexdigest() == OPS_TEST_DIGESTS[seed]
+
+
+def test_ops_test_seeds_cover_the_benchmark_pool():
+    assert set(OPS_TEST_DIGESTS) == set(WORKLOADS.PROGRAM_SEEDS)
 
 
 def test_verify_flags_corruption(tmp_path, demo_ledger_file):

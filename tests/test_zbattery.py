@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,23 @@ def test_batteries_clean_at_modest_trials():
     for name, s in res["summary"].items():
         assert s["failures"] == 0, name
         assert s["trials"] >= 60
+
+
+# tracemalloc peak of run_all(20250809, 250): 1.7 MB with 2^15-entry groups,
+# 2.4 MB with the 2^16 the batteries use, 4.1 MB with 2^17; a bound of 4 MB
+# lets no doubling of the group size pass unseen
+BATTERY_PEAK_MB = 4.0
+
+
+def test_battery_run_stays_within_its_memory_bound():
+    run_all(20250809, 1)              # imports and caches outside the count
+    tracemalloc.start()
+    try:
+        run_all(20250809, 250)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < BATTERY_PEAK_MB * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_record_schema():

@@ -14,6 +14,7 @@ from _oracles import (
     strong_l2_lhs_by_n,
     sup_profile_by_residue,
     sup_sq_tail_row,
+    sweep_rows,
     window_count_by_n,
     window_count_exact,
 )
@@ -57,6 +58,39 @@ def block_entries(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(zops, "_BLOCK_ENTRIES", request.param)
     return request.param
+
+
+@pytest.mark.parametrize("absolute", [True, False])
+@pytest.mark.parametrize("skip", [False, True])
+def test_sweep_takes_each_rows_own_window_lengths(absolute, skip):
+    # rows of mixed widths in one call, starts left of the table and windows
+    # past its end (both clipped), N = 1 left out of some rows, and a signed
+    # row whose every average is negative: there a longer window than the
+    # row's own would give a larger (less negative) value, which must not
+    # count
+    rng = np.random.default_rng(2024)
+    end = 9
+    table = np.zeros((5, end + 1))
+    table[:4, 1:] = np.cumsum(rng.integers(-6, 7, size=(4, end)) / 4, axis=1)
+    table[4] = -1.5 * np.arange(end + 1)
+    n = 600
+    row0 = rng.integers(0, 5, n) * (end + 1)
+    start = rng.integers(-5, end + 1, n)
+    widths = rng.integers(1, 14, n)
+    skip_first = None
+    if skip:
+        skip_first = rng.random(n) < 0.3
+        widths[skip_first] = np.maximum(widths[skip_first], 2)
+    got = zops._sweep(table.ravel(), row0, start, widths, end, absolute,
+                      skip_first)
+    want = sweep_rows(table.ravel(), row0, start, widths, end, absolute,
+                      skip_first)
+    assert got.tolist() == want
+    if not absolute:
+        assert (got < 0).any()
+    one = zops._sweep(table.ravel(), row0[:1], start[:1], widths[:1], end,
+                      absolute, None if skip_first is None else skip_first[:1])
+    assert one.tolist() == want[:1]
 
 
 @pytest.mark.parametrize("primes", GRIDS)
@@ -138,6 +172,31 @@ def test_sup_sq_tail_rows_equal_scalar_calls(primes, block_entries):
                     sup_sq_tail_row(s, k_start)
 
 
+def test_sup_sq_tail_short_and_long_rows(block_entries):
+    # finite parts of 0 to 11 terms and of 20, 50 and 300 in one array.  Two
+    # kept hyperbolas at c = 1, 2 cross at x exactly when S_2/S_1 is
+    # (2 + x)/(1 + x), which puts k_star at k_start + L for x just under it.
+    # The later columns repeat the row maximum (a tie, not kept), hold a
+    # smaller positive value (not kept) or are <= 0; the last rows are
+    # <= 0 throughout and keep nothing
+    rng = SplitMix64(derive_seed(2024, "tail-lengths"))
+    for k_start in (0, 1, 3):
+        lengths = list(range(12)) + [20, 50, 300]
+        S = []
+        for L in lengths:
+            x = k_start + L - 0.5
+            s1 = 1.0 + rng.uniform()
+            s2 = s1 * (2.0 + x) / (1.0 + x)
+            cross = (s1 * 2 - s2) / (s2 - s1)
+            assert int(np.floor(cross)) + 1 == k_start + L
+            S.append([s1, s2, s2, 0.5 * s1, -1.0, 0.0])
+            S.append([s1, s2, 0.25 * s2, s2, 0.0, -2.0])
+        S += [[-1.0, 0.0, -2.0, 0.0, -0.5, -3.0], [0.0] * 6]
+        S = np.array(S)
+        assert sup_sq_tail(S, k_start).tolist() == \
+            [sup_sq_tail_row(s, k_start) for s in S]
+
+
 def test_sup_sq_tail_cap_branch(block_entries, monkeypatch):
     # near-equal heights cross far out, so a small cap cuts the finite part
     S = np.array([[1.0, 1.0 + 2.0 ** -20, 3.0],
@@ -171,6 +230,11 @@ def test_zeta2_port_matches_scipy_polygamma():
     want = polygamma(1, np.array(qs)).tolist()
     bad = [(q, g, w) for q, g, w in zip(qs, got, want) if g != w]
     assert not bad, f"{len(bad)} of {len(qs)} differ, first {bad[0]}"
+    # the memoised port returns what the port computes, from its cache too
+    assert got == [zops._zeta2.__wrapped__(q) for q in qs]
+    hits = zops._zeta2.cache_info().hits
+    assert [zops._zeta2(q) for q in qs[-1000:]] == got[-1000:]
+    assert zops._zeta2.cache_info().hits == hits + 1000
 
 
 def test_window_count_float_matches_exact():
