@@ -3,10 +3,12 @@
 
 Writes everything under an output directory (default ./out) and prints a
 short summary.  Equivalent to chaining the CLI subcommands; kept as a script
-so a full desk run is one command.
+so a full desk run is one command.  Each step's wall time and the process's
+peak resident set size after it (ru_maxrss) go to stderr.
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -43,10 +45,15 @@ def main() -> int:
                   "--out", str(out / "convergence.csv")])
 
     for argv in steps:
+        start = time.perf_counter()
         code = cli_main(argv)
         if code != 0:
             print(f"step {argv[0]} failed with exit {code}", file=sys.stderr)
             return code
+        # ru_maxrss is in KiB on Linux
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"step {argv[0]}: {time.perf_counter() - start:.3f} s, "
+              f"ru_maxrss {peak_mb:.1f} MB", file=sys.stderr)
     print(f"pipeline complete in {time.time() - t0:.1f}s; outputs in {out}/")
     return 0
 

@@ -9,15 +9,18 @@ positions of beta_{m-1} and beta_m, found by binary search in the elements
 themselves, so every count read from the store reflects the array it holds.
 Range counts are binary searches too.
 
-The two kernels that touch every element avoid per-element Python work.
+The kernels that touch every element avoid per-element Python work.
 `banach_density` prunes window starts exactly: a bucket of starts [s, e) is
 skipped when the smaller of L and the count of [s, e - 1 + L), which holds
 every window starting in the bucket, is no more than an exact window count
 already in hand, so no skipped window can be the maximum.  Block 1 holds
 every integer of [0, beta_1), so for L <= beta_1 its first window reaches L
 and every bucket is skipped at once.  `write_elements` formats a run of
-elements with the same number of digits as one byte matrix, four digits at a
-time through a table of the 10,000 four-byte texts 0000 to 9999.
+elements with the same number of digits four digits at a time, through a
+table of the 10,000 four-byte texts 0000 to 9999, each group stored straight
+into one byte buffer at its place in the text.  The gaps of each block are
+taken once per store (`SequenceStore.least_gaps`), a chunk at a time, and
+every gap check reads them.
 
 `build_store` sizes the element array from `block_count` and has
 `fill_block` write each block, already sorted, into its slice, so the
@@ -27,6 +30,7 @@ array is allocated once and never sorted or copied.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,8 +66,10 @@ class SequenceStore:
         if any(a >= b for a, b in zip(self.betas, self.betas[1:])):
             raise ValueError("block endpoints must strictly increase")
         elems = np.asarray(elements, dtype=np.int64)
-        if not (elems[1:] > elems[:-1]).all():
-            raise ValueError("global sequence must be strictly increasing")
+        for i in range(0, elems.size - 1, _WINDOW_CHUNK):
+            run = elems[i:i + _WINDOW_CHUNK + 1]
+            if not (run[1:] > run[:-1]).all():
+                raise ValueError("global sequence must be strictly increasing")
         if elems.size and (elems[0] < 0 or elems[-1] >= self.horizon):
             raise ValueError(f"elements must lie in [0, {self.horizon})")
         self.elements = elems
@@ -102,6 +108,20 @@ class SequenceStore:
         if not 0 <= n < self.horizon:
             raise OutOfBuiltRange(n)
         return bisect.bisect_right(self.betas, n)
+
+    @functools.cached_property
+    def least_gaps(self) -> tuple[tuple[int, int] | None, ...]:
+        """Per block: the first i with the least gap elements[i+1] -
+        elements[i] between two of the block's own elements, and that gap;
+        None for a block of fewer than two elements.
+
+        The gaps of every block are taken once per store, `_WINDOW_CHUNK`
+        at a time, and read by `verify_block`, `gap_profile` and
+        `block_summaries`.
+        """
+        bounds = self.offsets.tolist()
+        return tuple(_argmin_gap(self.elements, lo, hi - 1) if hi - lo >= 2
+                     else None for lo, hi in zip(bounds, bounds[1:]))
 
 
 def build_store(ledger: Ledger, through: int | None = None) -> SequenceStore:
@@ -146,10 +166,13 @@ class BlockReport:
         return self.lower_ok and self.upper_ok and self.gap_ok and self.spacing_ok
 
 
-# verify_block counts the aligned windows, and _argmin_gap takes the gaps,
-# this many at a time, so that a period-1 block of 10^8 integers needs no
-# array as long as its windows or its gaps
-_WINDOW_CHUNK = 1 << 20
+# verify_block counts the aligned windows, _argmin_gap takes the gaps and
+# SequenceStore checks the order this many at a time, so that a period-1
+# block of 10^8 integers needs no array as long as its windows or its gaps.
+# A chunk's int64 temporaries are 512 KB; at 2^20 the gaps of the demo h10
+# store's largest block took 8 MB, set the peak of build-seq and verify, and
+# were slower to take
+_WINDOW_CHUNK = 1 << 16
 
 
 def _argmin_gap(elems: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
@@ -163,11 +186,6 @@ def _argmin_gap(elems: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
         if best is None or gaps[j] < best[1]:
             best = (i + j, int(gaps[j]))
     return best
-
-
-def _min_gap(elems: np.ndarray) -> int | None:
-    n = elems.size
-    return _argmin_gap(elems, 0, n - 1)[1] if n >= 2 else None
 
 
 def verify_block(ledger: Ledger, store: SequenceStore, m: int) -> BlockReport:
@@ -198,7 +216,8 @@ def verify_block(ledger: Ledger, store: SequenceStore, m: int) -> BlockReport:
     k1_edge = params.K == 1
     lower_ok = all(r > 1 - params.gamma for r in ratios) if m >= 2 else True
     upper_ok = (all(r < 1 for r in ratios) or k1_edge) if m >= 2 else True
-    min_gap = _min_gap(elems)
+    least = store.least_gaps[m - 1]
+    min_gap = None if least is None else least[1]
     gap_ok = True if min_gap is None or m == 1 else min_gap >= params.d
     # the block's first d positions are empty
     spacing_ok = m == 1 or elems.size == 0 or int(elems[0]) >= lo + params.d
@@ -215,19 +234,22 @@ def gap_profile(store: SequenceStore) -> list[tuple[int, int, int]]:
     """Per block: (m, k index of the minimal gap, minimal gap n_{k+1}-n_k).
 
     The gap from a block's last element to the next block's first element is
-    attributed to the earlier block.  k is 1-based over the global sequence.
-    The gaps are taken `_WINDOW_CHUNK` at a time, never as one array of the
-    whole sequence.
+    attributed to the earlier block; a tie keeps the earlier place.  k is
+    1-based over the global sequence.  The gaps inside each block come from
+    `SequenceStore.least_gaps`; only the trailing gaps are taken here.
     """
     out = []
-    n_gaps = store.elements.size - 1
-    for m in range(1, store.n_blocks + 1):
-        lo = int(store.offsets[m - 1])
-        upper = min(int(store.offsets[m]), n_gaps)   # last block has no trailing gap
-        if upper <= lo:
-            continue
-        k, gap = _argmin_gap(store.elements, lo, upper)
-        out.append((m, k + 1, gap))
+    elems = store.elements
+    bounds = store.offsets.tolist()
+    for m, least in enumerate(store.least_gaps, 1):
+        lo, hi = bounds[m - 1], bounds[m]
+        # the last element has no trailing gap
+        if lo < hi < elems.size:
+            trailing = int(elems[hi] - elems[hi - 1])
+            if least is None or trailing < least[1]:
+                least = (hi - 1, trailing)
+        if least is not None:
+            out.append((m, least[0] + 1, least[1]))
     return out
 
 
@@ -291,7 +313,10 @@ def banach_density(store: SequenceStore, L: int) -> Fraction:
     return F(lb, L)
 
 
-_WRITE_CHUNK = 1 << 16
+# write_elements formats this many rows at a time: at 2^14 a chunk of
+# nine-digit rows needs about 0.7 MB, and 2^14 to 2^16 rows wrote the demo
+# h10 sequence equally fast
+_WRITE_CHUNK = 1 << 14
 
 
 def _four_digit_table() -> np.ndarray:
@@ -311,33 +336,54 @@ def write_elements(store: SequenceStore, path) -> None:
     """One decimal element per line, as bytes built four digits at a time.
 
     The elements are sorted, so those with w digits are one contiguous run.
-    Each run is written _WRITE_CHUNK rows at a time as a (rows, w + 1) byte
-    matrix: the run's groups of four digits, from the last back, looked up
-    as uint32 words in a table of 0000 .. 9999, cut to their last w bytes,
-    then a newline.
+    Each run is written _WRITE_CHUNK rows at a time from one byte buffer,
+    allocated once per call for the largest chunk, in which row r is bytes
+    [3 + r(w + 1), 3 + (r + 1)(w + 1)).  A row's groups of four digits, from
+    the last back, are looked up as uint32 words in a table of 0000 .. 9999;
+    each group then goes to its final byte offset in one strided store, and
+    the newline column in one more.  The leading group's word starts with
+    up to 3 pad bytes (leading '0's) in front of its digits.  It is stored
+    first, so that the pad, which falls on the previous row's newline and
+    last group (or on the 3 spare bytes before row 0), is overwritten by the
+    stores after it.  A 1- or 2-digit row has no later group, so its pad
+    would fall on the row before, which the same store writes; those at
+    most 100 rows are cut from the table's bytes.
     """
     elems = store.elements
     # run w (1..19 digits, int64 has at most 19) is elems[edges[w-1]:edges[w]]
     edges = np.concatenate((
         [0], np.searchsorted(elems, 10 ** np.arange(1, 19, dtype=np.int64)),
-        [elems.size]))
+        [elems.size])).tolist()
+    runs = [(w, edges[w - 1], edges[w]) for w in range(1, 20)
+            if edges[w] > edges[w - 1]]
+    buf = np.empty(3 + max([min(e - s, _WRITE_CHUNK) * (w + 1)
+                            for w, s, e in runs], default=0), dtype=np.uint8)
     with open(path, "wb") as fh:
-        for width in range(1, 20):
+        for width, start, stop in runs:
+            stride = width + 1
             groups = -(-width // 4)
-            for i in range(edges[width - 1], edges[width], _WRITE_CHUNK):
+            lead = width - 4 * (groups - 1)     # digits of the leading group
+            for i in range(start, stop, _WRITE_CHUNK):
                 # unsigned division is faster, and 32 bits hold 9 digits
-                x = elems[i:min(i + _WRITE_CHUNK, edges[width])].astype(
+                x = elems[i:min(i + _WRITE_CHUNK, stop)].astype(
                     np.uint32 if width <= 9 else np.uint64)
-                words = np.empty((x.size, groups), dtype=np.uint32)
-                for g in range(groups - 1, 0, -1):
-                    q = x // 10000
-                    words[:, g] = np.take(_DIGITS4, x - q * 10000)
-                    x = q
-                words[:, 0] = np.take(_DIGITS4, x)
-                rows = np.empty((x.size, width + 1), dtype=np.uint8)
-                rows[:, :width] = words.view(np.uint8)[:, 4 * groups - width:]
-                rows[:, width] = ord("\n")
-                fh.write(rows)
+                text = buf[3:3 + x.size * stride]
+                if width <= 2:
+                    text.reshape(x.size, stride)[:, :width] = \
+                        _DIGITS4.view(np.uint8).reshape(-1, 4)[x, 4 - width:]
+                else:
+                    words = []
+                    for _ in range(groups - 1):
+                        q = x // 10000
+                        words.append(np.take(_DIGITS4, x - q * 10000))
+                        x = q
+                    words.append(np.take(_DIGITS4, x))
+                    for g, word in enumerate(reversed(words)):
+                        # group g ends lead + 4g bytes into its row
+                        np.ndarray(x.size, np.uint32, buf, lead - 1 + 4 * g,
+                                   (stride,))[:] = word
+                text[width::stride] = ord("\n")
+                fh.write(text)
 
 
 def block_summaries(store: SequenceStore) -> list[dict]:
@@ -347,7 +393,7 @@ def block_summaries(store: SequenceStore) -> list[dict]:
             "beta_prev": store.betas[m - 1],
             "beta": store.betas[m],
             "size": int(store.block(m).size),
-            "min_gap": _min_gap(store.block(m)),
+            "min_gap": None if least is None else least[1],
         }
-        for m in range(1, store.n_blocks + 1)
+        for m, least in enumerate(store.least_gaps, 1)
     ]

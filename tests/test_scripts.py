@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,8 @@ def test_run_demo_pipeline(tmp_path):
     for name in ("ledger.json", "sequence.txt", "blocks.json", "verify.json",
                  "battery.jsonl", "experiment.cfg", "convergence.csv"):
         assert (out / name).stat().st_size > 0, name
+    # one line per step: its wall time and the peak RSS after it
+    report = re.findall(r"^step ([\w-]+): [\d.]+ s, ru_maxrss [\d.]+ MB$",
+                        res.stderr, re.M)
+    assert report == ["gen-params", "build-seq", "verify", "ops-test",
+                      "simulate"], res.stderr

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from primegrid import blocksets, sequence
 from primegrid.blocksets import block_count, fill_block, survivors_by_progression
 from primegrid.constants import demo_constants
-from primegrid.ledger import MAX_BETA, BlockParams, Ledger
+from primegrid.ledger import MAX_BETA, BlockParams, Ledger, build_ledger
 from primegrid.rng import SplitMix64
 from primegrid.sequence import (
     OutOfBuiltRange,
@@ -236,6 +237,20 @@ def test_store_rejects_bad_input(betas, elements, what):
         SequenceStore(betas, np.array(elements, dtype=np.int64))
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
+def test_store_order_checked_across_chunks(monkeypatch, chunk):
+    # the order is checked a chunk of gaps at a time; a repeat at any place,
+    # on either side of a chunk boundary, is refused
+    monkeypatch.setattr(sequence, "_WINDOW_CHUNK", chunk)
+    elems = np.arange(0, 20, 2)
+    SequenceStore((0, 20), elems)
+    for i in range(elems.size - 1):
+        bad = elems.copy()
+        bad[i + 1] = bad[i]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SequenceStore((0, 20), bad)
+
+
 def test_store_blocks_are_slices_of_one_array():
     store = toy_store()
     assert store.n_blocks == 2
@@ -287,13 +302,35 @@ def test_verify_blocks_demo(demo_ledger, demo_store):
 def test_verify_block_window_chunks(monkeypatch, demo_ledger, demo_store,
                                     chunk):
     # windows counted and gaps taken a few at a time give the reports of one
-    # pass; block 1 has one window per integer
+    # pass; block 1 has one window per integer.  The store is built again
+    # under the small chunk, because a store takes its gaps once
     want = [verify_block(demo_ledger, demo_store, m) for m in range(1, 6)]
     summaries = block_summaries(demo_store)
     monkeypatch.setattr(sequence, "_WINDOW_CHUNK", chunk)
-    assert [verify_block(demo_ledger, demo_store, m)
-            for m in range(1, 6)] == want
-    assert block_summaries(demo_store) == summaries
+    store = SequenceStore(demo_store.betas, demo_store.elements)
+    assert [verify_block(demo_ledger, store, m) for m in range(1, 6)] == want
+    assert block_summaries(store) == summaries
+
+
+def test_gaps_taken_once_per_store(monkeypatch, demo_ledger, demo_store):
+    # verify_block, gap_profile and block_summaries all read one pass over
+    # each block's gaps
+    calls = []
+    argmin_gap = sequence._argmin_gap
+
+    def counted(elems, lo, hi):
+        calls.append((lo, hi))
+        return argmin_gap(elems, lo, hi)
+
+    monkeypatch.setattr(sequence, "_argmin_gap", counted)
+    store = SequenceStore(demo_store.betas, demo_store.elements)
+    for _ in range(2):
+        for m in range(1, 6):
+            verify_block(demo_ledger, store, m)
+        gap_profile(store)
+        block_summaries(store)
+    bounds = store.offsets.tolist()
+    assert calls == [(lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def test_window_counts_are_flat_inside_blocks(demo_ledger, demo_store):
@@ -367,22 +404,28 @@ def test_gap_profile_chunks_match_whole_array(monkeypatch, demo_store, chunk):
     want = [gap_profile_whole(s) for s in (demo_store, ties)]
     assert want[1] == [(1, 2, 1), (2, 6, 1), (3, 7, 2), (4, 13, 1), (5, 14, 2)]
     monkeypatch.setattr(sequence, "_WINDOW_CHUNK", chunk)
-    assert [gap_profile(s) for s in (demo_store, ties)] == want
+    assert [gap_profile(SequenceStore(s.betas, s.elements))
+            for s in (demo_store, ties)] == want
 
 
 @settings(max_examples=100, deadline=None)
 @given(gaps=st.lists(st.integers(1, 3), max_size=40),
        cuts=st.lists(st.integers(0, 130), max_size=6),
        chunk=st.sampled_from((1, 2, 3)))
+@example(gaps=[2, 2, 2, 2], cuts=[5], chunk=2)
 def test_gap_profile_chunks_match_whole_array_random(gaps, cuts, chunk):
     # gaps from {1, 2, 3} tie often; empty blocks and a last block with no
-    # trailing gap come up too
+    # trailing gap come up too.  In the example, block 1's own least gap
+    # ties its trailing gap 4 -> 6, and keeps the earlier place
     elems = np.cumsum([0] + gaps)
     betas = sorted({0, *cuts, int(elems[-1]) + 1})
-    store = SequenceStore(betas, elems)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequence, "_WINDOW_CHUNK", chunk)
+        store = SequenceStore(betas, elems)
         assert gap_profile(store) == gap_profile_whole(store)
+        assert [s["min_gap"] for s in block_summaries(store)] == [
+            int(np.diff(store.block(m)).min()) if store.block(m).size >= 2
+            else None for m in range(1, store.n_blocks + 1)]
 
 
 def test_min_gap_grows_block_to_block(demo_store):
@@ -521,6 +564,21 @@ def test_write_elements_every_digit_count(tmp_path, demo_store):
             f"{n}\n" for n in store.elements.tolist()).encode()
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_write_elements_dense_runs(tmp_path, monkeypatch, chunk):
+    # runs of consecutive rows around every 10^k, from 1- to 3-digit rows up
+    # to 19-digit rows below MAX_BETA: a byte that one row's store puts on a
+    # neighbouring row changes the text
+    values = sorted({n for k in range(1, 19)
+                     for n in range(max(0, 10**k - 150), 10**k + 150)}
+                    | set(range(MAX_BETA - 150, MAX_BETA)))
+    monkeypatch.setattr(sequence, "_WRITE_CHUNK", chunk)
+    path = tmp_path / "seq.txt"
+    write_elements(SequenceStore((0, MAX_BETA),
+                                 np.array(values, dtype=np.int64)), path)
+    assert path.read_bytes() == "".join(f"{n}\n" for n in values).encode()
+
+
 # values at the edges of a digit count (10^k - 1, 10^k, 10^k + 1) and of
 # a four-digit group (a multiple of 10^(4g) plus 0, 1, 9998 or 9999)
 _edge_values = st.one_of(
@@ -532,7 +590,8 @@ _edge_values = st.one_of(
 ).filter(lambda n: 0 <= n < MAX_BETA)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, sequence._WRITE_CHUNK])
+# 1 << 16 rows hold every run of at most 40 values, as any larger chunk does
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
 @settings(max_examples=60, deadline=None)
 @given(values=st.lists(_edge_values, max_size=40, unique=True))
 def test_write_elements_matches_fstrings(tmp_path_factory, chunk, values):
@@ -542,6 +601,31 @@ def test_write_elements_matches_fstrings(tmp_path_factory, chunk, values):
         mp.setattr(sequence, "_WRITE_CHUNK", chunk)
         write_elements(SequenceStore((0, MAX_BETA), elems), path)
     assert path.read_bytes() == "".join(f"{n}\n" for n in sorted(values)).encode()
+
+
+# tracemalloc peak, above the store, of writing the demo h10 sequence and
+# checking its blocks: 1.0 MB with 2^16-gap window chunks (two chunks of
+# gaps meet at each rebinding) and 2^14-row write chunks; 2.0 MB with
+# 2^17-gap window chunks, 2.6 MB with 2^16-row write chunks and 7.9 MB with
+# 2^20-gap window chunks.  A bound of 1.5 MB lets no doubling of the window
+# chunk and no fourfold write chunk pass unseen
+SEQUENCE_PEAK_MB = 1.5
+
+
+def test_sequence_passes_stay_within_their_memory_bound(tmp_path):
+    ledger = build_ledger("demo", 10)
+    store = build_store(ledger)
+    tracemalloc.start()
+    try:
+        write_elements(store, tmp_path / "seq.txt")
+        block_summaries(store)
+        gap_profile(store)
+        for m in range(1, store.n_blocks + 1):
+            verify_block(ledger, store, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SEQUENCE_PEAK_MB * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_build_store_partial(demo_ledger):
