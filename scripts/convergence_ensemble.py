@@ -11,7 +11,7 @@ import csv
 import sys
 from fractions import Fraction
 
-from primegrid.dynsim import RotationSystem, average_from_samples, indicator, sample_at
+from primegrid.dynsim import RotationSystem, indicator, sample_orbit, subseq_average
 from primegrid.ledger import build_ledger
 from primegrid.rng import SplitMix64, derive_seed
 from primegrid.sequence import build_store
@@ -36,8 +36,8 @@ def main() -> int:
     rows = []
     for i in range(args.points):
         x0 = Fraction(rng.next_u64(), 1 << 64)
-        samples = sample_at(system, x0, store.elements, obs)
-        a = float(average_from_samples(samples, store, store.horizon))
+        orbit = sample_orbit(system, x0, store.horizon, obs)
+        a = float(subseq_average(orbit, store, store.horizon))
         rows.append((i, str(x0), a, abs(a - mean)))
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

@@ -56,14 +56,22 @@ class Family:
         return Family(
             frac_parse(obj["coef"]),
             frac_parse(obj["geo"]),
-            int(obj["lin"][0]),
-            int(obj["lin"][1]),
+            _json_int("each lin entry", obj["lin"][0]),
+            _json_int("each lin entry", obj["lin"][1]),
         )
 
 
 def frac_json(x: Fraction) -> dict:
     x = Fraction(x)
     return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def _json_int(what: str, value) -> int:
+    """value, which must be a JSON integer: a bool, float or string is a
+    TypeError, not read as one."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be a JSON integer, not {value!r}")
+    return value
 
 
 def _frac_int(what: str, value) -> int:
@@ -82,9 +90,11 @@ def _frac_int(what: str, value) -> int:
 
 
 def frac_parse(obj) -> Fraction:
-    if isinstance(obj, dict):
-        return Fraction(_frac_int("num", obj["num"]), _frac_int("den", obj["den"]))
-    return Fraction(obj)
+    """The {num, den} object frac_json writes; any other value (a float, a
+    bool, a bare integer or a string) is a TypeError, not read as one."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"a fraction must be a {{num, den}} object, not {obj!r}")
+    return Fraction(_frac_int("num", obj["num"]), _frac_int("den", obj["den"]))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ onto the grid operators, and the per-block count-bound records.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,11 +124,16 @@ class CyclicSystem:
     def mean(self) -> Fraction:
         return F(sum(self.table), self.P)
 
+    @functools.cached_property
     def table_array(self) -> np.ndarray:
-        """The table as int64 when every entry is an integer, else as floats."""
+        """The table as int64 when every entry is an integer, else as
+        floats; built once per system, and read-only."""
         if all(F(v).denominator == 1 for v in self.table):
-            return np.array([int(v) for v in self.table], dtype=np.int64)
-        return np.array([float(v) for v in self.table])
+            out = np.array([int(v) for v in self.table], dtype=np.int64)
+        else:
+            out = np.array([float(v) for v in self.table])
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -239,7 +245,7 @@ def sample_at(system, x0, positions, observable: StepObservable | None = None) -
                 thr, x0f, system.alpha_fixed, chunk)]
         return out.reshape(positions.shape)
     if isinstance(system, CyclicSystem):
-        return system.table_array()[(_residue(system, x0) + positions) % system.P]
+        return system.table_array[(_residue(system, x0) + positions) % system.P]
     if isinstance(system, BernoulliSystem):
         thr = system.threshold
         if thr > _U64_MAX:                   # prob = 1
@@ -284,18 +290,14 @@ def sample_orbit(system, x0, n_max: int, observable: StepObservable | None = Non
 # samples float ones; the result type follows the samples' dtype, also when
 # no element is below N.
 
-def _check_horizon(N: int, store: SequenceStore, orbit: Orbit | None = None):
-    if orbit is not None and N > orbit.n_max:
-        raise HorizonExceeded(f"N={N} beyond orbit horizon {orbit.n_max}")
-    if N > store.horizon:
-        raise HorizonExceeded(f"N={N} beyond store horizon {store.horizon}")
-
-
 def _running_sum(samples: np.ndarray) -> np.ndarray:
-    """pref[k], the sum of the first k samples (int64 for integer samples)."""
-    exact = samples.dtype.kind in "biu"
-    return np.concatenate([[0], np.cumsum(samples,
-                                          dtype=np.int64 if exact else None)])
+    """pref[k], the sum of the first k samples (int64 for integer samples),
+    summed straight into its place after the leading 0."""
+    pref = np.empty(samples.size + 1,
+                    dtype=np.int64 if samples.dtype.kind in "biu" else np.float64)
+    pref[0] = 0
+    np.cumsum(samples, dtype=pref.dtype, out=pref[1:])
+    return pref
 
 
 def _mean(pref: np.ndarray, k: int):
@@ -307,15 +309,11 @@ def _mean(pref: np.ndarray, k: int):
 
 def _orbit_sum(orbit: Orbit, store: SequenceStore, N: int) -> np.ndarray:
     """The running sum of f over the orbit at the sequence points < N."""
-    _check_horizon(N, store, orbit)
+    if N > orbit.n_max:
+        raise HorizonExceeded(f"N={N} beyond orbit horizon {orbit.n_max}")
+    if N > store.horizon:
+        raise HorizonExceeded(f"N={N} beyond store horizon {store.horizon}")
     return _running_sum(orbit.at(store.elements[:store.count_range(0, N)]))
-
-
-def average_from_samples(samples, store: SequenceStore, N: int):
-    """Mean of the sampled values over sequence elements below N (0 if none)."""
-    _check_horizon(N, store)
-    k = store.count_range(0, N)
-    return _mean(_running_sum(np.asarray(samples)[:k]), k)
 
 
 def subseq_average(orbit: Orbit, store: SequenceStore, N: int):

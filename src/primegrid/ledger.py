@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import accumulate, takewhile
 
 from .blocksets import block_count
-from .constants import ConstantTable, frac_json, frac_parse, constants_for
+from .constants import ConstantTable, _json_int, constants_for, frac_json, frac_parse
 from .primes import consecutive_primes, next_prime
 
 F = Fraction
@@ -434,14 +434,6 @@ def _parsed(what: str, parse, *args):
     except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"{what} is malformed ({type(exc).__name__}: {exc})") \
             from exc
-
-
-def _json_int(what: str, value) -> int:
-    """value, which must be a JSON integer: a bool, float or string is a
-    TypeError, not read as one."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be a JSON integer, not {value!r}")
-    return value
 
 
 def _block_from_json(b: dict, row: int) -> BlockParams:

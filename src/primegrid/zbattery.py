@@ -166,8 +166,8 @@ def _draw_seeded(seeds: np.ndarray, span_scale: int, levels: bool) -> Draws:
     The value words of all trials are drawn as one flat array.  Every
     |value| is a multiple of 1/4 up to 8 and a signal has at most
     4 * span_scale of them, so every partial sum of its l1 norm is exact,
-    and the per-trial sum is `FiniteSignal.l1` in any order.  Each signal
-    gets its l1, bound_M and l2sq from these arrays (`with_norms`), so no
+    and the per-trial sum is `FiniteSignal.l1` in any order.  These arrays
+    fill each signal's cached l1, bound_M and l2sq (`with_norms`), so no
     kernel walks its values for them.  A trial with a word that `randint`
     rejects is drawn again through `random_signal`.
     """

@@ -122,43 +122,28 @@ class GridContext:
         return 2 if n % self.p == self.p - 1 else 1
 
 
-class _ReadOnlyValues(list):
-    """The value list of a signal built with its norms: in-place changes
-    raise, so the norms it was built with stay its norms."""
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("the values of a signal built with its norms are read-only")
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
-    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
-
-
+@dataclass(frozen=True, init=False)
 class FiniteSignal:
-    """Function on Z supported on [lo, lo+len(values))."""
+    """Function on Z supported on [lo, lo+len(values)): an immutable value,
+    whose norms are computed once, when first read."""
 
-    _known = None        # (values, {norm name: value}) given by with_norms
+    lo: int
+    values: tuple
 
     def __init__(self, lo: int, values):
-        self.lo = int(lo)
-        self.values = list(values)
-        if not self.values:
+        values = tuple(values)
+        if not values:
             raise ValueError("signal needs at least one sample")
+        # the only write of the fields: setting them later raises
+        self.__dict__.update(lo=int(lo), values=values)
 
     @classmethod
     def with_norms(cls, lo: int, values, l1, bound_M, l2sq) -> "FiniteSignal":
         """A signal whose norms the caller already holds, e.g. a battery
-        draw that computed them as arrays.  Its values are read-only, and
-        binding new ones to `values` drops the given norms."""
+        draw that computed them as arrays; they fill the norms' cache."""
         sig = cls(lo, values)
-        sig.values = _ReadOnlyValues(sig.values)
-        sig._known = (sig.values, {"l1": l1, "bound_M": bound_M, "l2sq": l2sq})
+        sig.__dict__.update(l1=l1, bound_M=bound_M, l2sq=l2sq)
         return sig
-
-    def _given(self, name: str):
-        """The norm with_norms gave, while `values` is still the list it
-        gave it for; None otherwise."""
-        known = self._known
-        return known[1][name] if known is not None and known[0] is self.values else None
 
     @property
     def hi(self) -> int:
@@ -169,23 +154,17 @@ class FiniteSignal:
             return self.values[n - self.lo]
         return 0
 
-    @property
+    @functools.cached_property
     def bound_M(self):
-        given = self._given("bound_M")
-        return max(abs(v) for v in self.values) if given is None else given
+        return max(abs(v) for v in self.values)
 
-    @property
+    @functools.cached_property
     def l1(self):
-        given = self._given("l1")
-        return sum(abs(v) for v in self.values) if given is None else given
+        return sum(abs(v) for v in self.values)
 
-    @property
+    @functools.cached_property
     def l2sq(self):
-        given = self._given("l2sq")
-        return sum(abs(v) ** 2 for v in self.values) if given is None else given
-
-    def __repr__(self):
-        return f"FiniteSignal(lo={self.lo}, values={self.values!r})"
+        return sum(abs(v) ** 2 for v in self.values)
 
 
 @dataclass(frozen=True)

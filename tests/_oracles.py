@@ -401,7 +401,7 @@ def dense_orbit(system, x0, n_max, observable=None):
             cur = (cur + system.alpha_fixed) % one
         return out
     if isinstance(system, CyclicSystem):
-        table = system.table_array()
+        table = system.table_array
         out = np.empty(n_max, dtype=table.dtype)
         r = int(x0) % system.P
         for n in range(n_max):

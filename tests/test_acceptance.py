@@ -14,11 +14,9 @@ from _oracles import block_elements, dense_orbit, oracle_block
 from primegrid.dynsim import (
     CyclicSystem,
     RotationSystem,
-    average_from_samples,
     build_tower,
     decompose,
     indicator,
-    sample_at,
     sample_orbit,
     subseq_average,
     tower_transfer_check,
@@ -237,8 +235,8 @@ def test_criterion_10_convergence_experiment(demo_store):
     hits, devs = 0, []
     for _ in range(100):
         x0 = F(rng.next_u64(), 1 << 64)
-        samples = sample_at(system, x0, demo_store.elements, obs)
-        a = average_from_samples(samples, demo_store, final_n)
+        a = subseq_average(sample_orbit(system, x0, final_n, obs), demo_store,
+                           final_n)
         dev = abs(float(a) - 0.5)
         devs.append(dev)
         if dev < 1e-2:

@@ -270,6 +270,18 @@ LEDGER_DEFECTS = {
     "constant-den-float": ("ledger constants is malformed (TypeError: den must "
                            "be a JSON integer or an integer string, not 1.0)",
                            lambda d: d["constants"]["f19_p"].update(den=1.0)),
+    # values frac_json and Family.to_json never write, which int() and
+    # Fraction() would read loosely
+    "lin-float-and-bool": ("ledger constants is malformed (TypeError: each "
+                           "lin entry must be a JSON integer, not 1.9)",
+                           lambda d: d["constants"]["k_growth"].update(
+                               lin=[1.9, True])),
+    "gamma-float": ("ledger row 3 is malformed (TypeError: a fraction must be "
+                    "a {num, den} object, not 0.2)",
+                    lambda d: d["blocks"][2].update(gamma=0.2)),
+    "gamma-small-bool": ("ledger constants is malformed (TypeError: a fraction "
+                         "must be a {num, den} object, not True)",
+                         lambda d: d["constants"].update(gamma_small=True)),
 }
 
 

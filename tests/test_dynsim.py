@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,7 +16,6 @@ from primegrid.dynsim import (
     RotationSystem,
     StepObservable,
     TowerTooShort,
-    average_from_samples,
     build_tower,
     convergence_report,
     count_bounds_check,
@@ -29,8 +29,9 @@ from primegrid.dynsim import (
     subseq_max,
     tower_transfer_check,
 )
+from primegrid.ledger import build_ledger
 from primegrid.rng import SplitMix64, derive_seed
-from primegrid.sequence import SequenceStore
+from primegrid.sequence import SequenceStore, build_store
 from primegrid.zops import GridContext
 
 # ---------------------------------------------------------------------------
@@ -209,6 +210,26 @@ def test_sample_at_cyclic_keeps_fractional_table():
     assert list(sample_at(sysc, 2, pos)) == list(dense_orbit(sysc, 2, 4))
 
 
+
+def test_cyclic_table_array_built_once_and_read_only():
+    sysc = CyclicSystem(5, (1, 0, F(1, 2), 0, 1))
+    first = sysc.table_array
+    assert first.tolist() == [1.0, 0.0, 0.5, 0.0, 1.0]
+    assert sample_orbit(sysc, 2, 20).at(np.arange(5)).tolist() == \
+        [0.5, 0.0, 1.0, 1.0, 0.0]
+    assert sysc.table_array is first and vars(sysc)["table_array"] is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 7
+    # sampling reads the cached array, not a new build of the table
+    vars(sysc)["table_array"] = np.arange(5) * 10
+    assert sample_at(sysc, 0, [1, 3]).tolist() == [10, 30]
+    # each system builds its own
+    other = CyclicSystem(5, (1, 0, 0, 0, 1))
+    assert other.table_array is not first
+    assert other.table_array.dtype == np.int64
+
+
 def test_bad_specs():
     with pytest.raises(BadSpec):
         RotationSystem.from_fraction(F(3, 2))
@@ -264,13 +285,34 @@ def test_horizon_guard_past_the_store(demo_store):
     # rather than averaging over fewer horizons than asked
     past = demo_store.horizon + 1
     orb = sample_orbit(RotationSystem.golden(), 0, past, indicator(F(0), F(1, 2)))
-    samples = orb.at(demo_store.elements)
-    for average in (lambda: average_from_samples(samples, demo_store, past),
-                    lambda: subseq_average(orb, demo_store, past),
+    for average in (lambda: subseq_average(orb, demo_store, past),
                     lambda: subseq_max(orb, demo_store, past),
                     lambda: convergence_report(orb, demo_store, [past])):
         with pytest.raises(HorizonExceeded, match="store horizon"):
             average()
+
+
+
+# tracemalloc peak of convergence_report on the demo h10 golden rotation, in
+# units of 8 bytes per averaged element: 2.0 with the running sum summed into
+# its preallocated place (the samples and the sum), 3.0 with a concatenated
+# copy of the cumsum.  The bound lets no third whole-sequence array pass
+CONVERGENCE_PEAK_WORDS = 2.5
+
+
+def test_convergence_report_holds_two_sequence_arrays():
+    store = build_store(build_ledger("demo", 10))
+    orb = sample_orbit(RotationSystem.golden(), 0, store.horizon,
+                       indicator(F(0), F(1, 2)))
+    k = store.count_range(0, store.horizon)
+    tracemalloc.start()
+    try:
+        rows = convergence_report(orb, store).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[-1].N == store.horizon
+    assert peak < CONVERGENCE_PEAK_WORDS * 8 * k, f"{peak / (8 * k):.2f} words"
 
 
 def test_cyclic_closed_form_block_boundaries(demo_ledger, demo_store):
@@ -310,7 +352,7 @@ def test_float_averages_agree_bit_for_bit(demo_store):
     for row in rows:
         a = subseq_average(orb, demo_store, row.N)
         assert type(a) is float
-        assert a == average_from_samples(samples, demo_store, row.N) == row.average
+        assert a == row.average
         assert sup >= abs(a)
     assert subseq_average(orb, demo_store, demo_store.betas[5]) == \
         0.5003122596884239
@@ -326,7 +368,6 @@ def test_average_zero_before_first_element():
     store = _late_store()
     orb = sample_orbit(CyclicSystem(4, (1, 1, 0, 1)), 0, 20)
     assert subseq_average(orb, store, 3) == 0
-    assert average_from_samples(np.array([], dtype=np.int64), store, 2) == 0
 
 
 def test_average_type_follows_sample_dtype():
@@ -336,10 +377,6 @@ def test_average_type_follows_sample_dtype():
     ints = sample_orbit(CyclicSystem(4, (1, 1, 0, 1)), 0, 20)
     floats = sample_orbit(CyclicSystem(4, (F(1, 2), F(-3, 2), 0, 1)), 0, 20)
     cases = [
-        (average_from_samples(np.array([1, 0]), store, 2), F(0)),
-        (average_from_samples(np.array([1, 0]), store, 13), F(1, 2)),
-        (average_from_samples(np.array([0.5, 1.5]), store, 2), 0.0),
-        (average_from_samples(np.array([0.5, 1.5]), store, 13), 1.0),
         (subseq_average(ints, store, 9), F(0)),
         (subseq_average(ints, store, 20), F(1)),
         (subseq_average(floats, store, 9), 0.0),

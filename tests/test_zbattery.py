@@ -141,17 +141,23 @@ def _seed_rejecting(k):
 
 
 def test_drawn_norms_never_go_stale():
-    sig = zbattery._draw(7, ("window_weak",), 1, 12, levels=False).sigs[0]
-    assert sig._known is not None            # the draw gave its norms
-    with pytest.raises(TypeError, match="read-only"):
-        sig.values[0] = 100.0
-    with pytest.raises(TypeError, match="read-only"):
-        sig.values.append(100.0)
-    assert sig.l1 == sum(abs(v) for v in sig.values)
-    sig.values = [100.0] + list(sig.values[1:])
-    assert sig.l1 == sum(abs(v) for v in sig.values)
-    assert sig.bound_M == 100.0
-    assert sig.l2sq == sum(v * v for v in sig.values)
+    # a signal is an immutable value, so the norms the draw handed over stay
+    # the norms of its values: they sit in the cache and equal fresh sums
+    for sig in zbattery._draw(7, ("window_weak",), 20, 12, levels=False).sigs:
+        with pytest.raises(AttributeError):
+            sig.values = (100.0,) + sig.values[1:]
+        with pytest.raises(TypeError):
+            sig.values[0] = 100.0
+        with pytest.raises(AttributeError):
+            sig.lo = sig.lo + 1
+        cached = {k: vars(sig)[k] for k in ("l1", "bound_M", "l2sq")}
+        assert cached == {"l1": sum(abs(v) for v in sig.values),
+                          "bound_M": max(abs(v) for v in sig.values),
+                          "l2sq": sum(v * v for v in sig.values)}
+        fresh = FiniteSignal(sig.lo, sig.values)
+        assert "l1" not in vars(fresh)
+        assert (fresh.l1, fresh.bound_M, fresh.l2sq) == \
+            (sig.l1, sig.bound_M, sig.l2sq)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +207,7 @@ def _all_zero_seeds(span_scale, count):
 def test_draw_seeded_fixes_all_zero_draws(span_scale):
     zero = _all_zero_seeds(span_scale, 4)
     for seed in zero:
-        assert random_signal(SplitMix64(seed), span_scale).values == [1.0]
+        assert random_signal(SplitMix64(seed), span_scale).values == (1.0,)
     for levels in (True, False):
         _assert_draws_one_by_one(zero + [5, 6] + zero, span_scale, levels)
 
@@ -270,7 +276,7 @@ def test_draw_seeded_replays_rejected_zero_fix(monkeypatch, replays, fix_word,
     sig = random_signal(SplitMix64(seed), 12)
     assert sig.values.count(1.0) == 1 and sig.l1 == 1.0
     if not replayed:
-        assert sig.values == [0.0, 0.0, 1.0]
+        assert sig.values == (0.0, 0.0, 1.0)
     replays.clear()
     for levels in (True, False):
         _assert_draws_one_by_one([3, seed, 4], 12, levels)
