@@ -125,9 +125,13 @@ def fill_block(primes, d: int, lo: int, hi: int, out: np.ndarray) -> None:
     """Write the survivors of the block [lo, hi) into `out`, increasing.
 
     `out` must have exactly `block_count(primes, d, lo, hi)` places; a fill
-    that ends anywhere else raises ValueError.
+    that ends anywhere else raises ValueError.  Every value is below hi,
+    which must fit `out`'s integer dtype; the whole periods are computed in
+    that dtype.
     """
     primes, P, a, b = _layout(primes, d, lo, hi)
+    if hi - 1 > np.iinfo(out.dtype).max:
+        raise ValueError(f"block [{lo}, {hi}) does not fit {out.dtype}")
     pos = _put(out, 0, _merged(_rule(primes, d, lo, hi, lo, a)))
     if a < b:
         res = _merged(_period(primes, d, P))
@@ -140,10 +144,15 @@ def fill_block(primes, d: int, lo: int, hi: int, out: np.ndarray) -> None:
         if end > out.size:
             raise ValueError(f"block fill overruns its {out.size} places")
         whole = out[pos:end].reshape(n, res.size)
+        # the whole periods in out's dtype: their starts, and so P and
+        # first, lie below last <= hi
+        period = res.astype(out.dtype)
         for i in range(0, n, _FILL_PERIODS):
             k = min(_FILL_PERIODS, n - i)
-            starts = first + P * np.arange(i + 1, i + k + 1, dtype=np.int64)
-            np.add.outer(starts, res, out=whole[i:i + k])
+            starts = np.arange(i + 1, i + k + 1, dtype=out.dtype)
+            starts *= P
+            starts += first
+            np.add.outer(starts, period, out=whole[i:i + k])
         pos = _put(out, end, last + res[:np.searchsorted(res, b - last)])
     pos = _put(out, pos, _merged(_rule(primes, d, lo, hi, b, hi)))
     if pos != out.size:

@@ -127,8 +127,15 @@ class CyclicSystem:
     @functools.cached_property
     def table_array(self) -> np.ndarray:
         """The table as int64 when every entry is an integer, else as
-        floats; built once per system, and read-only."""
-        if all(F(v).denominator == 1 for v in self.table):
+        floats; built once per system, and read-only.
+
+        A table of ints (or bools) that fit int64 is converted in one NumPy
+        call; any other table (Fractions, floats) goes through one Fraction
+        per entry."""
+        arr = np.array(self.table)
+        if arr.ndim == 1 and arr.dtype.kind in "bi":
+            out = arr.astype(np.int64)
+        elif all(F(v).denominator == 1 for v in self.table):
             out = np.array([int(v) for v in self.table], dtype=np.int64)
         else:
             out = np.array([float(v) for v in self.table])
@@ -170,8 +177,9 @@ def _residue(system: CyclicSystem, x0) -> int:
     return int(x0) % system.P
 
 
-# positions per pass of the rotation kernel: about ten uint64 temporaries of
-# this length (64 KB each) are live at once, whatever the number of positions
+# positions per pass of sample_at: the rotation kernel keeps about ten
+# uint64 temporaries of this length (64 KB each) live at once, whatever the
+# number of positions
 _ROTATION_CHUNK = 1 << 13
 _U32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
@@ -220,6 +228,17 @@ def _rotation_pieces(thresholds: list[int], x0f: int, alpha: int,
     return piece
 
 
+def _by_chunk(positions: np.ndarray, dtype, values) -> np.ndarray:
+    """values(n) for the positions, shaped like them, where n is one
+    _ROTATION_CHUNK of the flattened positions widened to int64."""
+    flat = positions.ravel()
+    out = np.empty(flat.size, dtype=dtype)
+    for a in range(0, flat.size, _ROTATION_CHUNK):
+        n = flat[a:a + _ROTATION_CHUNK].astype(np.int64)
+        out[a:a + n.size] = values(n)
+    return out.reshape(positions.shape)
+
+
 def sample_at(system, x0, positions, observable: StepObservable | None = None) -> np.ndarray:
     """Observable values f(T^n x0) at the orbit positions n in `positions`.
 
@@ -227,8 +246,12 @@ def sample_at(system, x0, positions, observable: StepObservable | None = None) -
     int64 when every value f can take is an integer (Bernoulli symbols
     always), float64 otherwise, also for an empty `positions`.  A rotation
     point is exact in 128-bit fixed point, held as two uint64 words.
+    Integer positions (a store's int32 elements) are widened to int64 one
+    chunk at a time, never as a whole.
     """
-    positions = np.asarray(positions, dtype=np.int64)
+    positions = np.asarray(positions)
+    if positions.dtype.kind != "i":
+        positions = positions.astype(np.int64)
     if isinstance(system, RotationSystem):
         if observable is None:
             raise BadSpec("rotation systems need a step observable")
@@ -237,20 +260,18 @@ def sample_at(system, x0, positions, observable: StepObservable | None = None) -
         pieces = np.array([int(v) if ints else float(v) for v in observable.values],
                           dtype=np.int64 if ints else np.float64)
         x0f = _x0_fixed(x0)
-        flat = positions.ravel()
-        out = np.empty(flat.size, dtype=pieces.dtype)
-        for a in range(0, flat.size, _ROTATION_CHUNK):
-            chunk = flat[a:a + _ROTATION_CHUNK]
-            out[a:a + chunk.size] = pieces[_rotation_pieces(
-                thr, x0f, system.alpha_fixed, chunk)]
-        return out.reshape(positions.shape)
+        return _by_chunk(positions, pieces.dtype, lambda n: pieces[
+            _rotation_pieces(thr, x0f, system.alpha_fixed, n)])
     if isinstance(system, CyclicSystem):
-        return system.table_array[(_residue(system, x0) + positions) % system.P]
+        table, r = system.table_array, _residue(system, x0)
+        return _by_chunk(positions, table.dtype,
+                         lambda n: table[(r + n) % system.P])
     if isinstance(system, BernoulliSystem):
         thr = system.threshold
         if thr > _U64_MAX:                   # prob = 1
             return np.ones(positions.size, dtype=np.int64)
-        return (index_u64_array(system.seed, positions) < np.uint64(thr)).astype(np.int64)
+        return _by_chunk(positions, np.int64, lambda n: index_u64_array(
+            system.seed, n) < np.uint64(thr))
     raise BadSpec(f"unknown system {system!r}")
 
 

@@ -47,7 +47,8 @@ class MissingCount(LedgerError):
 
 
 class InfeasibleAtScale(LedgerError):
-    """The smallest admissible parameter exceeds its resource cap."""
+    """An admissible parameter would exceed its resource cap: `required` is
+    the smallest admissible value, or a lower bound on it."""
 
     def __init__(self, m: int, what: str, required, cap):
         self.m = m
@@ -55,7 +56,7 @@ class InfeasibleAtScale(LedgerError):
         self.required = required
         self.cap = cap
         super().__init__(
-            f"block {m}: smallest admissible {what} is {required}, cap {cap}"
+            f"block {m}: admissible {what} is at least {required}, cap {cap}"
         )
 
 
@@ -297,6 +298,12 @@ def _choose_primes(ledger: Ledger, m: int, K: int, d: int,
     bound = max(bound, F(d))
     q1 = next_prime(bound.numerator // bound.denominator)
     while q1 <= MAX_PRIME:
+        # p_m >= q1^K >= 2^(K (bits of q1 - 1)), and p_m <= beta_{m-1} <=
+        # MAX_BETA = 2^62; a larger q1 only raises the bound
+        log2_p = K * (q1.bit_length() - 1)
+        if log2_p > MAX_BETA.bit_length() - 1:
+            raise InfeasibleAtScale(m, "log2(p_m)", log2_p,
+                                    MAX_BETA.bit_length() - 1)
         ps = consecutive_primes(q1, K)
         Q = sum(F(1, q) for q in ps)
         if ps[-1] < 2 * q1 and math.prod(ps) > prev.p and Q < prev.Q:

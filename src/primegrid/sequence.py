@@ -25,6 +25,17 @@ every gap check reads them.
 `build_store` sizes the element array from `block_count` and has
 `fill_block` write each block, already sorted, into its slice, so the
 array is allocated once and never sorted or copied.
+
+The elements are int32 when 2 * beta_M < 2^31 and int64 otherwise
+(`element_dtype`, the one place this is decided).  The factor 2 covers
+`banach_density`'s window ends, elements + L with L <= beta_M, which
+NumPy computes in the elements' dtype.  Nothing narrows by wrapping: the
+store checks order and range on its input before it narrows it, and
+`fill_block` writes values below its block's end, which is at most beta_M.
+Every binary search into the elements goes through `_find`, which casts
+its keys to the elements' dtype, clipped to that dtype's range (no element
+lies at either end of it, so no position moves).  Keys of another dtype,
+or a Python list, would make NumPy convert the whole element array first.
 """
 
 from __future__ import annotations
@@ -56,6 +67,21 @@ class WindowTooLarge(Exception):
     pass
 
 
+def element_dtype(horizon: int) -> np.dtype:
+    """The dtype of a store's elements below `horizon` = beta_M: int32 when
+    every element + L with L <= beta_M stays below 2^31, else int64."""
+    return np.dtype(np.int32 if 2 * horizon < 2**31 else np.int64)
+
+
+def _find(elems: np.ndarray, keys) -> np.ndarray:
+    """np.searchsorted(elems, keys), the keys cast to elems' dtype."""
+    keys = np.asarray(keys)
+    if keys.dtype != elems.dtype:
+        info = np.iinfo(elems.dtype)
+        keys = np.clip(keys, info.min, info.max).astype(elems.dtype)
+    return np.searchsorted(elems, keys)
+
+
 class SequenceStore:
     """Block endpoints and one sorted element array, with O(log) range counts."""
 
@@ -65,15 +91,19 @@ class SequenceStore:
             raise ValueError("endpoints must start at beta_0 = 0 and close a block")
         if any(a >= b for a, b in zip(self.betas, self.betas[1:])):
             raise ValueError("block endpoints must strictly increase")
-        elems = np.asarray(elements, dtype=np.int64)
+        dtype = element_dtype(self.horizon)
+        elems = np.asarray(elements)
+        if elems.dtype != dtype:
+            elems = np.asarray(elems, dtype=np.int64)
+        # order and range are checked before the elements are narrowed
         for i in range(0, elems.size - 1, _WINDOW_CHUNK):
             run = elems[i:i + _WINDOW_CHUNK + 1]
             if not (run[1:] > run[:-1]).all():
                 raise ValueError("global sequence must be strictly increasing")
-        if elems.size and (elems[0] < 0 or elems[-1] >= self.horizon):
+        if elems.size and (elems[0] < 0 or int(elems[-1]) >= self.horizon):
             raise ValueError(f"elements must lie in [0, {self.horizon})")
-        self.elements = elems
-        self.offsets = np.searchsorted(elems, self.betas)
+        self.elements = elems.astype(dtype, copy=False)
+        self.offsets = _find(self.elements, self.betas)
 
     @property
     def horizon(self) -> int:
@@ -100,8 +130,10 @@ class SequenceStore:
             raise ValueError("need a <= b")
         if b > self.horizon:
             raise OutOfBuiltRange(f"b={b} beyond built horizon {self.horizon}")
-        lo, hi = np.searchsorted(self.elements, [a, b], side="left")
-        return int(hi - lo)
+        # no element is negative, so a below 0 counts as 0
+        lo, hi = _find(self.elements, np.array(
+            [max(a, 0), b], dtype=self.elements.dtype)).tolist()
+        return hi - lo
 
     def block_of(self, n: int) -> int:
         """Index m of the block whose interval contains position n."""
@@ -142,7 +174,7 @@ def build_store(ledger: Ledger, through: int | None = None) -> SequenceStore:
         betas.append(blk.beta)
         ends.append(ends[-1] + block_count(blk.primes, blk.d, blk.beta_prev,
                                            blk.beta))
-    elements = np.empty(ends[-1], dtype=np.int64)
+    elements = np.empty(ends[-1], dtype=element_dtype(betas[-1]))
     for blk, s, e in zip(rows, ends, ends[1:]):
         fill_block(blk.primes, blk.d, blk.beta_prev, blk.beta, elements[s:e])
     return SequenceStore(betas, elements)
@@ -208,9 +240,10 @@ def verify_block(ledger: Ledger, store: SequenceStore, m: int) -> BlockReport:
     n_win = (hi - lo) // p
     extremes = []
     for i in range(0, n_win, _WINDOW_CHUNK):
+        # in the elements' dtype: every edge is at most hi
         edges = lo + p * np.arange(i, min(i + _WINDOW_CHUNK, n_win) + 1,
-                                   dtype=np.int64)
-        counts = np.diff(np.searchsorted(elems, edges, side="left"))
+                                   dtype=elems.dtype)
+        counts = np.diff(_find(elems, edges))
         extremes += [int(counts.min()), int(counts.max())]
     ratios = [F(min(extremes), pQ), F(max(extremes), pQ)] if extremes else []
     k1_edge = params.K == 1
@@ -286,12 +319,12 @@ def banach_density(store: SequenceStore, L: int) -> Fraction:
     last = horizon - L
     lb = store.count_range(last, horizon)
     # buckets [s, e) of window starts, e <= last + 1, halved while hot
-    s = np.zeros(1, dtype=np.int64)
-    e = np.full(1, last + 1, dtype=np.int64)
+    s = np.zeros(1, dtype=elems.dtype)
+    e = np.full(1, last + 1, dtype=elems.dtype)
     searches = 0
     while True:
         # elements below s, e, s + L and e - 1 + L, all at most beta_M
-        c = np.searchsorted(elems, np.stack((s, e, s + L, e - 1 + L)))
+        c = _find(elems, np.stack((s, e, s + L, e - 1 + L)))
         searches += c.size
         lb = max(lb, int((c[2] - c[0]).max()))
         hot = (np.minimum(c[3] - c[0], L) > lb) & (c[1] > c[0])
@@ -308,7 +341,8 @@ def banach_density(store: SequenceStore, L: int) -> Fraction:
         sizes = hi - lo
         idx = np.arange(int(sizes.sum()), dtype=np.int64) \
             + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-        counts = np.searchsorted(elems, elems[idx] + L, side="left") - idx
+        # below 2 * beta_M, so in the elements' dtype
+        counts = _find(elems, elems[idx] + L) - idx
         lb = max(lb, int(counts.max(initial=0)))
     return F(lb, L)
 
@@ -352,7 +386,7 @@ def write_elements(store: SequenceStore, path) -> None:
     elems = store.elements
     # run w (1..19 digits, int64 has at most 19) is elems[edges[w-1]:edges[w]]
     edges = np.concatenate((
-        [0], np.searchsorted(elems, 10 ** np.arange(1, 19, dtype=np.int64)),
+        [0], _find(elems, 10 ** np.arange(1, 19, dtype=np.int64)),
         [elems.size])).tolist()
     runs = [(w, edges[w - 1], edges[w]) for w in range(1, 20)
             if edges[w] > edges[w - 1]]
@@ -364,8 +398,10 @@ def write_elements(store: SequenceStore, path) -> None:
             groups = -(-width // 4)
             lead = width - 4 * (groups - 1)     # digits of the leading group
             for i in range(start, stop, _WRITE_CHUNK):
-                # unsigned division is faster, and 32 bits hold 9 digits
-                x = elems[i:min(i + _WRITE_CHUNK, stop)].astype(
+                # unsigned division is faster; 32 bits hold 9 digits and
+                # every int32 element, which is read as its uint32 view
+                x = elems[i:min(i + _WRITE_CHUNK, stop)]
+                x = x.view(np.uint32) if x.dtype == np.int32 else x.astype(
                     np.uint32 if width <= 9 else np.uint64)
                 text = buf[3:3 + x.size * stride]
                 if width <= 2:

@@ -230,6 +230,25 @@ def test_cyclic_table_array_built_once_and_read_only():
     assert other.table_array.dtype == np.int64
 
 
+def _table_array_by_fractions(table):
+    # the one-Fraction-per-entry route table_array took before
+    if all(F(v).denominator == 1 for v in table):
+        return np.array([int(v) for v in table], dtype=np.int64)
+    return np.array([float(v) for v in table])
+
+
+@pytest.mark.parametrize("table", [
+    (1, 0, 0, 1, 7), (True, False, 2), (-3, 2**63 - 1, 0),
+    (F(1), F(0), F(4)), (F(1, 2), F(0), F(3, 7)),
+    (1.0, 0.0, -2.0), (0.5, 1.0, 0.25), (2.0**60, 3.0),
+    (1, F(2), 3.0), (1, F(1, 2), 0.75), (2**60 + 1, 2.0), (-1, 2**62 + 1, 0.5),
+])
+def test_cyclic_table_array_matches_the_fraction_route(table):
+    got = CyclicSystem(len(table), table).table_array
+    want = _table_array_by_fractions(table)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_bad_specs():
     with pytest.raises(BadSpec):
         RotationSystem.from_fraction(F(3, 2))

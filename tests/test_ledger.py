@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -5,7 +6,12 @@ import pytest
 
 from primegrid import ledger as ledger_mod
 from primegrid.blocksets import block_count
-from primegrid.constants import constants_for, default_constants, demo_constants
+from primegrid.constants import (
+    Family,
+    constants_for,
+    default_constants,
+    demo_constants,
+)
 from primegrid.ledger import (
     BlockParams,
     InfeasibleAtScale,
@@ -282,6 +288,20 @@ def test_faithful_block3_infeasible(faithful_ledger):
     expected = 32 * 10**4 * 4**4 * 2**4 * 97_979_797 + 1
     assert err.required == expected
     assert err.required > 10**12
+
+
+def test_prime_window_beyond_max_beta_fails_fast():
+    # with k_growth's geometric factor 1, K grows with the count of block 1,
+    # so that K primes of any size multiply past MAX_BETA = 2^62: the
+    # window search stops before listing a prime
+    table = replace(demo_constants(), k_growth=Family(F(32), F(1)))
+    t0 = time.perf_counter()
+    with pytest.raises(InfeasibleAtScale) as exc:
+        extend_to(new_ledger(table), 4)
+    assert time.perf_counter() - t0 < 1.0
+    err = exc.value
+    assert (err.m, err.what, err.cap) == (3, "log2(p_m)", 62)
+    assert err.required > 62
 
 
 def test_missing_block_raises(demo_ledger):

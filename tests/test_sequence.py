@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from primegrid import blocksets, sequence
 from primegrid.blocksets import block_count, fill_block, survivors_by_progression
 from primegrid.constants import demo_constants
+from primegrid.dynsim import count_bounds_check
 from primegrid.ledger import MAX_BETA, BlockParams, Ledger, build_ledger
 from primegrid.rng import SplitMix64
 from primegrid.sequence import (
@@ -608,13 +609,16 @@ def test_write_elements_matches_fstrings(tmp_path_factory, chunk, values):
 # gaps meet at each rebinding) and 2^14-row write chunks; 2.0 MB with
 # 2^17-gap window chunks, 2.6 MB with 2^16-row write chunks and 7.9 MB with
 # 2^20-gap window chunks.  A bound of 1.5 MB lets no doubling of the window
-# chunk and no fourfold write chunk pass unseen
+# chunk and no fourfold write chunk pass unseen.  The store's 1,689,325
+# elements are 6.4 MB as int32, so a search key of another dtype, which
+# makes NumPy convert the whole array, breaks the bound too
 SEQUENCE_PEAK_MB = 1.5
 
 
 def test_sequence_passes_stay_within_their_memory_bound(tmp_path):
     ledger = build_ledger("demo", 10)
     store = build_store(ledger)
+    assert store.elements.dtype == np.int32 and store.elements.itemsize == 4
     tracemalloc.start()
     try:
         write_elements(store, tmp_path / "seq.txt")
@@ -622,6 +626,12 @@ def test_sequence_passes_stay_within_their_memory_bound(tmp_path):
         gap_profile(store)
         for m in range(1, store.n_blocks + 1):
             verify_block(ledger, store, m)
+        count_bounds_check(ledger, store)
+        # every window length verify reports
+        L = 1000
+        while L <= store.horizon:
+            banach_density(store, L)
+            L *= 10
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -667,3 +677,59 @@ def test_survivor_gaps_and_left_emptiness(qs, d, periods):
         assert int(np.diff(elems).min()) > d
     assert not ((elems >= lo) & (elems < lo + d)).any()
     assert list(elems) == oracle_block(qs, d, lo, hi)
+
+
+def test_int32_and_int64_stores_agree(tmp_path, demo_ledger, demo_store):
+    # the same elements in a store whose 2 * beta_M is just below 2^31
+    # (int32) and in one at 2^31 (int64): blocks 1..4 of the demo store, then
+    # a last block reaching the top, across the 9-to-10-digit edge
+    top = 2**30 - 1
+    tail = sorted({10**9 - 1, 10**9, 10**9 + 1, top - 1000, top - 3,
+                   top - 2, top - 1})
+    elems = np.concatenate((demo_store.elements[:demo_store.offsets[4]],
+                            np.array(tail)))
+    betas = demo_store.betas[:5]
+    s32 = SequenceStore(betas + (top,), elems)
+    s64 = SequenceStore(betas + (top + 1,), elems)
+    assert (sequence.element_dtype(top), sequence.element_dtype(top + 1)) == \
+        (np.int32, np.int64)
+    assert (s32.elements.dtype, s64.elements.dtype) == (np.int32, np.int64)
+    assert np.array_equal(s32.elements, s64.elements)
+    texts = []
+    for store in (s32, s64):
+        write_elements(store, tmp_path / "seq.txt")
+        texts.append((tmp_path / "seq.txt").read_bytes())
+    assert texts[0] == texts[1] == "".join(
+        f"{n}\n" for n in elems.tolist()).encode()
+    points = sorted({0, top, *betas, *(n + j for n in elems[::97].tolist()
+                                       for j in (-1, 0, 1)), *tail})
+    for a, b in zip(points, points[1:] + [top]):
+        assert s32.count_range(a, b) == s64.count_range(a, b)
+    assert gap_profile(s32) == gap_profile(s64) == gap_profile_whole(s64)
+    for L in (1, 1000, 10**5, 10**7, 10**9, top - 1, top):
+        assert banach_density(s32, L) == banach_density(s64, L) == \
+            banach_density_all_starts(s64, L), L
+    for m in range(1, 5):
+        assert verify_block(demo_ledger, s32, m) == \
+            verify_block(demo_ledger, s64, m) == \
+            verify_block(demo_ledger, demo_store, m)
+
+
+@pytest.mark.parametrize("qs, d", [((1,), 0), ((2, 3), 0), ((3, 5), 1)])
+def test_fill_block_ends_at_the_int32_bound(qs, d):
+    # a tiled block ending at 2^31, past the largest int32 by one: the
+    # periods, computed in the output's dtype, do not wrap.  With the
+    # modulus 1 (block 1's) the last value is 2^31 - 1 itself
+    hi = 2**31
+    lo = hi - 600
+    n = block_count(qs, d, lo, hi)
+    out32, out64 = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int64)
+    fill_block(qs, d, lo, hi, out32)
+    fill_block(qs, d, lo, hi, out64)
+    assert out32.tolist() == out64.tolist() == oracle_block(qs, d, lo, hi)
+    if qs == (1,):
+        assert int(out32[-1]) == np.iinfo(np.int32).max
+    # one more position would not fit int32
+    with pytest.raises(ValueError, match="does not fit int32"):
+        fill_block(qs, d, lo, hi + 1,
+                   np.empty(block_count(qs, d, lo, hi + 1), dtype=np.int32))
