@@ -209,10 +209,10 @@ def cmd_verify(args) -> int:
 
 def cmd_ops_test(args) -> int:
     res = run_all(args.seed, trials=args.trials)
-    lines = []
-    for name, recs in sorted(res["records"].items()):
-        for rec in recs:
-            lines.append(json.dumps(rec, sort_keys=True))
+    # the encoder json.dumps(rec, sort_keys=True) would build for each record
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = [encode(rec) for name, recs in sorted(res["records"].items())
+             for rec in recs]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

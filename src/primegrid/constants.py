@@ -42,7 +42,9 @@ class Family:
         den = self.lin_a * m + self.lin_b
         if den <= 0:
             raise ValueError(f"family denominator nonpositive at m={m}")
-        return Fraction(self.coef) * Fraction(self.geo) ** m / den
+        c, g = self.coef, self.geo
+        return Fraction(c.numerator * g.numerator ** m,
+                        c.denominator * g.denominator ** m * den)
 
     def to_json(self) -> dict:
         return {

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ledger import Ledger
 from .rng import index_u64_array
-from .sequence import SequenceStore
+from .sequence import SequenceStore, _find
 from .zops import FiniteSignal, GridContext, progression_mean, progression_mean_j
 
 F = Fraction
@@ -583,6 +583,9 @@ def count_bounds_check(ledger: Ledger, store: SequenceStore) -> list[dict]:
     full-block two-sided bounds, a grid of horizons N inside the block (its
     sixths, its first point and its first point past d) with the windowed
     two-sided bounds, and the global lower bound count(0, N) > (3/5) Q(m) N.
+    Each block forms its rational coefficients (1 - gamma) Q, p Q, Q and
+    (3/5) Q once, and takes the counts below beta_{m-1} and below all its
+    horizons N from one binary search of the elements.
     """
     tab = ledger.constants
     out = []
@@ -590,33 +593,36 @@ def count_bounds_check(ledger: Ledger, store: SequenceStore) -> list[dict]:
         beta_prev, beta = store.betas[m - 1], store.betas[m]
         params = ledger.block(m)
         gamma, Q, p = params.gamma, params.Q, params.p
+        kept_Q, pQ, global_Q = (1 - gamma) * Q, p * Q, F(3, 5) * Q
         blk_count = store.block(m).size
         length = beta - beta_prev
         P_full = length // p
         rec = {
             "m": m,
-            "f4aa": blk_count > (1 - gamma) * (1 - tab.gamma_beta) * beta * Q,
+            "f4aa": blk_count > kept_Q * (1 - tab.gamma_beta) * beta,
             # outer form needs p_m below the previous endpoint; block 1 only
             # supports the (P_m + 1) p Q form
-            "f4ab": blk_count < (P_full + 1) * p * Q if m == 1
+            "f4ab": blk_count < (P_full + 1) * pQ if m == 1
             else blk_count < beta * Q,
             "grid": [],
         }
         Ns = {beta_prev + 1, beta_prev + params.d + 1, beta}
         for i in range(1, 7):
             Ns.add(beta_prev + max(1, (length * i) // 6))
-        for N in sorted(Ns):
-            if not beta_prev < N <= beta:
-                continue
-            cnt = store.count_range(beta_prev, N)
+        Ns = sorted(N for N in Ns if beta_prev < N <= beta)
+        # no element is negative: the count below N is count(0, N)
+        below = _find(store.elements, np.array(
+            [beta_prev, *Ns], dtype=store.elements.dtype)).tolist()
+        for N, n_below in zip(Ns, below[1:]):
+            cnt = n_below - below[0]
             P_N = (N - beta_prev) // p
             g = {
                 "N": N,
-                "f6aa_inner": cnt >= (1 - gamma) * P_N * p * Q,
-                "f6aa": cnt > (1 - gamma) * (N - beta_prev - p) * Q,
-                "f6ab_inner": cnt < (P_N + 1) * p * Q,
+                "f6aa_inner": cnt >= P_N * p * kept_Q,
+                "f6aa": cnt > (N - beta_prev - p) * kept_Q,
+                "f6ab_inner": cnt < (P_N + 1) * pQ,
                 "f6ab": cnt < (N - beta_prev + p) * Q,
-                "f4bb": store.count_range(0, N) > F(3, 5) * Q * N,
+                "f4bb": n_below > global_Q * N,
             }
             g["ok"] = all(v for k, v in g.items() if k != "N")
             rec["grid"].append(g)

@@ -14,6 +14,18 @@ of p_m, which finishes block m-1 and determines its element count.  The last
 appended block therefore always has an open right endpoint; it is closed by
 the next extension.
 
+The records of block m fall in two parts.  The *open* records read neither
+beta_m nor the block's count, so they are fixed once the block is appended:
+everything from d20f1 to d67 (base_K to gamma_small for block 1).  The
+*closing* records read beta_m and exist only once the block is closed: f3c,
+and for block 1 also beta1_floor.  A ledger is immutable, so it evaluates the
+open records of each block at most once and keeps them; `extend_ledger`
+hands the open records of blocks 1..m-1 on to each candidate ledger, so per
+candidate endpoint it evaluates only block m-1's closing records and block
+m's open records, and the ledger it returns already holds the open records of
+every block.  A ledger built by hand or read from a file holds none yet and
+evaluates each block's open records when first asked.
+
 All record evaluation is exact rational arithmetic; no floats enter this
 module.
 """
@@ -22,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -156,6 +169,18 @@ class Ledger:
             raise MissingCount(f"count through block {i} not yet determined")
         return self.nbar[i]
 
+    @cached_property
+    def _open(self) -> dict[int, tuple[ConstraintRecord, ...]]:
+        """The open records of each block evaluated so far, by m."""
+        return {}
+
+    def open_records(self, m: int) -> tuple[ConstraintRecord, ...]:
+        """The records of block m that do not read beta_m, evaluated once."""
+        recs = self._open.get(m)
+        if recs is None:
+            recs = self._open[m] = _open_records(self, m)
+        return recs
+
 
 def new_ledger(constants: ConstantTable) -> Ledger:
     """Base ledger: block 1 uses the single modulus 1 (every integer)."""
@@ -164,11 +189,19 @@ def new_ledger(constants: ConstantTable) -> Ledger:
     return Ledger(constants=constants, blocks=(b1,))
 
 
+_OPS = {"<": operator.lt, ">": operator.gt, "==": operator.eq}
+
+
 def _check(name, lhs, rhs, op) -> ConstraintRecord:
-    lhs = F(lhs)
-    rhs = F(rhs)
-    ok = {"<": lhs < rhs, ">": lhs > rhs, "==": lhs == rhs}[op]
-    return ConstraintRecord(name, lhs, rhs, op, ok)
+    """The record lhs op rhs, both sides held as Fractions; only the
+    comparison `op` names is made."""
+    # a type test: isinstance against Fraction is an ABC check, slow enough
+    # to show in a ledger build
+    if type(lhs) is not F:
+        lhs = F(lhs)
+    if type(rhs) is not F:
+        rhs = F(rhs)
+    return ConstraintRecord(name, lhs, rhs, op, _OPS[op](lhs, rhs))
 
 
 # Records of block m that compare against the count through block m-1.  Their
@@ -178,39 +211,52 @@ _COUNT_RECORDS = frozenset({"f19_p_count", "f19_sum", "d38f1", "f15a", "d63",
 
 
 def check_constraints(ledger: Ledger, m: int) -> ConstraintReport:
-    """Evaluate every named inequality the construction imposes on block m.
+    """Evaluate every named inequality the construction imposes on block m:
+    its open records, then its closing records.
 
-    Records referencing the still-open right endpoint of the last block are
-    omitted for that block (they are imposed when the endpoint is chosen).
+    The closing records reference the right endpoint beta_m, so they are
+    omitted while block m is open (they are imposed when the endpoint is
+    chosen).
     """
+    return ConstraintReport(m, ledger.open_records(m)
+                            + _closing_records(ledger, m))
+
+
+def _closing_records(ledger: Ledger, m: int) -> tuple[ConstraintRecord, ...]:
+    """The records of block m that read beta_m; none while it is open."""
+    blk = ledger.block(m)
+    if blk.beta is None:
+        return ()
+    f3c = _check("f3c", blk.beta_prev + 2 * blk.p,
+                 ledger.constants.f3c.value(m) * blk.beta, "<")
+    if m == 1:
+        return _check("beta1_floor", blk.beta, 10, ">"), f3c
+    return (f3c,)
+
+
+def _open_records(ledger: Ledger, m: int) -> tuple[ConstraintRecord, ...]:
+    """The records of block m that read neither beta_m nor its count."""
     blk = ledger.block(m)
     tab = ledger.constants
-    recs: list[ConstraintRecord] = []
 
     if m == 1:
-        recs.append(_check("base_K", blk.K, 1, "=="))
-        recs.append(_check("base_q", blk.primes[0], 1, "=="))
-        recs.append(_check("base_p", blk.p, 1, "=="))
-        recs.append(_check("base_Q", blk.Q, 1, "=="))
-        recs.append(_check("gamma_small", blk.gamma, tab.gamma_small, "=="))
-        if blk.beta is not None:
-            recs.append(_check("beta1_floor", blk.beta, 10, ">"))
-            recs.append(_check(
-                "f3c", blk.beta_prev + 2 * blk.p,
-                tab.f3c.value(1) * blk.beta, "<",
-            ))
-        return ConstraintReport(m, tuple(recs))
+        return (
+            _check("base_K", blk.K, 1, "=="),
+            _check("base_q", blk.primes[0], 1, "=="),
+            _check("base_p", blk.p, 1, "=="),
+            _check("base_Q", blk.Q, 1, "=="),
+            _check("gamma_small", blk.gamma, tab.gamma_small, "=="),
+        )
 
     prev = ledger.block(m - 1)
     if prev.beta is None or prev.beta != blk.beta_prev:
         raise MissingBlock(f"block {m-1} not finished before block {m}")
     nb = ledger.nb
     K, d, p, qmin = blk.K, blk.d, blk.p, min(blk.primes)
+    recs: list[ConstraintRecord] = []
 
-    ratio = max(
-        F(a, b) for a in blk.primes for b in blk.primes
-    )
-    recs.append(_check("d20f1", ratio, 2, "<"))
+    # the largest ratio of two of the (positive) primes
+    recs.append(_check("d20f1", F(max(blk.primes), qmin), 2, "<"))
     recs.append(_check("d_lt_q", d, qmin, "<"))
     recs.append(_check("pmbbb", blk.beta_prev % p, 0, "=="))
     recs.append(_check("p_monotone", prev.p, p, "<"))
@@ -263,10 +309,7 @@ def check_constraints(ledger: Ledger, m: int) -> ConstraintReport:
     ))
     recs.append(_check("d67", 2 * 10**4 * p * nb(m - 2) * (m + 1) * nb(m - 3),
                        tab.d67.value(m) * blk.beta_prev, "<"))
-    if blk.beta is not None:
-        recs.append(_check("f3c", blk.beta_prev + 2 * p,
-                           tab.f3c.value(m) * blk.beta, "<"))
-    return ConstraintReport(m, tuple(recs))
+    return tuple(recs)
 
 
 def _choose_k(ledger: Ledger, m: int) -> int:
@@ -317,7 +360,11 @@ def extend_ledger(ledger: Ledger) -> Ledger:
 
     Chooses d_m = m, the minimal admissible K_m and prime window, then the
     smallest multiple of p_m for beta_{m-1} above the solved lower bounds
-    that leaves blocks m-1 and m with no failing record.  A candidate that
+    that leaves blocks m-1 and m with no failing record.  The open records
+    of blocks 1..m-1 do not depend on the candidate: they are evaluated at
+    most once per call (not at all when `ledger` came from an extension)
+    and handed on to every candidate, which evaluates only block m-1's
+    closing records and block m's open records.  A candidate that
     fails only count records of block m moves on to the next multiple; any
     other failing record raises LedgerError.  Raises InfeasibleAtScale /
     NoPrimeWindow when a MAX_* cap is exceeded (with the faithful table this
@@ -360,6 +407,10 @@ def extend_ledger(ledger: Ledger) -> Ledger:
                                 gamma=gamma)
         out = Ledger(constants=tab, blocks=ledger.blocks[: m - 2]
                      + (closed_prev, new_block))
+        # no open record of blocks 1..m-1 reads beta_{m-1} or block m-1's
+        # count, so the input ledger's hold for every candidate
+        ledger.open_records(m - 1)
+        out._open.update(ledger._open)
         reports = [check_constraints(out, mm) for mm in (m - 1, m)]
         for rep in reports:
             bad = [r.name for r in rep.failing()]

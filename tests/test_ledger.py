@@ -6,6 +6,7 @@ import pytest
 
 from primegrid import ledger as ledger_mod
 from primegrid.blocksets import block_count
+from primegrid.cli import _apply_overrides
 from primegrid.constants import (
     Family,
     constants_for,
@@ -18,14 +19,18 @@ from primegrid.ledger import (
     Ledger,
     LedgerError,
     MissingBlock,
+    build_ledger,
     check_constraints,
     extend_ledger,
     extend_to,
     full_report,
     ledger_from_json,
     ledger_to_json,
+    load_ledger,
     new_ledger,
+    save_ledger,
     structural_report,
+    _check,
 )
 from primegrid.primes import is_prime, next_prime
 
@@ -92,6 +97,39 @@ def test_all_table_entries_strictly_positive():
                 assert val > 0, (profile, field.name)
 
 
+def _family_fields(tab):
+    import dataclasses
+
+    return [(f.name, getattr(tab, f.name)) for f in dataclasses.fields(tab)
+            if isinstance(getattr(tab, f.name), Family)]
+
+
+@pytest.mark.parametrize("profile, overrides", [
+    ("faithful", []), ("demo", []),
+    ("demo", ["gamma_main=3/7"]), ("faithful", ["gamma_main=1/9"]),
+])
+def test_family_value_is_the_rational_formula(profile, overrides):
+    # one Fraction from the integer powers equals coef * geo^m / (a m + b)
+    # taken one Fraction operation at a time
+    tab = _apply_overrides(profile, overrides)
+    families = _family_fields(tab)
+    assert len(families) == 13 + (tab.gamma_main is not None)
+    for name, fam in families:
+        for m in range(1, 41):
+            old = F(fam.coef) * F(fam.geo) ** m / (fam.lin_a * m + fam.lin_b)
+            got = fam.value(m)
+            assert type(got) is F and got == old, (profile, name, m)
+    if overrides:
+        assert tab.gamma_main.value(40) == F(overrides[0].split("=")[1])
+
+
+def test_family_value_rejects_nonpositive_denominator():
+    fam = Family(F(1, 3), F(2), lin_a=-1, lin_b=3)
+    assert fam.value(2) == F(4, 3)
+    with pytest.raises(ValueError, match="nonpositive at m=3"):
+        fam.value(3)
+
+
 # ---------------------------------------------------------------------------
 # base case and record layout
 
@@ -102,6 +140,30 @@ def test_base_case_records_pass():
     assert rep.overall
     assert rec(rep, "base_K").lhs == 1
     assert rec(rep, "base_Q").lhs == 1
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    (3, 3), (3, F(3)), (F(3), 3), (F(6, 2), 3), (F(1, 2), F(2, 4)), (0, F(0)),
+])
+def test_check_compares_equal_operands(lhs, rhs):
+    for op, expected in (("<", False), (">", False), ("==", True)):
+        r = _check("x", lhs, rhs, op)
+        assert (r.op, r.satisfied) == (op, expected)
+        assert type(r.lhs) is F and type(r.rhs) is F
+        assert (r.lhs, r.rhs) == (F(lhs), F(rhs))
+
+
+def test_check_keeps_fractions_and_prints_as_verify_does():
+    half = F(1, 2)
+    r = _check("x", half, 1, "<")
+    assert r.lhs is half and r.satisfied
+    assert (str(r.lhs), str(r.rhs)) == ("1/2", "1")
+    r = _check("x", 10**30, F(-7, 3), ">")
+    assert (str(r.lhs), str(r.rhs), r.satisfied) == (str(10**30), "-7/3", True)
+    assert not _check("x", 2, 1, "<").satisfied
+    assert not _check("x", 1, 2, ">").satisfied
+    with pytest.raises(KeyError):
+        _check("x", 1, 2, "<=")
 
 
 def test_zero_count_makes_count_records_trivial(faithful_ledger):
@@ -263,6 +325,88 @@ def test_endpoints_are_minimal(request, which):
 def test_unmendable_record_fails_at_first_candidate(counted_blocks):
     tab = replace(demo_constants(), f4c_floor=F(9, 10))   # 1 - 1/8 < 9/10
     with pytest.raises(LedgerError, match="block 2 .*f4c_gamma"):
+        extend_ledger(new_ledger(tab))
+    assert len(counted_blocks) == 1
+
+
+# ---------------------------------------------------------------------------
+# each record evaluated once
+
+
+def _record_rows(ledger):
+    return [(rep.m, [(r.name, r.lhs, r.rhs, r.op, r.satisfied)
+                     for r in rep.records]) for rep in full_report(ledger)]
+
+
+@pytest.mark.parametrize("table, horizon", [
+    ("demo", 6), ("demo", 10), ("faithful", 2), ("f19_third", 6),
+])
+def test_cached_records_equal_fresh_ones(tmp_path, table, horizon):
+    # the records an extension hands on to the ledger it returns are the
+    # records a fresh ledger of the same blocks evaluates, in order
+    tab = (replace(demo_constants(), f19_p=F(1, 3)) if table == "f19_third"
+           else constants_for(table))
+    built = extend_to(new_ledger(tab), horizon)
+    assert sorted(built._open) == list(range(1, horizon + 1))
+    save_ledger(built, tmp_path / "ledger.json")
+    rows = _record_rows(built)
+    assert rows == _record_rows(Ledger(built.constants, built.blocks))
+    assert rows == _record_rows(load_ledger(tmp_path / "ledger.json"))
+    for rep in full_report(built):
+        assert rep.overall, [r.name for r in rep.failing()]
+
+
+@pytest.fixture
+def made_records(monkeypatch):
+    """Names of the ConstraintRecords the ledger module makes."""
+    made = []
+    inner = ledger_mod.ConstraintRecord
+
+    def counted(*args):
+        made.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(ledger_mod, "ConstraintRecord", counted)
+    return made
+
+
+@pytest.mark.parametrize("horizon, n_records", [(6, 121), (10, 213)])
+def test_build_evaluates_each_record_once(made_records, horizon, n_records):
+    # one candidate endpoint per block with the demo table: every record of
+    # the ledger is made once, none twice (209 and 389 when each candidate
+    # evaluated block m-1 afresh)
+    led = build_ledger("demo", horizon)
+    assert len(made_records) == n_records
+    assert sum(len(rep.records) for rep in full_report(led)[1:]) == n_records
+    # its report evaluates only the structural and the closing records
+    made_records.clear()
+    full_report(led)
+    closing = ["beta1_floor"] + ["f3c"] * led.complete_horizon
+    assert sorted(made_records) == sorted(
+        [r.name for r in structural_report(led).records] + closing)
+
+
+def test_extension_rejects_failing_open_block_built_by_hand():
+    # the toy 5aa block of test_toy_5aa_record_fails, open, under a table
+    # that chooses a block 3 for it: its records are evaluated afresh and
+    # every failing one is named
+    tab = replace(demo_constants(), gamma_small=F(1, 8))
+    b1 = BlockParams(m=1, beta_prev=0, primes=(1,), d=1,
+                     gamma=tab.gamma_small, beta=15, count=15)
+    b2 = BlockParams(m=2, beta_prev=15, primes=(3, 5), d=2, gamma=F(1, 8))
+    toy = Ledger(constants=tab, blocks=(b1, b2))
+    failing = [r.name for r in check_constraints(toy, 2).failing()]
+    assert "5aa" in failing
+    with pytest.raises(LedgerError, match="block 2 .*5aa") as exc:
+        extend_ledger(toy)
+    assert str(exc.value).endswith(", ".join(failing))
+
+
+def test_extension_rejects_failing_closing_record(counted_blocks):
+    # a negative f3c family: beta_{m-1} + 2 p_m < f3c(m) beta_m cannot hold
+    tab = replace(demo_constants(), f3c=Family(F(-1, 3)))
+    with pytest.raises(LedgerError,
+                       match="block 1 with failing records: f3c$"):
         extend_ledger(new_ledger(tab))
     assert len(counted_blocks) == 1
 
