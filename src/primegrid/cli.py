@@ -54,7 +54,10 @@ def _err(msg: str) -> None:
 
 
 def _emit_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n"
+    _emit(json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n", path)
+
+
+def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -209,15 +212,8 @@ def cmd_verify(args) -> int:
 
 def cmd_ops_test(args) -> int:
     res = run_all(args.seed, trials=args.trials)
-    # the encoder json.dumps(rec, sort_keys=True) would build for each record
-    encode = json.JSONEncoder(sort_keys=True).encode
-    lines = [encode(rec) for name, recs in sorted(res["records"].items())
-             for rec in recs]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    _emit("\n".join(line for name, recs in sorted(res["records"].items())
+                     for line in recs.lines()) + "\n", args.out)
     failures = sum(v["failures"] for v in res["summary"].values())
     for name, v in sorted(res["summary"].items()):
         _err(f"{name}: trials={v['trials']} failures={v['failures']} "

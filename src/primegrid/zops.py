@@ -137,14 +137,6 @@ class FiniteSignal:
         # the only write of the fields: setting them later raises
         self.__dict__.update(lo=int(lo), values=values)
 
-    @classmethod
-    def with_norms(cls, lo: int, values, l1, bound_M, l2sq) -> "FiniteSignal":
-        """A signal whose norms the caller already holds, e.g. a battery
-        draw that computed them as arrays; they fill the norms' cache."""
-        sig = cls(lo, values)
-        sig.__dict__.update(l1=l1, bound_M=bound_M, l2sq=l2sq)
-        return sig
-
     @property
     def hi(self) -> int:
         return self.lo + len(self.values) - 1
@@ -165,6 +157,46 @@ class FiniteSignal:
     @functools.cached_property
     def l2sq(self):
         return sum(abs(v) ** 2 for v in self.values)
+
+
+class Signals:
+    """A batch of float signals as columns: signal s starts at lo[s] and
+    holds values[bounds[s]:bounds[s + 1]] (lengths[s] >= 1 of them), with
+    norms l1[s], bound_M[s] and l2sq[s]."""
+
+    __slots__ = ("lo", "lengths", "values", "l1", "bound_M", "l2sq", "bounds")
+
+    def __init__(self, lo, lengths, values, l1, bound_M, l2sq):
+        self.lo, self.lengths, self.values = lo, lengths, values
+        self.l1, self.bound_M, self.l2sq = l1, bound_M, l2sq
+        self.bounds = np.concatenate(([0], np.cumsum(lengths)))
+
+    @classmethod
+    def of(cls, sigs) -> "Signals":
+        """The batch of the FiniteSignals `sigs`, their values and norms in
+        binary64 (numpy converts each as float() does, and rejects complex)."""
+        return cls(np.array([s.lo for s in sigs]),
+                   np.array([len(s.values) for s in sigs]),
+                   np.array([v for s in sigs for v in s.values], dtype=float),
+                   *(np.array([float(getattr(s, k)) for s in sigs])
+                     for k in ("l1", "bound_M", "l2sq")))
+
+    def __len__(self) -> int:
+        return self.lo.size
+
+    def __getitem__(self, part: slice) -> "Signals":
+        a, b, _ = part.indices(len(self))           # a slice a:b
+        return Signals(self.lo[part], self.lengths[part],
+                       self.values[self.bounds[a]:self.bounds[b]],
+                       self.l1[part], self.bound_M[part], self.l2sq[part])
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.lo + self.lengths - 1
+
+    def signal(self, s: int) -> FiniteSignal:
+        return FiniteSignal(int(self.lo[s]),
+                            self.values[self.bounds[s]:self.bounds[s + 1]].tolist())
 
 
 @dataclass(frozen=True)
@@ -402,8 +434,8 @@ def lattice_sup_j(sig: FiniteSignal, ctx: GridContext, n: int, j: int):
 # fast float profiles over batches of signals (shared by the inequality
 # batteries)
 #
-# Each float kernel takes a batch of signals and evaluates the rows of all of
-# them at once: a row is one (signal, n) pair of a profile, or one (signal,
+# Each float kernel takes a `Signals` batch and evaluates the rows of all its
+# signals at once: a row is one (signal, n) pair of a profile, or one (signal,
 # residue) pair of the lattice tables.  Signals of unequal length are stacked
 # zero-padded on the right, which freezes every prefix sum and cumulative
 # table past a signal's end, so no row reads a value that differs from its
@@ -417,27 +449,23 @@ def lattice_sup_j(sig: FiniteSignal, ctx: GridContext, n: int, j: int):
 # a batch runs in groups of signals with at most _BLOCK_ENTRIES // 8 rows
 # together, and sup_sq_tail spreads its hyperbolas in runs of at most as many
 # terms, which bounds the per-row and per-term arrays; at 2^16 the tracemalloc
-# peak of run_all(20250809, 250) is 2.4 MB, at 2^17 4.1 MB for no less time
+# peak of run_all(20250809, 250) is 1.9 MB, at 2^17 3.5 MB for no less time
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _padded(sigs, width: int, offsets) -> np.ndarray:
-    """One zero row of `width` per signal, holding its float values from
-    column `offsets[s]` on."""
-    lens = np.array([len(s.values) for s in sigs])
+def _padded(sigs: Signals, width: int, offsets) -> np.ndarray:
+    """One zero row of `width` per signal, holding its values from column
+    `offsets[s]` on."""
     out = np.zeros((len(sigs), width))
-    first = np.arange(len(sigs)) * width + offsets - (np.cumsum(lens) - lens)
-    values = []
-    for s in sigs:
-        values += s.values
-    # numpy converts each value as float() does
-    out.flat[np.repeat(first, lens) + np.arange(lens.sum())] = values
+    first = np.arange(len(sigs)) * width + offsets - sigs.bounds[:-1]
+    out.flat[np.repeat(first, sigs.lengths) + np.arange(sigs.values.size)] = \
+        sigs.values
     return out
 
 
-def _prefix_sums(sigs) -> np.ndarray:
+def _prefix_sums(sigs: Signals) -> np.ndarray:
     """Row s: 0, then the running sums of signal s, frozen past its end."""
-    vals = _padded(sigs, max(len(s.values) for s in sigs), 0)
+    vals = _padded(sigs, int(sigs.lengths.max()), 0)
     P = np.zeros((len(sigs), vals.shape[1] + 1))
     P[:, 1:] = np.cumsum(vals, axis=1)
     return P
@@ -452,18 +480,19 @@ def _ranges(n_lo, n_hi):
     return owner, n
 
 
-def _grouped(fn, rows, sigs, *args) -> list:
+def _grouped(fn, rows, sigs: Signals, *args) -> np.ndarray:
     """fn(sigs[g], *(a[g] for a in args)) over consecutive slices g of the
     signals holding at most _BLOCK_ENTRIES // 8 rows together (a signal with
     more alone), joined; rows[s] is signal s's row count."""
     out = []
     start = total = 0
-    for i, n in enumerate(rows):
+    for i, n in enumerate(rows.tolist()):
         if total and total + n > _BLOCK_ENTRIES // 8:
-            out += fn(sigs[start:i], *(a[start:i] for a in args))
+            out.append(fn(sigs[start:i], *(a[start:i] for a in args)))
             start, total = i, 0
         total += n
-    return out + fn(sigs[start:], *(a[start:] for a in args))
+    out.append(fn(sigs[start:], *(a[start:] for a in args)))
+    return np.concatenate(out)
 
 
 def _sweep(flat: np.ndarray, row0: np.ndarray, start: np.ndarray,
@@ -534,14 +563,14 @@ def _run_sums(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _count_above(values: np.ndarray, lengths: np.ndarray, levels) -> list:
+def _count_above(values: np.ndarray, lengths: np.ndarray,
+                 levels: np.ndarray) -> np.ndarray:
     """Per run of lengths[i] consecutive values, how many exceed levels[i]."""
     owner = np.repeat(np.arange(lengths.size), lengths)
-    above = values > np.array([float(v) for v in levels])[owner]
-    return np.bincount(owner[above], minlength=lengths.size).tolist()
+    return np.bincount(owner[values > levels[owner]], minlength=lengths.size)
 
 
-def _lattice_tables(sigs, ctx: GridContext, kind: str):
+def _lattice_tables(sigs: Signals, ctx: GridContext, kind: str):
     """Per-residue cumulative sums of the lattice kernel over each support.
 
     Returns (blk_lo, T, CH): for signal s, the first point blk_lo[s] of the
@@ -552,10 +581,9 @@ def _lattice_tables(sigs, ctx: GridContext, kind: str):
     |smear minus block mean| ("minus"); lattice averages of it reproduce the
     combined operators exactly.
     """
-    p = ctx.p
-    lo = np.array([s.lo for s in sigs])
+    p, lo = ctx.p, sigs.lo
     blk_lo = lo // p * p
-    T = np.array([s.hi for s in sigs]) // p + 1 - lo // p
+    T = sigs.hi // p + 1 - lo // p
     grid = _padded(sigs, int(T.max()) * p, lo - blk_lo).reshape(len(sigs), -1, p)
     avg = grid.mean(axis=2)
     kernel = np.zeros(grid.shape)
@@ -750,49 +778,47 @@ def sup_sq_tail(S, k_start: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the four inequality checks
 #
-# Each check runs on a batch of signals and returns one result per signal;
-# the name without `_batch` is the batch of one.
+# Each check runs on a `Signals` batch and returns a dict of result arrays;
+# the name without `_batch` is the batch of one FiniteSignal, as scalars.
 
-def _check_levels(lams) -> None:
-    for lam in lams:
-        if lam <= 0:
-            raise NonpositiveLambda(lam)
+def _one(res: dict) -> dict:
+    return {k: tuple(v[0].tolist()) if v.ndim > 1 else v[0].item()
+            for k, v in res.items()}
 
 
-def level_count_progression_sup_batch(sigs, ctx: GridContext,
-                                      lams) -> list[dict]:
+def _levels(lams) -> np.ndarray:
+    lams = np.asarray(lams, dtype=float)
+    if (lams <= 0).any():
+        raise NonpositiveLambda(lams[lams <= 0][0].item())
+    return lams
+
+
+def level_count_progression_sup_batch(sigs: Signals, ctx: GridContext,
+                                      lams) -> dict:
     """#{n : sup_N |progression mean| > lam} and its weak (1,1) bound, per
     signal and its level.
 
     The scan window is lossless: left of it the supremum is at most
     l1 * max(q) / distance < lam, right of it the operator vanishes.
     """
-    _check_levels(lams)
-    l1 = [sig.l1 for sig in sigs]
-    windows = [(sig.lo - math.ceil(a * max(ctx.primes) / lam) - ctx.p,
-                sig.hi + ctx.p) for sig, a, lam in zip(sigs, l1, lams)]
-    rows = [hi - lo + 1 for lo, hi in windows]
-
-    def profile(group, group_windows):
-        n_lo, n_hi = np.array(group_windows).T
-        return sup_profile(_lattice_tables(group, ctx, "plus"), ctx,
-                           n_lo, n_hi).tolist()
-
-    counts = _count_above(np.array(_grouped(profile, rows, sigs, windows)),
-                          np.array(rows), lams)
-    out = []
-    for a, lam, count, window in zip(l1, lams, counts, windows):
-        bound = 4 * (float(a) / float(lam))
-        out.append({"count": count, "bound": bound, "ok": count <= bound,
-                    "window": window})
-    return out
+    lams = _levels(lams)
+    reach = np.ceil(sigs.l1 * max(ctx.primes) / lams).astype(np.int64)
+    n_lo, n_hi = sigs.lo - reach - ctx.p, sigs.hi + ctx.p
+    rows = n_hi - n_lo + 1
+    count = _count_above(_grouped(
+        lambda group, lo, hi: sup_profile(_lattice_tables(group, ctx, "plus"),
+                                          ctx, lo, hi),
+        rows, sigs, n_lo, n_hi), rows, lams)
+    bound = 4 * (sigs.l1 / lams)
+    return {"count": count, "bound": bound, "ok": count <= bound,
+            "window": np.stack([n_lo, n_hi], axis=1)}
 
 
 def level_count_progression_sup(sig: FiniteSignal, ctx: GridContext, lam) -> dict:
-    return level_count_progression_sup_batch([sig], ctx, [lam])[0]
+    return _one(level_count_progression_sup_batch(Signals.of([sig]), ctx, [lam]))
 
 
-def deviation_sup_l2_bound_batch(sigs, ctx: GridContext) -> list[dict]:
+def deviation_sup_l2_bound_batch(sigs: Signals, ctx: GridContext) -> dict:
     """Sum over n of (deviation supremum)^2 against (32/K) * M * l1, per
     signal.
 
@@ -811,59 +837,50 @@ def deviation_sup_l2_bound_batch(sigs, ctx: GridContext) -> list[dict]:
         terms[:, 0] = _run_sums(sups ** 2, T * p)
         terms[:, 1:] = sup_sq_tail(CH[:, :, 1:].reshape(-1, CH.shape[2] - 1),
                                    1).reshape(-1, p)
-        return np.cumsum(terms, axis=1)[:, -1].tolist()
+        return np.cumsum(terms, axis=1)[:, -1]
 
-    rows = [(ctx.t(sig.hi) - ctx.t(sig.lo) + 1) * p for sig in sigs]
-    out = []
-    for sig, total in zip(sigs, _grouped(lhs, rows, sigs)):
-        M = float(sig.bound_M)
-        rhs = 32.0 / ctx.K * M * float(sig.l1)
-        out.append({"lhs": total, "rhs": rhs, "ok": total <= rhs})
-    return out
+    rows = (sigs.hi // p - sigs.lo // p + 1) * p
+    total = _grouped(lhs, rows, sigs)
+    rhs = 32.0 / ctx.K * sigs.bound_M * sigs.l1
+    return {"lhs": total, "rhs": rhs, "ok": total <= rhs}
 
 
 def deviation_sup_l2_bound(sig: FiniteSignal, ctx: GridContext) -> dict:
-    return deviation_sup_l2_bound_batch([sig], ctx)[0]
+    return _one(deviation_sup_l2_bound_batch(Signals.of([sig]), ctx))
 
 
-def _window_sups(sigs, W) -> list:
+def _window_sups(sigs: Signals, W: np.ndarray) -> np.ndarray:
     """sup_N |avg of phi over [n, n+N)| for n in [lo - W[s], hi], signal by
     signal."""
-    lens = np.array([len(sig.values) for sig in sigs])
+    lens = sigs.lengths
     P = _prefix_sums(sigs)
     end = P.shape[1] - 1
-    owner, off = _ranges(-np.array(W), lens - 1)      # off = n - lo
-    return _sweep(P.ravel(), owner * (end + 1), off, lens[owner] - off,
-                  end).tolist()
+    owner, off = _ranges(-W, lens - 1)      # off = n - lo
+    return _sweep(P.ravel(), owner * (end + 1), off, lens[owner] - off, end)
 
 
-def level_count_window_sup_batch(sigs, lams) -> list[dict]:
+def level_count_window_sup_batch(sigs: Signals, lams) -> dict:
     """#{n : sup_N |avg of phi over [n, n+N)| > lam} vs 2*l1/lam, per signal
     and its level."""
-    _check_levels(lams)
-    l1 = [sig.l1 for sig in sigs]
-    W = [math.ceil(a / lam) + 1 for a, lam in zip(l1, lams)]
-    rows = [len(sig.values) + w for sig, w in zip(sigs, W)]
-    counts = _count_above(np.array(_grouped(_window_sups, rows, sigs, W)),
-                          np.array(rows), lams)
-    out = []
-    for a, lam, count in zip(l1, lams, counts):
-        bound = 2 * (float(a) / float(lam))
-        out.append({"count": count, "bound": bound, "ok": count <= bound})
-    return out
+    lams = _levels(lams)
+    W = np.ceil(sigs.l1 / lams).astype(np.int64) + 1
+    rows = sigs.lengths + W
+    count = _count_above(_grouped(_window_sups, rows, sigs, W), rows, lams)
+    bound = 2 * (sigs.l1 / lams)
+    return {"count": count, "bound": bound, "ok": count <= bound}
 
 
 def level_count_window_sup(sig: FiniteSignal, lam) -> dict:
-    return level_count_window_sup_batch([sig], [lam])[0]
+    return _one(level_count_window_sup_batch(Signals.of([sig]), [lam]))
 
 
-def _strong_lhs_sq(sigs) -> list[float]:
+def _strong_lhs_sq(sigs: Signals) -> np.ndarray:
     """Squared l2 norm of n -> max(0, sup_N (1/N) sum_{k=1..N} phi(n+k)),
     per signal.
 
     Rows whose supremum is negative count as 0.
     """
-    lens = np.array([len(sig.values) for sig in sigs])
+    lens = sigs.lengths
     P = _prefix_sums(sigs)
     end = P.shape[1] - 1
     # off = n + 1 - lo: the window [n+1, n+N] meets the support iff n < hi
@@ -877,28 +894,22 @@ def _strong_lhs_sq(sigs) -> list[float]:
     terms = np.zeros((len(sigs), end + 1))
     terms[owner, off] = np.float_power(np.maximum(sups, 0.0), 2.0)
     terms[:, -1] = sup_sq_tail(P[:, 1:], k_start=1)
-    return np.cumsum(terms, axis=1)[:, -1].tolist()
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
-def strong_l2_window_sup_batch(sigs) -> list[dict]:
+def strong_l2_window_sup_batch(sigs: Signals) -> dict:
     """l2 norm of n -> sup_N (1/N) sum_{k=1..N} phi(n+k) against 2*||phi||_2,
     per signal.
 
-    Real signals only (the inner sum carries no absolute value).  The far
-    left field is summed exactly through the hyperbola-tail closed form.
+    Real signals only (the inner sum carries no absolute value; a batch
+    holds real values).  The far left field is summed exactly through the
+    hyperbola-tail closed form.  The square roots go through libm pow, as
+    x ** 0.5 does; np.sqrt rounds some of them the other way.
     """
-    # the types of all values, gathered without a Python step per value
-    if any(issubclass(t, complex)
-           for t in set().union(*(map(type, sig.values) for sig in sigs))):
-        raise TypeError("one-sided strong bound is implemented for real signals")
-    rows = [len(sig.values) for sig in sigs]
-    out = []
-    for sig, lhs_sq in zip(sigs, _grouped(_strong_lhs_sq, rows, sigs)):
-        rhs = 2.0 * float(sig.l2sq) ** 0.5
-        lhs = lhs_sq ** 0.5
-        out.append({"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs})
-    return out
+    lhs = np.float_power(_grouped(_strong_lhs_sq, sigs.lengths, sigs), 0.5)
+    rhs = 2.0 * np.float_power(sigs.l2sq, 0.5)
+    return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs}
 
 
 def strong_l2_window_sup(sig: FiniteSignal) -> dict:
-    return strong_l2_window_sup_batch([sig])[0]
+    return _one(strong_l2_window_sup_batch(Signals.of([sig])))

@@ -44,7 +44,6 @@ from primegrid.rng import SplitMix64, derive_seed, index_u64
 from primegrid.zbattery import (
     L2_CONTEXTS,
     WEAK_CONTEXTS,
-    _record,
     random_signal,
     shrink_signal,
     signal_json,
@@ -52,6 +51,7 @@ from primegrid.zbattery import (
 from primegrid.zops import (
     FiniteSignal,
     GridContext,
+    Signals,
     _lattice_tables,
     deviation_sup_l2_bound,
     level_count_progression_sup,
@@ -139,7 +139,7 @@ def as_floats(sig):
 
 def lattice_table(sig, ctx, kind):
     """The library's lattice tables of one signal: (blk_lo, T, CH)."""
-    blk_lo, T, CH = _lattice_tables([sig], ctx, kind)
+    blk_lo, T, CH = _lattice_tables(Signals.of([sig]), ctx, kind)
     return int(blk_lo[0]), int(T[0]), CH[0]
 
 
@@ -285,6 +285,23 @@ def strong_l2_lhs_by_n(sig):
 
 # ---------------------------------------------------------------------------
 # the inequality batteries one trial at a time
+
+def _record(test, ctx_primes, seed, trial, lhs, rhs, ok, extra=None):
+    """A trial's record dict, as the batteries define it."""
+    rec = {
+        "test": test,
+        "ctx": list(ctx_primes) if ctx_primes else None,
+        "seed": seed,
+        "trial": trial,
+        "lhs": float(lhs),
+        "rhs": float(rhs),
+        "ratio": float(lhs) / float(rhs) if rhs else None,
+        "pass": bool(ok),
+    }
+    if extra:
+        rec.update(extra)
+    return rec
+
 
 def battery_window_weak_by_trial(base_seed, trials):
     out = []

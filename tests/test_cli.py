@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from _oracles import dense_orbit
-from primegrid import cli, dynsim
+from primegrid import cli, dynsim, zbattery
 from primegrid.cli import main, read_config
 from primegrid.dynsim import (
     BernoulliSystem,
@@ -111,15 +111,27 @@ def test_tracer_finds_its_names(tmp_path):
         "tracer = tracing.Tracer('t')\n"
         "tracing.install(tracer)\n"
         "code = cli.main(['gen-params', '--horizon', '4', '--out', sys.argv[1]])\n"
-        "print(code, tracer.counters['ledger.endpoint_candidates'])\n")
+        "print(code, tracer.counters['ledger.endpoint_candidates'])\n"
+        "code = cli.main(['ops-test', '--seed', '5', '--trials', '8',\n"
+        "                 '--out', sys.argv[1] + 'l'])\n"
+        "print(code, *(f'{k}={v[\"trials\"]}' for k, v in\n"
+        "              sorted(tracer.battery_summary.items())))\n"
+        "print(*sorted({s[1] for s in tracer.spans}))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")])}
     res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "l.json")],
                          cwd=tmp_path, env=env, capture_output=True, text=True,
                          timeout=120)
     assert res.returncode == 0, res.stderr
-    exit_code, candidates = map(int, res.stdout.split())
+    gen, ops, spans = res.stdout.splitlines()
+    exit_code, candidates = map(int, gen.split())
     assert exit_code == 0 and candidates > 0
+    # run_all's summary reaches the tracer, and each battery's span opens
+    assert ops.split() == ["0", "deviation_l2=8", "progression_weak=9",
+                           "window_strong=8", "window_weak=8"]
+    assert {"zbattery.run_all", "zbattery.window_weak",
+            "zbattery.window_strong", "zbattery.progression_weak",
+            "zbattery.deviation_l2"} <= set(spans.split())
 
 
 def test_gen_params_faithful_two_blocks(tmp_path):
@@ -407,6 +419,21 @@ def test_ops_test_rejects_nonpositive_trials(tmp_path, capsys, trials):
                  "--out", str(out)]) == 2
     assert "trials must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ops_test_rejects_too_many_trials(monkeypatch, tmp_path, capsys):
+    # the bound holds before anything is drawn: a draw past it fails fast
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew trials past MAX_TRIALS")
+
+    monkeypatch.setattr(zbattery, "_draw", no_draw)
+    out = tmp_path / "b.jsonl"
+    assert main(["ops-test", "--seed", "5", "--trials",
+                 str(zbattery.MAX_TRIALS + 1), "--out", str(out)]) == 2
+    assert f"<= {zbattery.MAX_TRIALS}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(zbattery.TrialsOutOfRange):
+        zbattery.run_all(5, zbattery.MAX_TRIALS + 1)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])

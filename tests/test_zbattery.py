@@ -12,7 +12,7 @@ from _oracles import (
     battery_window_strong_by_trial,
     battery_window_weak_by_trial,
 )
-from primegrid import rng, zbattery
+from primegrid import cli, rng, zbattery
 from primegrid.rng import _GAMMA, _MASK, index_u64, mix64
 from primegrid.zbattery import (
     battery_deviation_l2,
@@ -28,14 +28,18 @@ from primegrid.rng import SplitMix64
 from primegrid.zops import FiniteSignal
 
 
+def _dumps(res):
+    """A run's records, as dicts, and its summary in one JSON text."""
+    return json.dumps({"records": {k: list(v) for k, v in res["records"].items()},
+                       "summary": res["summary"]}, sort_keys=True)
+
+
 def test_batteries_deterministic():
     a = run_all(123, trials=12)
     b = run_all(123, trials=12)
-    assert json.dumps(a, sort_keys=True, default=str) == \
-        json.dumps(b, sort_keys=True, default=str)
+    assert _dumps(a) == _dumps(b)
     c = run_all(124, trials=12)
-    assert json.dumps(a, sort_keys=True, default=str) != \
-        json.dumps(c, sort_keys=True, default=str)
+    assert _dumps(a) != _dumps(c)
 
 
 def test_batteries_clean_at_modest_trials():
@@ -45,10 +49,10 @@ def test_batteries_clean_at_modest_trials():
         assert s["trials"] >= 60
 
 
-# tracemalloc peak of run_all(20250809, 250): 1.7 MB with 2^15-entry groups,
-# 2.4 MB with the 2^16 the batteries use, 4.1 MB with 2^17; a bound of 4 MB
+# tracemalloc peak of run_all(20250809, 250): 1.2 MB with 2^15-entry groups,
+# 1.9 MB with the 2^16 the batteries use, 3.5 MB with 2^17; a bound of 3 MB
 # lets no doubling of the group size pass unseen
-BATTERY_PEAK_MB = 4.0
+BATTERY_PEAK_MB = 3.0
 
 
 def test_battery_run_stays_within_its_memory_bound():
@@ -109,6 +113,46 @@ def test_window_batteries_have_margin():
 
 
 # ---------------------------------------------------------------------------
+# the line writer against json
+
+_ANY_FLOAT = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, -3.5, 5e-324, -2.5e-310, 1e300, -1e300]))
+
+
+def _column(data, n, elements):
+    return data.draw(st.lists(elements, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6),
+       test=st.sampled_from(["window_weak", "window_strong",
+                             "progression_weak", "deviation_l2"]),
+       ctx=st.sampled_from([None, (2, 3), (5, 7, 11)]),
+       extra=st.sampled_from(["lambda", "ratio_ok_ctx", None]))
+def test_lines_equal_json_dumps(data, n, test, ctx, extra):
+    # every key set the batteries emit: lambda or ratio_ok_ctx or neither,
+    # ctx null or a list, ratio null (rhs 0), seeds at both ends of the
+    # range, and a counterexample, whose key sorts first
+    seeds = _column(data, n, st.sampled_from([0, _MASK]) | st.integers(0, _MASK))
+    lhs = _column(data, n, _ANY_FLOAT)
+    rhs = _column(data, n, st.just(0.0) | _ANY_FLOAT)
+    ok = _column(data, n, st.booleans())
+    fields = {"lambda": {"lambda": np.array(_column(data, n, _ANY_FLOAT))},
+              "ratio_ok_ctx": {"ratio_ok_ctx": data.draw(st.booleans())},
+              None: {}}[extra]
+    bad = {t: signal_json(FiniteSignal(-t, [0.5, -8.0][:t + 1]))
+           for t in data.draw(st.sets(st.integers(0, n - 1)))}
+    cols = {"ctx": list(ctx) if ctx else None,
+            "seed": np.array(seeds, dtype=np.uint64), "lhs": np.array(lhs),
+            "rhs": np.array(rhs), "pass": np.array(ok), **fields}
+    recs = zbattery.Records(test, [(cols, bad)])
+    want = [json.dumps(rec, sort_keys=True) for rec in recs]
+    assert list(recs.lines()) == want
+    assert [line.startswith('{"counterexample": ') for line in want] == \
+        [t in bad for t in range(n)]
+
+
+# ---------------------------------------------------------------------------
 # words that randint rejects
 
 def _unshift(y, s):
@@ -141,47 +185,54 @@ def _seed_rejecting(k):
 
 
 def test_drawn_norms_never_go_stale():
-    # a signal is an immutable value, so the norms the draw handed over stay
-    # the norms of its values: they sit in the cache and equal fresh sums
-    for sig in zbattery._draw(7, ("window_weak",), 20, 12, levels=False).sigs:
+    # the norm columns of a draw are the norms of its values, and a trial
+    # taken out as a signal (as a failing one is, to be shrunk) is an
+    # immutable value that computes the same norms afresh
+    seeds, sigs, lams = zbattery._draw(7, ("window_weak",), 20, 12,
+                                       levels=False)
+    assert lams is None and len(sigs) == seeds.size == 20
+    for t in range(20):
+        sig = sigs.signal(t)
         with pytest.raises(AttributeError):
             sig.values = (100.0,) + sig.values[1:]
         with pytest.raises(TypeError):
             sig.values[0] = 100.0
         with pytest.raises(AttributeError):
             sig.lo = sig.lo + 1
-        cached = {k: vars(sig)[k] for k in ("l1", "bound_M", "l2sq")}
-        assert cached == {"l1": sum(abs(v) for v in sig.values),
-                          "bound_M": max(abs(v) for v in sig.values),
-                          "l2sq": sum(v * v for v in sig.values)}
-        fresh = FiniteSignal(sig.lo, sig.values)
-        assert "l1" not in vars(fresh)
-        assert (fresh.l1, fresh.bound_M, fresh.l2sq) == \
-            (sig.l1, sig.bound_M, sig.l2sq)
+        assert "l1" not in vars(sig)
+        drawn = {k: getattr(sigs, k)[t] for k in ("l1", "bound_M", "l2sq")}
+        assert drawn == {"l1": sum(abs(v) for v in sig.values),
+                         "bound_M": max(abs(v) for v in sig.values),
+                         "l2sq": sum(v * v for v in sig.values)}
+        assert drawn == {"l1": sig.l1, "bound_M": sig.bound_M,
+                         "l2sq": sig.l2sq}
 
 
 # ---------------------------------------------------------------------------
 # all trials of a context drawn at once against one generator per trial
 
 def _assert_draws_one_by_one(seeds, span_scale, levels):
-    got = zbattery._draw_seeded(np.array(seeds, dtype=np.uint64), span_scale,
-                                levels)
-    assert got.seeds == list(seeds)
-    for seed, sig, lam in zip(*got):
+    sigs, lams = zbattery._draw_seeded(np.array(seeds, dtype=np.uint64),
+                                       span_scale, levels)
+    assert len(sigs) == len(seeds)
+    assert sigs.values.size == sigs.lengths.sum()
+    assert sigs.values.dtype == float
+    for t, seed in enumerate(seeds):
         gen = SplitMix64(seed)
         want = random_signal(gen, span_scale)
+        sig = sigs.signal(t)
         assert (sig.lo, sig.values) == (want.lo, want.values)
         assert all(type(v) is float for v in sig.values)
-        # the norms the draw hands over are the ones the values give
+        # the norm columns hold the norms the values give
         for norm in ("l1", "bound_M", "l2sq"):
-            assert getattr(sig, norm) == getattr(want, norm)
-            assert type(getattr(sig, norm)) is float
+            assert getattr(sigs, norm)[t] == getattr(want, norm)
+            assert getattr(sigs, norm).dtype == float
         if levels:
             # the level comes from the word right after the signal's
-            assert lam == (0.02 + 1.4 * gen.uniform()) * want.l1
-            assert type(lam) is float
+            assert lams[t] == (0.02 + 1.4 * gen.uniform()) * want.l1
+            assert lams.dtype == float
         else:
-            assert lam is None
+            assert lams is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -299,11 +350,11 @@ BY_TRIAL = {
 def test_batched_batteries_equal_trial_loops(seed, trials):
     for name, by_trial in BY_TRIAL.items():
         got = getattr(zbattery, f"battery_{name}")(seed, trials)
-        assert json.dumps(got, sort_keys=True) == \
+        assert json.dumps(list(got), sort_keys=True) == \
             json.dumps(by_trial(seed, trials), sort_keys=True), name
 
 
-def test_failed_trial_in_batch_is_shrunk_and_counted(monkeypatch):
+def test_failed_trial_in_batch_is_shrunk_and_counted(monkeypatch, tmp_path):
     seed, trials = 20250809, 12
     # a trial whose level count is positive fails once the bound is 0
     target = next(r["trial"] for r in battery_window_weak(seed, trials)
@@ -316,7 +367,8 @@ def test_failed_trial_in_batch_is_shrunk_and_counted(monkeypatch):
 
     def failing_batch(sigs, lams):
         out = batch(sigs, lams)
-        out[target] = zero_bound(out[target])
+        out["bound"][target] = 0.0
+        out["ok"][target] = out["count"][target] <= 0
         return out
 
     # shrinking replays through the per-signal kernel, under the same bound
@@ -335,3 +387,13 @@ def test_failed_trial_in_batch_is_shrunk_and_counted(monkeypatch):
     assert one(sig, bad["lambda"])["count"] >= 1
     assert res["summary"]["window_weak"]["failures"] == 1
     assert sum(v["failures"] for v in res["summary"].values()) == 1
+    # the written file: each line is the one json.dumps gives the record
+    # dict, the counterexample record included
+    out = tmp_path / "battery.jsonl"
+    assert cli.main(["ops-test", "--seed", str(seed), "--trials", str(trials),
+                     "--out", str(out)]) == 1
+    dicts = [json.dumps(rec, sort_keys=True)
+             for name, recs in sorted(res["records"].items()) for rec in recs]
+    assert out.read_bytes() == ("\n".join(dicts) + "\n").encode()
+    assert sum(b'"counterexample"' in line
+               for line in out.read_bytes().splitlines()) == 1

@@ -10,6 +10,7 @@ from primegrid.rng import SplitMix64, derive_seed
 from primegrid.zops import (
     FiniteSignal,
     GridContext,
+    Signals,
     LengthMismatch,
     NonpositiveLambda,
     _lattice_tables,
@@ -478,10 +479,9 @@ def test_sup_profile_matches_exact_sweeps():
     for ctx in CTXS:
         sig = rational_signal(rng, ctx)
         lo, hi = sig.lo - 3 * ctx.p - 2, sig.hi + 2 * ctx.p + 3
-        plus = sup_profile(_lattice_tables([as_floats(sig)], ctx, "plus"),
-                           ctx, lo, hi)
-        minus = sup_profile(_lattice_tables([as_floats(sig)], ctx, "minus"),
-                            ctx, lo, hi)
+        one = Signals.of([as_floats(sig)])
+        plus = sup_profile(_lattice_tables(one, ctx, "plus"), ctx, lo, hi)
+        minus = sup_profile(_lattice_tables(one, ctx, "minus"), ctx, lo, hi)
         for i, n in enumerate(range(lo, hi + 1)):
             assert abs(plus[i] - float(progression_mean_sup(sig, ctx, n))) < 1e-9
             assert abs(minus[i] - float(progression_deviation_sup(sig, ctx, n))) < 1e-9

@@ -24,6 +24,7 @@ from primegrid.zbattery import L2_CONTEXTS, WEAK_CONTEXTS, random_signal
 from primegrid.zops import (
     FiniteSignal,
     GridContext,
+    Signals,
     _lattice_tables,
     deviation_sup_l2_bound,
     deviation_sup_l2_bound_batch,
@@ -103,7 +104,8 @@ def test_sup_profile_equals_residue_loop(primes, block_entries):
         # rows at r = p - 1 and rows left of the support (negative j0)
         assert (n % ctx.p == ctx.p - 1).any() and (n < blk_lo).any()
         for kind in ("plus", "minus"):
-            fast = sup_profile(_lattice_tables([sig], ctx, kind), ctx, n_lo, n_hi)
+            fast = sup_profile(_lattice_tables(Signals.of([sig]), ctx, kind),
+                               ctx, n_lo, n_hi)
             assert np.array_equal(
                 fast, sup_profile_by_residue(sig, ctx, n_lo, n_hi, kind))
 
@@ -134,6 +136,13 @@ def test_window_kernels_equal_per_n_loops(block_entries):
         assert strong_l2_window_sup(sig)["lhs"] == strong_l2_lhs_by_n(sig)
 
 
+def _rows(res):
+    """A batch's result arrays as one dict of Python values per signal."""
+    cols = {k: [tuple(x) if v.ndim > 1 else x for x in v.tolist()]
+            for k, v in res.items()}
+    return [dict(zip(cols, row)) for row in zip(*cols.values())]
+
+
 def test_batches_equal_signals_alone(block_entries):
     # every context, length-1 signals and supports left of 0: each result of
     # a mixed batch is the one its signal gives alone, to the last bit
@@ -142,18 +151,20 @@ def test_batches_equal_signals_alone(block_entries):
         ctx, sigs = _signals(primes)
         sigs.insert(3, FiniteSignal(-2 * ctx.p - 5, [0.0, -1.5, 4.0]))
         lams = [(0.02 + 1.4 * rng.uniform()) * sig.l1 for sig in sigs]
-        assert level_count_progression_sup_batch(sigs, ctx, lams) == \
+        assert _rows(level_count_progression_sup_batch(Signals.of(sigs), ctx,
+                                                       lams)) == \
             [level_count_progression_sup(s, ctx, lam) for s, lam in zip(sigs, lams)]
-        assert deviation_sup_l2_bound_batch(sigs, ctx) == \
+        assert _rows(deviation_sup_l2_bound_batch(Signals.of(sigs), ctx)) == \
             [deviation_sup_l2_bound(s, ctx) for s in sigs]
     sigs = [random_signal(rng, 12) for _ in range(30)]
     sigs[5:5] = [FiniteSignal(-7, [2.0]), FiniteSignal(0, [-0.25]),
                  FiniteSignal(-40, [-1.0, -2.0, -0.5])]   # sup <= 0 everywhere
     lams = [(0.02 + 1.4 * rng.uniform()) * sig.l1 for sig in sigs]
-    assert level_count_window_sup_batch(sigs, lams) == \
+    assert _rows(level_count_window_sup_batch(Signals.of(sigs), lams)) == \
         [level_count_window_sup(s, lam) for s, lam in zip(sigs, lams)]
-    assert strong_l2_window_sup_batch(sigs) == \
+    assert _rows(strong_l2_window_sup_batch(Signals.of(sigs))) == \
         [strong_l2_window_sup(s) for s in sigs]
+
 
 
 @pytest.mark.parametrize("primes", L2_CONTEXTS)
