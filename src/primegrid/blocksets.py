@@ -21,19 +21,18 @@ the rule's survivors in [0, P) of the range [-d, P + d), is tiled across
 the interior.  The rule itself decides only the at most d points at each
 end, where a neighbour counts only if it lies inside the block, and a block
 whose interior is shorter than two periods, where a period would cost more
-than it saves.  `block_count` counts the tiled interior in closed form:
-whole periods times the period's survivor count, plus binary searches in
-the period for the partial ones.
+than it saves.
 
-`fill_block` decides block contents: it writes a block's survivors in
-increasing order into the block's slice of the sequence store's one element
-array, in five pieces around the tiled interior [a, b): the left end, the
-period holding a cut at a, the whole periods, the period holding b cut at
-b, and the right end.  The period is the merge of the progressions'
-residues, so each piece comes out sorted and the pieces follow one another.
-`block_count`, which the ledger calls while choosing block endpoints and the
-store calls to size each slice, counts what it writes, and a fill that does
-not end exactly at that count raises.
+`Block` lays a block out once.  It evaluates the rule at the two ends and
+over one period, each merged over the progressions, and counts the tiled
+interior in closed form: whole periods times the period's survivor count,
+plus binary searches in the period for the partial ones.  `Block.fill`
+writes the survivors in increasing order into the block's slice of the
+sequence store's one element array, in five pieces around the tiled
+interior [a, b): the left end, the period holding a cut at a, the whole
+periods, the period holding b cut at b, and the right end.  Each piece
+comes out sorted and the pieces follow one another; a fill that does not
+end exactly at the count raises.  `block_count` is a Block's count.
 `survivors_by_progression` is the per-modulus view of one filled block: a
 survivor is a multiple of exactly one modulus.  A brute-force oracle in the
 test suite re-derives both point by point.
@@ -74,34 +73,7 @@ def _rule(primes, d: int, lo: int, hi: int, a: int,
     return survivors
 
 
-def _layout(primes, d: int, lo: int,
-            hi: int) -> tuple[list[int], int, int, int]:
-    """Checked moduli, the period P and the tiled interior [a, b).
-
-    [a, b) is empty (a = b = hi) when the interior is shorter than two
-    periods, so that the rule decides the whole block.
-    """
-    primes = list(primes)
-    if not primes:
-        raise ValueError("a block needs at least one progression")
-    if len(set(primes)) != len(primes):
-        raise ValueError("progression moduli must be distinct")
-    if d < 0:
-        raise ValueError(f"deletion distance d must be >= 0, got {d}")
-    P = math.lcm(*primes)
-    a = min(lo + d, hi)
-    b = max(a, hi - d)
-    if b - a < 2 * P:
-        a = b = hi
-    return primes, P, a, b
-
-
-def _period(primes, d: int, P: int) -> list[np.ndarray]:
-    """Survivor residues in [0, P) of the interior, per progression."""
-    return _rule(primes, d, -d, P + d, 0, P)
-
-
-# fill_block writes the whole periods of a block this many at a time, so
+# Block.fill writes the whole periods of a block this many at a time, so
 # that a period-1 block of 10^8 integers needs no array of period starts as
 # long as the block
 _FILL_PERIODS = 1 << 16
@@ -121,65 +93,90 @@ def _put(out: np.ndarray, pos: int, piece: np.ndarray) -> int:
     return end
 
 
-def fill_block(primes, d: int, lo: int, hi: int, out: np.ndarray) -> None:
-    """Write the survivors of the block [lo, hi) into `out`, increasing.
+class Block:
+    """The survivors of the block [lo, hi), laid out once.
 
-    `out` must have exactly `block_count(primes, d, lo, hi)` places; a fill
-    that ends anywhere else raises ValueError.  Every value is below hi,
-    which must fit `out`'s integer dtype; the whole periods are computed in
-    that dtype.
+    [a, b) is the tiled interior, empty (a = b = hi) when it is shorter than
+    two periods.  `left`, `right` and `period` are the rule's survivors at
+    the two ends and in one period, merged over the progressions; `period`
+    is set only when a < b.  `count` is the block's size.
     """
-    primes, P, a, b = _layout(primes, d, lo, hi)
-    if hi - 1 > np.iinfo(out.dtype).max:
-        raise ValueError(f"block [{lo}, {hi}) does not fit {out.dtype}")
-    pos = _put(out, 0, _merged(_rule(primes, d, lo, hi, lo, a)))
-    if a < b:
-        res = _merged(_period(primes, d, P))
-        # the periods holding a and b start at first and last, with the
-        # n >= 1 whole periods between them
-        first, last = a // P * P, b // P * P
-        pos = _put(out, pos, first + res[np.searchsorted(res, a - first):])
-        n = (last - first) // P - 1
-        end = pos + n * res.size
-        if end > out.size:
-            raise ValueError(f"block fill overruns its {out.size} places")
-        whole = out[pos:end].reshape(n, res.size)
-        # the whole periods in out's dtype: their starts, and so P and
-        # first, lie below last <= hi
-        period = res.astype(out.dtype)
-        for i in range(0, n, _FILL_PERIODS):
-            k = min(_FILL_PERIODS, n - i)
-            starts = np.arange(i + 1, i + k + 1, dtype=out.dtype)
-            starts *= P
-            starts += first
-            np.add.outer(starts, period, out=whole[i:i + k])
-        pos = _put(out, end, last + res[:np.searchsorted(res, b - last)])
-    pos = _put(out, pos, _merged(_rule(primes, d, lo, hi, b, hi)))
-    if pos != out.size:
-        raise ValueError(f"block [{lo}, {hi}) filled {pos} of its "
-                         f"{out.size} places")
+
+    def __init__(self, primes, d: int, lo: int, hi: int):
+        primes = list(primes)
+        if not primes:
+            raise ValueError("a block needs at least one progression")
+        if len(set(primes)) != len(primes):
+            raise ValueError("progression moduli must be distinct")
+        if d < 0:
+            raise ValueError(f"deletion distance d must be >= 0, got {d}")
+        P = math.lcm(*primes)
+        a = min(lo + d, hi)
+        b = max(a, hi - d)
+        if b - a < 2 * P:
+            a = b = hi
+        self.primes, self.lo, self.hi, self.P, self.a, self.b = \
+            primes, lo, hi, P, a, b
+        self.left = _merged(_rule(primes, d, lo, hi, lo, a))
+        self.right = _merged(_rule(primes, d, lo, hi, b, hi))
+        self.count = self.left.size + self.right.size
+        if a < b:
+            # survivor residues in [0, P) of the interior
+            self.period = _merged(_rule(primes, d, -d, P + d, 0, P))
+            # whole periods from the one holding a to the one holding b, in
+            # Python ints, then the parts of those two below a and below b
+            self.count += ((b // P - a // P) * self.period.size
+                           + int(np.searchsorted(self.period, b % P))
+                           - int(np.searchsorted(self.period, a % P)))
+
+    def fill(self, out: np.ndarray) -> None:
+        """Write the block's survivors into `out`, increasing.
+
+        `out` must have exactly `count` places; a fill that ends anywhere
+        else raises ValueError.  Every value is below hi, which must fit
+        `out`'s integer dtype; the whole periods are computed in that dtype.
+        """
+        P, a, b = self.P, self.a, self.b
+        if self.hi - 1 > np.iinfo(out.dtype).max:
+            raise ValueError(f"block [{self.lo}, {self.hi}) does not fit "
+                             f"{out.dtype}")
+        pos = _put(out, 0, self.left)
+        if a < b:
+            res = self.period
+            # the periods holding a and b start at first and last, with the
+            # n >= 1 whole periods between them
+            first, last = a // P * P, b // P * P
+            pos = _put(out, pos, first + res[np.searchsorted(res, a - first):])
+            n = (last - first) // P - 1
+            end = pos + n * res.size
+            if end > out.size:
+                raise ValueError(f"block fill overruns its {out.size} places")
+            whole = out[pos:end].reshape(n, res.size)
+            # the whole periods in out's dtype: their starts, and so P and
+            # first, lie below last <= hi
+            period = res.astype(out.dtype)
+            for i in range(0, n, _FILL_PERIODS):
+                k = min(_FILL_PERIODS, n - i)
+                starts = np.arange(i + 1, i + k + 1, dtype=out.dtype)
+                starts *= P
+                starts += first
+                np.add.outer(starts, period, out=whole[i:i + k])
+            pos = _put(out, end, last + res[:np.searchsorted(res, b - last)])
+        pos = _put(out, pos, self.right)
+        if pos != out.size:
+            raise ValueError(f"block [{self.lo}, {self.hi}) filled {pos} of "
+                             f"its {out.size} places")
 
 
 def survivors_by_progression(primes, d: int, lo: int,
                              hi: int) -> list[np.ndarray]:
     """Survivor arrays of the block [lo, hi), indexed like `primes`."""
-    primes = list(primes)
-    blk = np.empty(block_count(primes, d, lo, hi), dtype=np.int64)
-    fill_block(primes, d, lo, hi, blk)
-    return [blk[blk % q == 0] for q in primes]
+    block = Block(primes, d, lo, hi)
+    out = np.empty(block.count, dtype=np.int64)
+    block.fill(out)
+    return [out[out % q == 0] for q in block.primes]
 
 
 def block_count(primes, d: int, lo: int, hi: int) -> int:
     """Number of survivors in [lo, hi), the interior counted in closed form."""
-    primes, P, a, b = _layout(primes, d, lo, hi)
-    count = sum(s.size for s in _rule(primes, d, lo, hi, lo, a)
-                + _rule(primes, d, lo, hi, b, hi))
-    if a == b:
-        return count
-    for res in _period(primes, d, P):
-        # whole periods from the one holding a to the one holding b, in
-        # Python ints, then the parts of those two below a and below b
-        count += ((b // P - a // P) * res.size
-                  + int(np.searchsorted(res, b % P))
-                  - int(np.searchsorted(res, a % P)))
-    return count
+    return Block(primes, d, lo, hi).count

@@ -91,6 +91,15 @@ def read_config(path: str) -> dict:
 _OVERRIDABLE = SCALAR_FIELDS + ("gamma_main",)
 
 
+def _fraction(name: str, text: str) -> Fraction:
+    """Fraction(text) for the setting `name`; a zero denominator is a
+    ValueError like any other bad value."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{name}={text} has a zero denominator") from None
+
+
 def _apply_overrides(profile: str, pairs: list[str]):
     """Scalar constant overrides `name=fraction` on top of a profile table."""
     import dataclasses
@@ -109,10 +118,7 @@ def _apply_overrides(profile: str, pairs: list[str]):
         if name not in _OVERRIDABLE:
             raise ValueError(f"unknown constant {name!r}; overridable: "
                              f"{', '.join(_OVERRIDABLE)}")
-        try:
-            value = Fraction(val)
-        except ZeroDivisionError:
-            raise ValueError(f"override {pair!r} has a zero denominator") from None
+        value = _fraction(name, val)
         changes[name] = Family(value) if name == "gamma_main" else value
     return dataclasses.replace(table, **changes)
 
@@ -146,9 +152,6 @@ def cmd_gen_params(args) -> int:
 
 def cmd_build_seq(args) -> int:
     ledger = load_ledger(args.ledger)
-    if ledger.complete_horizon < 1:
-        _err("ledger closes no blocks; extend it first")
-        return 2
     store = build_store(ledger)
     # verify reports a wrong count as a failed check; build-seq writes no
     # sequence that disagrees with its ledger
@@ -235,11 +238,13 @@ def _build_system(cfg: dict):
     if system == "rotation":
         alpha = cfg.get("alpha", "golden")
         sys_obj = RotationSystem.golden() if alpha == "golden" \
-            else RotationSystem.from_fraction(Fraction(alpha))
-        obs = indicator(Fraction(cfg.get("f_lo", "0")),
-                        Fraction(cfg.get("f_hi", "1/2")))
+            else RotationSystem.from_fraction(_fraction("alpha", alpha))
+        obs = indicator(_fraction("f_lo", cfg.get("f_lo", "0")),
+                        _fraction("f_hi", cfg.get("f_hi", "1/2")))
         return sys_obj, obs
     if system == "cyclic":
+        if "cyclic_p" not in cfg:
+            raise ValueError("cyclic systems need cyclic_p=")
         P = int(cfg["cyclic_p"])
         if not 1 <= P <= MAX_CYCLIC_P:
             raise ValueError(f"cyclic_p must be in [1, {MAX_CYCLIC_P}], got {P}")
@@ -256,7 +261,7 @@ def _build_system(cfg: dict):
     if system == "bernoulli":
         if "seed" not in cfg:
             raise ValueError("bernoulli systems need seed=")
-        return BernoulliSystem(Fraction(cfg.get("prob", "1/2")),
+        return BernoulliSystem(_fraction("prob", cfg.get("prob", "1/2")),
                                derive_seed(int(cfg["seed"]), "orbit")), None
     raise ValueError(f"unknown system {system!r}")
 
@@ -277,7 +282,7 @@ def _checkpoints(spec: str, store):
 def _start_point(cfg: dict) -> Fraction:
     x0_text = cfg.get("x0", "0")
     if x0_text != "random":
-        return Fraction(x0_text)
+        return _fraction("x0", x0_text)
     if "seed" not in cfg:
         raise ValueError("x0=random needs seed=")
     rng = SplitMix64(derive_seed(int(cfg["seed"]), "x0"))
@@ -286,19 +291,15 @@ def _start_point(cfg: dict) -> Fraction:
 
 def cmd_simulate(args) -> int:
     cfg = read_config(args.config) if args.config else {}
-    try:
-        unknown = sorted(set(cfg) - set(_SIMULATE_KEYS))
-        if unknown:
-            raise ValueError(f"unknown key {unknown[0]!r}; simulate takes "
-                             f"{', '.join(_SIMULATE_KEYS)}")
-        ledger = load_ledger(args.ledger)
-        system, obs = _build_system(cfg)
-        x0 = _start_point(cfg)
-        store = build_store(ledger)
-        checkpoints = _checkpoints(cfg.get("checkpoints", ""), store)
-    except (ValueError, KeyError, ZeroDivisionError, LedgerError) as exc:
-        _err(f"config error: {exc}")
-        return 2
+    unknown = sorted(set(cfg) - set(_SIMULATE_KEYS))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; simulate takes "
+                         f"{', '.join(_SIMULATE_KEYS)}")
+    ledger = load_ledger(args.ledger)
+    system, obs = _build_system(cfg)
+    x0 = _start_point(cfg)
+    store = build_store(ledger)
+    checkpoints = _checkpoints(cfg.get("checkpoints", ""), store)
     orbit = sample_orbit(system, x0, store.horizon, obs)
     rep = convergence_report(orbit, store, checkpoints)
     rep.to_csv(args.out)
@@ -397,7 +398,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, LedgerError) as exc:
         _err(f"config error: {exc}")
         return 2
 

@@ -485,11 +485,11 @@ def ledger_to_json(ledger: Ledger) -> dict:
 
 
 def _parsed(what: str, parse, *args):
-    """parse(*args), with a missing key or a value of the wrong type reported
-    as a ValueError that names `what`."""
+    """parse(*args), with a missing key or entry or a value of the wrong type
+    reported as a ValueError that names `what`."""
     try:
         return parse(*args)
-    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+    except (LookupError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"{what} is malformed ({type(exc).__name__}: {exc})") \
             from exc
 

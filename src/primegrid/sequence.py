@@ -22,16 +22,16 @@ into one byte buffer at its place in the text.  The gaps of each block are
 taken once per store (`SequenceStore.least_gaps`), a chunk at a time, and
 every gap check reads them.
 
-`build_store` sizes the element array from `block_count` and has
-`fill_block` write each block, already sorted, into its slice, so the
-array is allocated once and never sorted or copied.
+`build_store` lays out each block once, as a `blocksets.Block`, sizes the
+element array from their counts and has each fill its slice, already
+sorted, so the array is allocated once and never sorted or copied.
 
 The elements are int32 when 2 * beta_M < 2^31 and int64 otherwise
 (`element_dtype`, the one place this is decided).  The factor 2 covers
 `banach_density`'s window ends, elements + L with L <= beta_M, which
 NumPy computes in the elements' dtype.  Nothing narrows by wrapping: the
 store checks order and range on its input before it narrows it, and
-`fill_block` writes values below its block's end, which is at most beta_M.
+`Block.fill` writes values below its block's end, which is at most beta_M.
 Every binary search into the elements goes through `_find`, which casts
 its keys to the elements' dtype, clipped to that dtype's range (no element
 lies at either end of it, so no position moves).  Keys of another dtype,
@@ -49,7 +49,7 @@ import numpy as np
 
 # survivors_by_progression is not called here; the benchmark's tracer wraps
 # it under this module's name
-from .blocksets import block_count, fill_block, survivors_by_progression
+from .blocksets import Block, survivors_by_progression
 from .ledger import Ledger, LedgerError
 
 F = Fraction
@@ -163,20 +163,20 @@ def build_store(ledger: Ledger, through: int | None = None) -> SequenceStore:
     if not 1 <= through <= ledger.complete_horizon:
         raise LedgerIncomplete(
             f"ledger closes only {ledger.complete_horizon} blocks")
-    rows = [ledger.block(m) for m in range(1, through + 1)]
     # each block's slice is sized by the closed form, not by the ledger's
     # count, so that verify's check of that count stays a comparison
-    betas, ends = [0], [0]
-    for m, blk in enumerate(rows, 1):
-        if blk.beta_prev != betas[-1]:
-            raise ValueError(f"block {m} starts at {blk.beta_prev}, "
+    betas, ends, blocks = [0], [0], []
+    for m in range(1, through + 1):
+        row = ledger.block(m)
+        if row.beta_prev != betas[-1]:
+            raise ValueError(f"block {m} starts at {row.beta_prev}, "
                              f"not at beta_{m - 1} = {betas[-1]}")
-        betas.append(blk.beta)
-        ends.append(ends[-1] + block_count(blk.primes, blk.d, blk.beta_prev,
-                                           blk.beta))
+        betas.append(row.beta)
+        blocks.append(Block(row.primes, row.d, row.beta_prev, row.beta))
+        ends.append(ends[-1] + blocks[-1].count)
     elements = np.empty(ends[-1], dtype=element_dtype(betas[-1]))
-    for blk, s, e in zip(rows, ends, ends[1:]):
-        fill_block(blk.primes, blk.d, blk.beta_prev, blk.beta, elements[s:e])
+    for blk, s, e in zip(blocks, ends, ends[1:]):
+        blk.fill(elements[s:e])
     return SequenceStore(betas, elements)
 
 

@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import functools
 import hashlib
 import importlib.util
+import io
 import json
+import operator
 import os
 import re
+import signal
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import dense_orbit
 from primegrid import cli, dynsim, zbattery
@@ -284,6 +292,9 @@ LEDGER_DEFECTS = {
                            lambda d: d["constants"]["f19_p"].update(den=1.0)),
     # values frac_json and Family.to_json never write, which int() and
     # Fraction() would read loosely
+    "lin-short": ("ledger constants is malformed (IndexError: list index "
+                  "out of range)",
+                  lambda d: d["constants"]["k_growth"].update(lin=[0])),
     "lin-float-and-bool": ("ledger constants is malformed (TypeError: each "
                            "lin entry must be a JSON integer, not 1.9)",
                            lambda d: d["constants"]["k_growth"].update(
@@ -388,6 +399,18 @@ def test_build_seq_checks_ledger_counts(tmp_path, capsys, demo_ledger_file,
     err = capsys.readouterr().err
     assert f"config error: ledger row {row} has count = {blk['count']}" in err
     assert not out.exists()
+
+
+def test_build_seq_rejects_ledger_without_closed_block(tmp_path, capsys):
+    ledger = tmp_path / "h1.json"     # block 1 open: nothing to build
+    assert main(["gen-params", "--horizon", "1", "--out", str(ledger)]) == 0
+    capsys.readouterr()
+    out, summary = tmp_path / "seq.txt", tmp_path / "blocks.json"
+    assert main(["build-seq", "--ledger", str(ledger), "--out", str(out),
+                 "--summary-out", str(summary)]) == 2
+    assert "config error: ledger closes only 0 blocks" in \
+        capsys.readouterr().err
+    assert not out.exists() and not summary.exists()
 
 
 def test_build_seq_rejects_negative_d(tmp_path, capsys, demo_ledger_file):
@@ -587,13 +610,16 @@ def test_simulate_config_errors(tmp_path, demo_ledger_file):
     "systme=cyclic\ncyclic_p=4\nresidues=1\nx0=0\n",
     "system=rotation\nx0=0\nhorizon=1\n",
     "system=rotation\nx0=1/0\n",
+    "system=rotation\nalpha=1/0\nx0=0\n",
+    "system=cyclic\nresidues=0\nx0=0\n",
     "system=cyclic\ncyclic_p=7\nresidues=0\ncyclic_p=11\n",
     # only the value one above the cap: the check comes before the table
     f"system=cyclic\ncyclic_p={cli.MAX_CYCLIC_P + 1}\n",
 ], ids=["x0-outside-unit", "empty-indicator", "prob-outside-unit",
         "fractional-residue", "checkpoint-zero", "checkpoint-past-horizon",
         "residue-outside-cycle", "empty-residue-range", "unknown-key",
-        "retired-horizon-key", "x0-zero-denominator", "key-set-twice",
+        "retired-horizon-key", "x0-zero-denominator",
+        "alpha-zero-denominator", "cyclic-without-period", "key-set-twice",
         "cyclic-period-over-cap"])
 def test_simulate_rejects_bad_spec(tmp_path, capsys, demo_ledger_file, text):
     cfg = tmp_path / "bad.cfg"
@@ -710,3 +736,184 @@ def test_read_config_parsing(tmp_path):
     cfg.write_text("a=1\nb=2\na=3\n")
     with pytest.raises(ValueError, match=re.escape(f"{cfg}:3: key 'a' is set twice")):
         read_config(cfg)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: one field of a valid input dropped, retyped or perturbed, and the
+# subcommand that reads it run in-process.  Whatever the field, the run ends
+# in exit 0, 1 or 2 without a traceback, and a retyped integer field is a
+# configuration error
+
+_RUN_SECONDS = 20        # a run of the h6 inputs takes well under 0.1 s
+_DROP = object()
+
+
+def _run_bounded(argv) -> tuple[int, str]:
+    """main(argv) under a wall-time alarm: its exit code and its stderr."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{argv} ran past {_RUN_SECONDS} s")
+
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, _RUN_SECONDS)
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+def _fields(obj, path=()):
+    """The path of every value inside a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+@st.composite
+def _json_edit(draw, doc):
+    """(path, new value or _DROP, whether an integer field was retyped)."""
+    path = draw(st.sampled_from(list(_fields(doc))))
+    value = functools.reduce(operator.getitem, path, doc)
+    integer = type(value) is int
+    how = draw(st.sampled_from(["drop", "retype", "perturb"]))
+    if how == "drop":
+        return path, _DROP, False
+    if how == "retype":
+        if integer:
+            return path, draw(st.sampled_from(
+                [float(value), value % 2 == 1, str(value)])), True
+        return path, draw(st.sampled_from(
+            [None, 7, 1.5, True, "x", [], {}]).filter(
+                lambda v: type(v) is not type(value))), False
+    if integer:
+        # value << 64 is past int64
+        new = [value + k for k in (-3, -2, -1, 1, 2, 3)] \
+            + [-value, 2 * value, value << 64]
+    elif isinstance(value, str):
+        # num and den are integer strings; a zero den is a ValueError too
+        new = [str(int(value) + k) for k in range(-2, 3)] \
+            if value.lstrip("-").isdigit() else [value + "x", ""]
+    elif isinstance(value, list):
+        new = [[*value, *value[-1:]]]
+    elif isinstance(value, dict):
+        new = [{**value, "extra": 1}]
+    elif type(value) is float:
+        new = [-value, 2 * value, value + 1]
+    else:
+        new = [not value, None]         # a bool or null
+    return path, draw(st.sampled_from(new)), False
+
+
+def _edited(doc, path, new):
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, doc)
+    if new is _DROP:
+        del parent[last]
+    else:
+        parent[last] = new
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def demo_ledger_doc(demo_ledger_file):
+    return json.loads(demo_ledger_file.read_text())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["build-seq", "verify"]))
+def test_fuzzed_ledger_field(fuzz_dir, demo_ledger_doc, data, command):
+    path, new, retyped_int = data.draw(_json_edit(demo_ledger_doc))
+    ledger = fuzz_dir / "ledger.json"
+    ledger.write_text(json.dumps(_edited(demo_ledger_doc, path, new)))
+    code, err = _run_bounded([command, "--ledger", str(ledger),
+                              "--out", str(fuzz_dir / "out")])
+    assert code in (0, 1, 2) and "Traceback" not in err, (path, new, err)
+    if retyped_int:
+        assert code == 2 and "config error: " in err, (path, new, err)
+
+
+# simulate configs that read every integer field: seed, cyclic_p, and the
+# integer lists residues and checkpoints
+FUZZ_CONFIGS = (
+    {"system": "rotation", "alpha": "377/610", "f_lo": "1/4", "f_hi": "2/3",
+     "x0": "random", "seed": "7", "checkpoints": "1,1000,8174"},
+    {"system": "cyclic", "cyclic_p": "211", "residues": "0-6,100", "x0": "5",
+     "checkpoints": "17,51709"},
+    {"system": "bernoulli", "prob": "1/3", "seed": "7",
+     "checkpoints": "1000"},
+)
+_INTEGER_KEYS = {"seed", "cyclic_p", "residues", "checkpoints"}
+
+
+@st.composite
+def _config_edit(draw):
+    """(config text, whether an integer field was retyped)."""
+    cfg = dict(draw(st.sampled_from(FUZZ_CONFIGS)))
+    key = draw(st.sampled_from(sorted(cfg)))
+    how = draw(st.sampled_from(["drop", "retype", "perturb"]))
+    text = cfg[key]
+    if how == "drop":
+        del cfg[key]
+    elif how == "retype":
+        # a float, a bool or a word where a number was
+        cfg[key] = draw(st.sampled_from([text + ".0", "true", "x" + text]))
+    elif key == "system":
+        cfg[key] = draw(st.sampled_from(["rotation", "cyclic", "bernoulli",
+                                         "nonsense"]))
+    else:
+        # one number of the value replaced; cyclic_p stays <= 10^5, and the
+        # largest value has its own test
+        numbers = list(re.finditer(r"\d+", text))
+        if numbers:
+            hit = draw(st.sampled_from(numbers))
+            cfg[key] = (text[:hit.start()]
+                        + str(draw(st.integers(-2, 10**5)))
+                        + text[hit.end():])
+    return ("".join(f"{k}={v}\n" for k, v in cfg.items()),
+            how == "retype" and key in _INTEGER_KEYS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edit=_config_edit())
+def test_fuzzed_simulate_config(fuzz_dir, demo_ledger_file, edit):
+    text, retyped_int = edit
+    cfg = fuzz_dir / "run.cfg"
+    cfg.write_text(text)
+    code, err = _run_bounded(["simulate", "--config", str(cfg),
+                              "--ledger", str(demo_ledger_file),
+                              "--out", str(fuzz_dir / "conv.csv")])
+    assert code in (0, 1, 2) and "Traceback" not in err, (text, err)
+    if retyped_int:
+        assert code == 2 and "config error: " in err, (text, err)
+
+
+@pytest.fixture(scope="module")
+def battery_rows(fuzz_dir):
+    src = fuzz_dir / "battery.jsonl"
+    assert main(["ops-test", "--seed", "5", "--trials", "2",
+                 "--out", str(src)]) == 0
+    return [json.loads(line) for line in src.read_text().splitlines()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
+def test_fuzzed_jsonl_row(fuzz_dir, battery_rows, data, fmt):
+    # export has no schema: any row that is still a JSON object exports
+    path, new, _ = data.draw(_json_edit(battery_rows))
+    rows = _edited(battery_rows, path, new)
+    src = fuzz_dir / "rows.jsonl"
+    src.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    code, err = _run_bounded(["export", "--in", str(src), "--format", fmt,
+                              "--out", str(fuzz_dir / f"rows.{fmt}")])
+    assert code in (0, 1, 2) and "Traceback" not in err, (path, new, err)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primegrid import blocksets, sequence
-from primegrid.blocksets import block_count, fill_block, survivors_by_progression
+from primegrid.blocksets import Block, block_count, survivors_by_progression
 from primegrid.constants import demo_constants
 from primegrid.dynsim import count_bounds_check
 from primegrid.ledger import MAX_BETA, BlockParams, Ledger, build_ledger
@@ -125,14 +125,14 @@ def test_tiled_kernel_matches_oracle(moduli, d, lo, periods, extra,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blocksets, "_FILL_PERIODS", fill_periods)
         blk = np.empty(len(want), dtype=np.int64)
-        fill_block(moduli, d, lo, hi, blk)
+        Block(moduli, d, lo, hi).fill(blk)
         assert blk.tolist() == want
         # a slice of any other size is not filled exactly
         for size in (len(want) - 1, len(want) + 1):
             if size >= 0:
                 with pytest.raises(ValueError, match="block fill|filled"):
-                    fill_block(moduli, d, lo, hi,
-                               np.empty(size, dtype=np.int64))
+                    Block(moduli, d, lo, hi).fill(
+                        np.empty(size, dtype=np.int64))
         got = survivors_by_progression(moduli, d, lo, hi)
     for q, arr in zip(moduli, got):
         # a survivor is a multiple of exactly one modulus
@@ -161,6 +161,22 @@ def test_build_store_merges_progressions(monkeypatch, demo_ledger,
     assert np.array_equal(store.elements, merged)
     assert [store.block(m).size for m in range(1, store.n_blocks + 1)] == \
         [blk.count for blk in demo_ledger.blocks[:store.n_blocks]]
+
+
+def test_build_store_lays_out_each_block_once(monkeypatch, demo_ledger):
+    # the rule runs once per end and once for the period of each block:
+    # the layout that sizes a block's slice is the one that fills it
+    calls = []
+    rule = blocksets._rule
+
+    def counted(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(blocksets, "_rule", counted)
+    store = build_store(demo_ledger)
+    assert store.n_blocks == 5
+    assert len(calls) == 3 * store.n_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +732,7 @@ def test_int32_and_int64_stores_agree(tmp_path, demo_ledger, demo_store):
 
 
 @pytest.mark.parametrize("qs, d", [((1,), 0), ((2, 3), 0), ((3, 5), 1)])
-def test_fill_block_ends_at_the_int32_bound(qs, d):
+def test_block_fill_ends_at_the_int32_bound(qs, d):
     # a tiled block ending at 2^31, past the largest int32 by one: the
     # periods, computed in the output's dtype, do not wrap.  With the
     # modulus 1 (block 1's) the last value is 2^31 - 1 itself
@@ -724,12 +740,12 @@ def test_fill_block_ends_at_the_int32_bound(qs, d):
     lo = hi - 600
     n = block_count(qs, d, lo, hi)
     out32, out64 = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int64)
-    fill_block(qs, d, lo, hi, out32)
-    fill_block(qs, d, lo, hi, out64)
+    Block(qs, d, lo, hi).fill(out32)
+    Block(qs, d, lo, hi).fill(out64)
     assert out32.tolist() == out64.tolist() == oracle_block(qs, d, lo, hi)
     if qs == (1,):
         assert int(out32[-1]) == np.iinfo(np.int32).max
     # one more position would not fit int32
     with pytest.raises(ValueError, match="does not fit int32"):
-        fill_block(qs, d, lo, hi + 1,
-                   np.empty(block_count(qs, d, lo, hi + 1), dtype=np.int32))
+        Block(qs, d, lo, hi + 1).fill(
+            np.empty(block_count(qs, d, lo, hi + 1), dtype=np.int32))
