@@ -446,10 +446,9 @@ def lattice_sup_j(sig: FiniteSignal, ctx: GridContext, n: int, j: int):
 # N wide.  Sums keep the order of the row-at-a-time evaluation, so a signal's
 # results are bit-for-bit the same in every batch, the batch of one included.
 
-# a batch runs in groups of signals with at most _BLOCK_ENTRIES // 8 rows
-# together, and sup_sq_tail spreads its hyperbolas in runs of at most as many
-# terms, which bounds the per-row and per-term arrays; at 2^16 the tracemalloc
-# peak of run_all(20250809, 250) is 1.9 MB, at 2^17 3.5 MB for no less time
+# groups of signals hold at most _BLOCK_ENTRIES // 8 rows, and runs of
+# sup_sq_tail's finite terms as many; at 2^16 the tracemalloc peak of
+# run_all(20250809, 250) is 1.3 MB, at 2^17 2.3 MB for no less time
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -542,22 +541,25 @@ def _run_bounds(x: np.ndarray) -> np.ndarray:
 def _run_sums(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """np.sum of each consecutive run of lengths[i] entries of `flat`.
 
-    The runs are copied once into length order, so the runs of one length
-    lie side by side and go through one 2-D np.sum, which adds each run in
-    the same (pairwise) order as np.sum on the run alone.
+    The runs are copied once into length order (unless they are in it
+    already), so the runs of one length lie side by side and go through one
+    2-D np.add.reduce, which adds each run in the same (pairwise) order as
+    np.sum on the run alone.
     """
     order = np.argsort(lengths, kind="stable")
     by_len = lengths[order]
     to = np.cumsum(by_len) - by_len            # each sorted run's first place
-    starts = np.cumsum(lengths) - lengths
-    runs = flat[np.repeat(starts[order] - to, by_len) + np.arange(by_len.sum())]
+    if (by_len != lengths).any():
+        starts = np.cumsum(lengths) - lengths
+        flat = flat[np.repeat(starts[order] - to, by_len)
+                    + np.arange(by_len.sum())]
     sums = np.zeros(lengths.size)
     edges = _run_bounds(by_len).tolist()
     for a, b in zip(edges, edges[1:]):
         L = int(by_len[a])
         if L:
-            np.sum(runs[to[a]:to[a] + (b - a) * L].reshape(b - a, L), axis=1,
-                   out=sums[a:b])
+            np.add.reduce(flat[to[a]:to[a] + (b - a) * L].reshape(b - a, L),
+                          axis=1, out=sums[a:b])
     out = np.empty(lengths.size)
     out[order] = sums
     return out
@@ -587,20 +589,20 @@ def _lattice_tables(sigs: Signals, ctx: GridContext, kind: str):
     grid = _padded(sigs, int(T.max()) * p, lo - blk_lo).reshape(len(sigs), -1, p)
     avg = grid.mean(axis=2)
     kernel = np.zeros(grid.shape)
-    cols = np.arange(p)
     for j, q in enumerate(ctx.primes):
         qtil = ctx.qtil[j]
-        # per residue mod q
-        class_sum = grid.reshape(*grid.shape[:2], qtil, q).sum(axis=2)
-        smear = class_sum[:, :, cols % q] / qtil
-        if kind == "plus":
-            kernel += qtil * smear
-        else:
-            kernel += qtil * np.abs(smear - avg[:, :, None])
+        # per residue mod q, added to the q~ points of each class through a
+        # (.., q~, q) view of the kernel
+        smear = grid.reshape(*grid.shape[:2], qtil, q).sum(axis=2) / qtil
+        if kind == "minus":
+            smear = np.abs(smear - avg[:, :, None])
+        view = kernel.reshape(smear.shape[:2] + (qtil, q))
+        view += (qtil * smear)[:, :, None]
     kernel /= ctx.pQ
-    CH = np.zeros((len(sigs), p, grid.shape[1] + 1))
-    CH[:, :, 1:] = np.cumsum(kernel.transpose(0, 2, 1), axis=2)
-    return blk_lo, T, CH
+    # the running sums down each residue's column, then one row per residue
+    CH = np.zeros((len(sigs), grid.shape[1] + 1, p))
+    np.cumsum(kernel, axis=1, out=CH[:, 1:])
+    return blk_lo, T, np.ascontiguousarray(CH.transpose(0, 2, 1))
 
 
 def sup_profile(tables, ctx: GridContext, n_lo, n_hi) -> np.ndarray:
@@ -627,26 +629,6 @@ def sup_profile(tables, ctx: GridContext, n_lo, n_hi) -> np.ndarray:
                   skip_first=r == p - 1)
 
 
-def _hyperbola_sq_sums(s: np.ndarray, c: np.ndarray, at: np.ndarray,
-                       lengths: np.ndarray, k_start: int) -> np.ndarray:
-    """Per row i, np.sum over k in [k_start, k_start + lengths[i]) of
-    (max over the hyperbolas j of row i of s[j] / (k + c[j]))^2.
-
-    Hyperbola j belongs to row at[j] (nondecreasing), and each row with
-    terms has one.  Every hyperbola is spread over its row's terms in one
-    flat array, the maximum taken in place, and the rows summed by
-    _run_sums.
-    """
-    starts = np.cumsum(lengths) - lengths
-    n = lengths[at]                            # terms of hyperbola j
-    owner = np.repeat(np.arange(at.size), n)
-    off = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)   # k - k_start
-    grid = np.full(starts[-1] + lengths[-1], -np.inf)
-    np.maximum.at(grid, starts[at][owner] + off,
-                  s[owner] / (off + (k_start + c)[owner]).astype(float))
-    return _run_sums(grid ** 2, lengths)
-
-
 # finite terms summed per row of sup_sq_tail before its bound takes over
 _TAIL_CAP = 200_000
 
@@ -671,9 +653,8 @@ def _zeta2(q: float) -> float:
     12 Bernoulli terms.  Powers go through libm pow (math.pow), as in
     cephes; numpy's power rounds some of them differently.
 
-    Memoised: sup_sq_tail asks for integers k_star + c, which repeat across
-    its calls (run_all(20250809, 250) makes 412 calls on 149 values).
-    The cache is bounded, as a search over many signals could ask for more.
+    Memoised (bounded): sup_sq_tail asks for integers k_star + c, which
+    repeat across calls (run_all(20250809, 250): 466 calls on 149 values).
     """
     x = 2.0
     if q > 1e8:
@@ -712,66 +693,85 @@ def sup_sq_tail(S, k_start: int) -> np.ndarray:
     """Per row S_1..S_C of the 2-D array S, the exact sum over k >= k_start
     of max(0, max_c S_c/(k+c))^2.
 
-    Per row, the maximum of finitely many hyperbolas stabilizes to the
-    largest-S one beyond the last pairwise crossing; from there the series
-    is S_max^2 times the Hurwitz zeta value zeta(2, k_star + c), taken from
-    the memoised port _zeta2.  If crossings exceed _TAIL_CAP terms, the
-    remainder is over-bounded by the largest-S hyperbola at the smallest kept
-    offset, which keeps the result a valid upper bound.
+    Only kept hyperbolas S_c/(k+c), S_c above 0 and all smaller-c values of
+    its row, reach the maximum.  Beyond the last crossing k_star of
+    consecutive kept ones the largest-S one dominates, and the rest is
+    S_max^2 zeta(2, k_star + c).  Past _TAIL_CAP finite terms the remainder
+    is over-bounded by the largest-S hyperbola at the smallest kept offset,
+    which keeps the result a valid upper bound.
     """
     S = np.asarray(S, dtype=float)
-    out = np.zeros(S.shape[0])
-    if k_start < 0 or S.shape[1] == 0:
-        return out
-    # one row per c, so each step over c runs along all rows of S at once
-    St = np.ascontiguousarray(S.T)
-    best = np.maximum.accumulate(np.maximum(St, 0.0), axis=0)
-    # keep (c, S_c) when S_c beats 0 and every smaller-c value of its row;
-    # a row with no positive value keeps nothing and its sum is 0
-    kept = np.empty(St.shape, dtype=bool)
-    np.greater(St[0], 0.0, out=kept[0])
-    np.greater(St[1:], best[:-1], out=kept[1:])
-    rows, cols = np.nonzero(kept.T)            # row by row, c ascending
-    if not rows.size:
-        return out
-    bounds = _run_bounds(rows)
-    first, last = bounds[:-1], bounds[1:] - 1  # last: first c at the row max
-    kr = rows[first]
-    kept_n = np.diff(bounds)
-    at = np.repeat(np.arange(kr.size), kept_n)  # each kept value's row in kr
-    sk = St[cols, rows]
-    # beyond a crossing of consecutive kept pairs the larger-S one dominates;
+    n_rows, C = S.shape
+    if k_start < 0 or C == 0:
+        return np.zeros(n_rows)
+    # one pass per column: best is each row's last kept value (0 before
+    # any), at column c_max; top the largest floor of a crossing, k_star - 1
+    kept = np.empty((C, n_rows), dtype=bool)
+    np.greater(S[:, 0], 0.0, out=kept[0])
+    best = np.where(kept[0], S[:, 0], 0.0)
+    c_max = kept[0] * 1.0
+    top = np.full(n_rows, k_start - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in range(2, C + 1):
+            s = S[:, c - 1]
+            np.greater(s, best, out=kept[c - 1])
+            cross = (best * c - s * c_max) / (s - best)
+            np.maximum(top, np.floor(cross), out=top,
+                       where=kept[c - 1] & (c_max > 0))
+            np.copyto(best, s, where=kept[c - 1])
+            np.copyto(c_max, c, where=kept[c - 1])
     # clipping keeps the int conversion in range and the cap test unchanged
-    pair = np.flatnonzero(rows[1:] == rows[:-1])
-    c1, c2 = cols[pair], cols[pair + 1]
-    s1, s2 = sk[pair], sk[pair + 1]
-    cross = (s1 * (c2 + 1) - s2 * (c1 + 1)) / (s2 - s1)
-    cross = np.clip(cross, k_start - 1, k_start + _TAIL_CAP + 1)
-    k_star = np.full(kr.size, k_start, dtype=np.int64)
-    np.maximum.at(k_star, at[pair], np.floor(cross).astype(np.int64) + 1)
+    k_star = np.minimum(top, k_start + _TAIL_CAP + 1).astype(np.int64) + 1
     capped = k_star - k_start > _TAIL_CAP
     k_star[capped] = k_start + _TAIL_CAP
-    # the finite part k < k_star, in runs of rows holding at most
-    # _BLOCK_ENTRIES // 8 (hyperbola, k) terms together (a row with more
-    # alone), which bounds the half-dozen flat arrays each run spreads
-    lengths = k_star - k_start
-    terms = lengths * kept_n
-    quota = max(1, _BLOCK_ENTRIES // 8)
-    edges = _run_bounds((np.cumsum(terms) - terms) // quota).tolist()
-    finite = np.zeros(kr.size)
-    for a, b in zip(edges, edges[1:]):
-        j = slice(bounds[a], bounds[b])
-        finite[a:b] = _hyperbola_sq_sums(sk[j], cols[j] + 1, at[j] - a,
-                                         lengths[a:b], k_start)
     # the tail from k_star: the last kept hyperbola, or past the cap the row
-    # maximum at the first kept offset.  np.float_power squares through libm
-    # pow, the rounding the sums were defined with; np.square and np.power
-    # round some products the other way
-    c_tail = np.where(capped, cols[first], cols[last]) + 1
-    coef = np.float_power(sk[last], 2.0)
-    args, inverse = np.unique(k_star + c_tail, return_inverse=True)
-    zeta = np.fromiter(map(_zeta2, args.astype(float).tolist()), float, args.size)
-    out[kr] = finite + coef * zeta[inverse]
+    # maximum at the first kept offset; one of C zeta values (0 if it keeps
+    # nothing) for a row with no finite term.  np.float_power squares through
+    # libm pow, the rounding the sums were defined with; np.square and
+    # np.power round some products the other way
+    coef = np.float_power(best, 2.0)
+    zeta = [0.0] + [_zeta2(float(k_start + c)) for c in range(1, C + 1)]
+    out = coef * np.array(zeta)[c_max.astype(np.intp)]
+    late = np.flatnonzero((k_star > k_start) | capped)
+    if not late.size:
+        return out
+    # the late rows in order of their count of kept hyperbolas; slot i holds
+    # each row's i-th one (hs, hc), so the rows with one are a suffix
+    n_kept = np.count_nonzero(kept[:, late], axis=0)
+    late, n_kept = late[np.argsort(n_kept, kind="stable")], np.sort(n_kept)
+    rows, cols = np.nonzero(kept[:, late].T)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(n_kept) - n_kept, n_kept)
+    hs, hc = np.empty((2, n_kept[-1], late.size))
+    hs[slot, rows], hc[slot, rows] = S[late[rows], cols], cols + 1.0
+    L = k_star[late] - k_start
+    first = np.cumsum(L) - L
+    # each slot's first term, that of the first row with as many hyperbolas
+    at = np.append(first, first[-1] + L[-1])[
+        np.searchsorted(n_kept, np.arange(n_kept[-1]), "right")]
+    # the finite terms, each the maximum over its row's kept hyperbolas, in
+    # runs of at most _BLOCK_ENTRIES // 8 terms (a longer row alone, in
+    # windows of as many but at least 2^10), which bounds each run's arrays
+    quota = max(1, _BLOCK_ENTRIES // 8)
+    finite = np.empty(late.size)
+    edges = _run_bounds(2 * (first // quota) + (L > quota)).tolist()
+    for a, b in zip(edges, edges[1:]):
+        n = int(first[b - 1] + L[b - 1] - first[a])
+        step = max(quota, 1 << 10) if b - a == 1 else max(n, 1)
+        own = np.repeat(np.arange(a, b), np.minimum(L[a:b], step))
+        base = first[own] - first[a] - k_start     # term index - k
+        terms = np.full(n, -np.inf)
+        for w in range(0, n, step):
+            size = min(step, n - w)
+            k = (np.arange(w, w + size) - base[:size]).astype(float)
+            for i, t in enumerate(np.maximum(
+                    at[:n_kept[b - 1]] - first[a] - w, 0).tolist()):
+                o, g = own[t:size], terms[w + t:w + size]
+                np.maximum(g, hs[i].take(o) / (k[t:] + hc[i].take(o)), out=g)
+        finite[a:b] = _run_sums(np.square(terms, out=terms), L[a:b])
+    c_tail = np.where(capped[late], hc[0], c_max[late])
+    args, inverse = np.unique(k_star[late] + c_tail, return_inverse=True)
+    zeta = np.fromiter(map(_zeta2, args.tolist()), float, args.size)
+    out[late] = finite + coef[late] * zeta[inverse]
     return out
 
 

@@ -49,9 +49,11 @@ def test_batteries_clean_at_modest_trials():
         assert s["trials"] >= 60
 
 
-# tracemalloc peak of run_all(20250809, 250): 1.2 MB with 2^15-entry groups,
-# 1.9 MB with the 2^16 the batteries use, 3.5 MB with 2^17; a bound of 3 MB
-# lets no doubling of the group size pass unseen
+# tracemalloc peak of run_all(20250809, 250): 1.0 MB with 2^15-entry groups,
+# 1.3 MB with the 2^16 the batteries use, 2.3 MB with 2^17, so a doubling of
+# the group size no longer crosses 3 MB (it did at 3.5 MB while sup_sq_tail
+# spread every hyperbola over its terms); test_zops_kernels bounds the
+# tail's runs per term
 BATTERY_PEAK_MB = 3.0
 
 

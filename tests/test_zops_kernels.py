@@ -1,10 +1,13 @@
 """The batched float kernels of primegrid.zops against their row-at-a-time
 oracles: equal to the last bit (==, never approx), on the battery grids."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.special import polygamma
 
 from _oracles import (
@@ -167,6 +170,102 @@ def test_batches_equal_signals_alone(block_entries):
 
 
 
+def _tail_rows(S, k_start, cap=200_000):
+    return np.array([sup_sq_tail_row(s, k_start, cap=cap) for s in S],
+                    dtype=float)
+
+
+# rows drawn as the two batteries make them.  Deviation rows (C <= 5) are
+# cumulative sums of the nonnegative kernel, frozen (equal) from some column
+# on; the strong bound's rows (C up to 48) are prefix-sum walks with ties,
+# some holding near-equal heights whose crossing lies far out
+_STEPS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                   st.floats(0.0, 4.0, allow_subnormal=False))
+_WALK = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.0, 0.5, 1.0]),
+                  st.floats(-3.0, 3.0, allow_subnormal=False))
+
+
+def _deviation_rows(data):
+    C = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(
+        st.tuples(st.lists(_STEPS, min_size=C, max_size=C),
+                  st.integers(0, C)), min_size=1, max_size=12))
+    return np.array([np.cumsum([v if c < frozen else 0.0
+                                for c, v in enumerate(steps)])
+                     for steps, frozen in rows])
+
+
+def _walk_rows(data):
+    C = data.draw(st.integers(1, 48))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        row = np.cumsum(data.draw(st.lists(_WALK, min_size=C, max_size=C)))
+        end = data.draw(st.integers(1, C))
+        row[end:] = row[end - 1]                 # frozen past the signal
+        if C > 1 and data.draw(st.booleans()):
+            # a kept height h at column i, then h (1 + 2^-e) at column j
+            i = data.draw(st.integers(0, C - 2))
+            j = data.draw(st.integers(i + 1, C - 1))
+            h = max(row[:i + 1].max(), 0.0) + 1.0
+            row[i] = h
+            row[i + 1:j] = np.minimum(row[i + 1:j], h)
+            row[j] = h * (1.0 + 2.0 ** -data.draw(st.integers(3, 12)))
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("draw_rows", [_deviation_rows, _walk_rows],
+                         ids=["deviation", "strong"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_sup_sq_tail_bytes_equal_row_oracle(draw_rows, data, block_entries):
+    S = draw_rows(data)
+    for k_start in (-1, 0, 1, 3):
+        assert sup_sq_tail(S, k_start).tobytes() == \
+            _tail_rows(S, k_start).tobytes()
+
+
+def test_run_sums_equal_np_sum_of_each_run():
+    # every length 0..300 twice, and 200 more, unsorted: numpy sums a run of
+    # fewer than 8 in order, up to 128 in eight lanes, longer ones in halves
+    rng = np.random.default_rng(2024)
+    lengths = np.concatenate([np.arange(301), np.arange(301),
+                              rng.integers(0, 301, 200)])
+    rng.shuffle(lengths)
+    flat = rng.standard_normal(lengths.sum()) * \
+        10.0 ** rng.integers(-8, 9, lengths.sum())
+    for x, L in ((flat, lengths), (flat ** 2, lengths),
+                 (flat, np.sort(lengths))):      # in length order: no copy
+        starts = np.cumsum(L) - L
+        want = np.array([np.sum(x[a:a + n]) for a, n in zip(starts, L)])
+        assert zops._run_sums(x, L).tobytes() == want.tobytes()
+
+
+# tracemalloc peak of sup_sq_tail on rows whose finite part runs to _TAIL_CAP
+# terms, in 8-byte words per term: 1.25, the terms of one row and the arrays
+# of one window of _BLOCK_ENTRIES // 8 of them; 6.0 when a row's terms are
+# taken in one window, 12.0 when all rows are taken in one run
+TAIL_PEAK_WORDS = 1.6
+
+
+def test_sup_sq_tail_memory_stays_within_a_run():
+    # near-equal heights cross past the cap; a short row rides along
+    S = np.array([[1.0, 1.0 + 2.0 ** -30, 0.5],
+                  [2.0, 2.0 + 2.0 ** -31, 2.0 + 2.0 ** -30],
+                  [1.0, 1.0 + 2.0 ** -3, 0.0]])
+    want = _tail_rows(S, 1)
+    tracemalloc.start()
+    try:
+        got = sup_sq_tail(S, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    words = peak / (8 * zops._TAIL_CAP)
+    assert words < TAIL_PEAK_WORDS, f"{words:.2f} words per term"
+
+
 @pytest.mark.parametrize("primes", L2_CONTEXTS)
 def test_sup_sq_tail_rows_equal_scalar_calls(primes, block_entries):
     ctx, sigs = _signals(primes)
@@ -177,10 +276,10 @@ def test_sup_sq_tail_rows_equal_scalar_calls(primes, block_entries):
         for k_start in (-1, 0, 1, 3):
             rows = sup_sq_tail(S, k_start)
             assert rows.shape == (S.shape[0],)
-            assert rows.tolist() == [sup_sq_tail_row(s, k_start) for s in S]
+            assert rows.tobytes() == _tail_rows(S, k_start).tobytes()
             for s in S[:3]:
-                assert sup_sq_tail(s[None], k_start)[0] == \
-                    sup_sq_tail_row(s, k_start)
+                assert sup_sq_tail(s[None], k_start).tobytes() == \
+                    _tail_rows(s[None], k_start).tobytes()
 
 
 def test_sup_sq_tail_short_and_long_rows(block_entries):
@@ -204,8 +303,8 @@ def test_sup_sq_tail_short_and_long_rows(block_entries):
             S.append([s1, s2, 0.25 * s2, s2, 0.0, -2.0])
         S += [[-1.0, 0.0, -2.0, 0.0, -0.5, -3.0], [0.0] * 6]
         S = np.array(S)
-        assert sup_sq_tail(S, k_start).tolist() == \
-            [sup_sq_tail_row(s, k_start) for s in S]
+        assert sup_sq_tail(S, k_start).tobytes() == \
+            _tail_rows(S, k_start).tobytes()
 
 
 def test_sup_sq_tail_cap_branch(block_entries, monkeypatch):
@@ -217,8 +316,8 @@ def test_sup_sq_tail_cap_branch(block_entries, monkeypatch):
     exact = sup_sq_tail(S, 1)
     for cap in (0, 2, 5, 200_000):
         monkeypatch.setattr(zops, "_TAIL_CAP", cap)
-        assert sup_sq_tail(S, 1).tolist() == \
-            [sup_sq_tail_row(s, 1, cap=cap) for s in S]
+        assert sup_sq_tail(S, 1).tobytes() == \
+            _tail_rows(S, 1, cap=cap).tobytes()
     # row 1 crosses at k = 8190: exact under the default cap, over-bounded
     # under a small one
     monkeypatch.setattr(zops, "_TAIL_CAP", 2)
