@@ -18,7 +18,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 
 import numpy as np
 
@@ -110,35 +109,6 @@ class RotationSystem:
         return RotationSystem(fixed)
 
 
-def _table_array(table) -> np.ndarray:
-    """A cyclic table as int64 when every entry is an integer, else as the
-    floats float(v).
-
-    Only a table that starts with an int is tried as a NumPy int array
-    (NumPy takes a table of Fractions through a slow object array).  A
-    table of ints and Fractions whose numerators and denominators all lie
-    within 2^53 is divided as two arrays: both are exact in binary64, so
-    each IEEE quotient is the correctly rounded float(Fraction).  Any other
-    table (floats, larger terms) goes through one Fraction per entry."""
-    if isinstance(table[0], (int, np.integer, np.bool_)):
-        arr = np.array(table)
-        if arr.ndim == 1 and arr.dtype.kind in "bi":
-            return arr.astype(np.int64)
-    try:
-        num, den = (np.fromiter(map(attrgetter(a), table), np.int64,
-                                len(table)) for a in ("numerator", "denominator"))
-    except (AttributeError, OverflowError):    # a float, or a term past int64
-        pass
-    else:
-        if (den == 1).all():
-            return num
-        if ((-2**53 <= num) & (num <= 2**53) & (den <= 2**53)).all():
-            return num / den
-    if all(F(v).denominator == 1 for v in table):
-        return np.array([int(v) for v in table], dtype=np.int64)
-    return np.array([float(v) for v in table])
-
-
 @dataclass(frozen=True)
 class CyclicSystem:
     """x -> x + 1 on Z_P with an observable table indexed by residue."""
@@ -156,9 +126,19 @@ class CyclicSystem:
 
     @functools.cached_property
     def table_array(self) -> np.ndarray:
-        """The table as `_table_array` builds it, once per system, and
-        read-only."""
-        out = _table_array(self.table)
+        """The table as int64 when every entry is an integer, else as
+        floats; built once per system, and read-only.
+
+        A table of ints (or bools) that fit int64 is converted in one NumPy
+        call; any other table (Fractions, floats) goes through one Fraction
+        per entry."""
+        arr = np.array(self.table)
+        if arr.ndim == 1 and arr.dtype.kind in "bi":
+            out = arr.astype(np.int64)
+        elif all(F(v).denominator == 1 for v in self.table):
+            out = np.array([int(v) for v in self.table], dtype=np.int64)
+        else:
+            out = np.array([float(v) for v in self.table])
         out.flags.writeable = False
         return out
 

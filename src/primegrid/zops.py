@@ -447,8 +447,8 @@ def lattice_sup_j(sig: FiniteSignal, ctx: GridContext, n: int, j: int):
 # results are bit-for-bit the same in every batch, the batch of one included.
 
 # groups of signals hold at most _BLOCK_ENTRIES // 8 rows, and runs of
-# sup_sq_tail's finite terms as many; at 2^16 the tracemalloc peak of
-# run_all(20250809, 250) is 1.3 MB, at 2^17 2.3 MB for no less time
+# sup_sq_tail's finite terms fewer than twice as many; the tracemalloc peak
+# of run_all(20250809, 250) is 1.3 MB at 2^16, 2.3 MB at 2^17 for no less time
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -748,9 +748,9 @@ def sup_sq_tail(S, k_start: int) -> np.ndarray:
     # each slot's first term, that of the first row with as many hyperbolas
     at = np.append(first, first[-1] + L[-1])[
         np.searchsorted(n_kept, np.arange(n_kept[-1]), "right")]
-    # the finite terms, each the maximum over its row's kept hyperbolas, in
-    # runs of at most _BLOCK_ENTRIES // 8 terms (a longer row alone, in
-    # windows of as many but at least 2^10), which bounds each run's arrays
+    # the finite terms, each the maximum over its row's kept hyperbolas; a
+    # run is the rows of at most quota terms starting in one quota-sized span
+    # (< 2 * quota terms), or a longer row alone in windows of max(quota, 2^10)
     quota = max(1, _BLOCK_ENTRIES // 8)
     finite = np.empty(late.size)
     edges = _run_bounds(2 * (first // quota) + (L > quota)).tolist()

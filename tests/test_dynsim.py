@@ -249,36 +249,6 @@ def test_cyclic_table_array_matches_the_fraction_route(table):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("table", [
-    tuple(F(k, 2) for k in range(-50, 50)),
-    (F(1, 3), F(2, 7), F(-5, 11), 1, True),
-    (F(1, 2**53), F(2**53, 3), F(-2**53, 5)),       # terms at the 2^53 limit
-    (F(1, 2**53 + 1), F(1, 3)),                      # a denominator above it
-    (F(2**53 + 1, 7), F(1, 3)),                      # a numerator above it
-    (F(2**70 + 1, 3), F(1, 2)),                      # a term past int64
-    (1, F(1, 2), 0.75),                              # a float entry
-])
-def test_cyclic_table_array_is_float_of_each_entry(table):
-    got = CyclicSystem(len(table), table).table_array
-    assert got.tobytes() == np.array([float(v) for v in table]).tobytes()
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(st.fractions(max_denominator=2**54),
-                          st.integers(-2**62, 2**62), st.booleans()),
-                min_size=1, max_size=20))
-def test_cyclic_table_array_of_rationals_is_the_fraction_route(table):
-    sysc = CyclicSystem(len(table), tuple(table))
-    try:
-        want = _table_array_by_fractions(table)
-    except OverflowError:           # an integral table past int64, either way
-        with pytest.raises(OverflowError):
-            sysc.table_array
-        return
-    got = sysc.table_array
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
 def test_bad_specs():
     with pytest.raises(BadSpec):
         RotationSystem.from_fraction(F(3, 2))
