@@ -349,9 +349,13 @@ def subseq_max(orbit: Orbit, store: SequenceStore, n_max: int):
     k_top = pref.size - 1
     if k_top == 0:
         return _mean(pref, 0)
-    # |pref[k]| / k is the float of each |mean|: the argmax picks the best k
-    best_k = int(np.argmax(np.abs(pref[1:]) / np.arange(1, k_top + 1))) + 1
-    return abs(_mean(pref, best_k))
+    # |pref[k]| / k is each |mean| rounded at most twice (an int64 sum past
+    # 2^53, then the quotient), so it can invert two means' order by a
+    # relative 2^-51 at most: the exact means of the k within 2^-50 of the
+    # float maximum decide
+    ratio = np.abs(pref[1:]) / np.arange(1, k_top + 1)
+    near = np.flatnonzero(ratio >= ratio.max() * (1 - 2.0 ** -50)) + 1
+    return max(abs(_mean(pref, int(k))) for k in near)
 
 
 def default_checkpoints(store: SequenceStore) -> list[int]:
@@ -500,29 +504,11 @@ def dynamical_mean(system: CyclicSystem, x: int, r: int, ctx: GridContext,
     the grid operators (table lookups on Z_P) so the transfer identity is a
     genuine two-route check.
     """
-    p = ctx.p
-    lo, hi = dynamical_window(r, p, N)
-    table = system.table
-
-    def raw(q):
-        first = -(-lo // q) * q
-        tot = 0
-        cnt = 0
-        for off in range(first, hi, q):
-            tot += table[(x + off) % system.P]
-            cnt += 1
-        return tot, cnt
-
-    if j is not None:
-        tot, cnt = raw(ctx.primes[j])
-        return F(tot, cnt)
-    tot_all = 0
-    cnt_all = 0
-    for q in ctx.primes:
-        tot, cnt = raw(q)
-        tot_all += tot
-        cnt_all += cnt
-    return F(tot_all, cnt_all)
+    lo, hi = dynamical_window(r, ctx.p, N)
+    qs = ctx.primes if j is None else (ctx.primes[j],)
+    vals = [system.table[(x + off) % system.P]
+            for q in qs for off in range(-(-lo // q) * q, hi, q)]
+    return F(sum(vals), len(vals))
 
 
 def tower_transfer_check(tower: Tower, system: CyclicSystem, ctx: GridContext,
@@ -533,6 +519,8 @@ def tower_transfer_check(tower: Tower, system: CyclicSystem, ctx: GridContext,
     bottom margins, forms the column signal phi(n) = f(T^n base) of length
     the tower height, and compares the grid operator at offset n(x) with the
     dynamical operator at x, per progression and combined, in exact rationals.
+    Both routes read `system.table` as given, so a table of floats fails
+    with a TypeError instead of passing as some other table.
     """
     from .rng import SplitMix64
     p = ctx.p
@@ -543,8 +531,6 @@ def tower_transfer_check(tower: Tower, system: CyclicSystem, ctx: GridContext,
         raise TowerTooShort(
             f"height {tower.height} leaves no levels for horizon {horizon}")
     rng = SplitMix64(seed)
-    table_int = [int(v) for v in system.table]
-    sys_int = CyclicSystem(system.P, tuple(table_int))
     checked = 0
     mismatches = []
     for _ in range(trials):
@@ -554,20 +540,14 @@ def tower_transfer_check(tower: Tower, system: CyclicSystem, ctx: GridContext,
         base = int(tower.base[col])
         x = (base + level) % system.P
         r = level % p
-        column = [table_int[(base + k) % system.P] for k in range(tower.height)]
-        phi = FiniteSignal(0, column)
-        ok = True
-        for j in range(ctx.K):
-            grid = progression_mean_j(phi, ctx, level, N, j)
-            dyn = dynamical_mean(sys_int, x, r, ctx, N, j)
-            if grid != dyn:
-                ok = False
-        grid_c = progression_mean(phi, ctx, level, N)
-        dyn_c = dynamical_mean(sys_int, x, r, ctx, N)
-        if grid_c != dyn_c:
-            ok = False
+        phi = FiniteSignal(0, [system.table[(base + k) % system.P]
+                               for k in range(tower.height)])
+        routes = [(progression_mean_j(phi, ctx, level, N, j),
+                   dynamical_mean(system, x, r, ctx, N, j)) for j in range(ctx.K)]
+        routes.append((progression_mean(phi, ctx, level, N),
+                       dynamical_mean(system, x, r, ctx, N)))
         checked += 1
-        if not ok:
+        if any(grid != dyn for grid, dyn in routes):
             mismatches.append({"col": col, "level": level, "N": N})
     return {"trials": checked, "exact_matches": checked - len(mismatches),
             "mismatches": mismatches, "ok": not mismatches}

@@ -398,11 +398,11 @@ def write_elements(store: SequenceStore, path) -> None:
             groups = -(-width // 4)
             lead = width - 4 * (groups - 1)     # digits of the leading group
             for i in range(start, stop, _WRITE_CHUNK):
-                # unsigned division is faster; 32 bits hold 9 digits and
-                # every int32 element, which is read as its uint32 view
+                # unsigned division is faster: an int32 element is read as
+                # its uint32 view, an int64 one as uint64
                 x = elems[i:min(i + _WRITE_CHUNK, stop)]
                 x = x.view(np.uint32) if x.dtype == np.int32 else x.astype(
-                    np.uint32 if width <= 9 else np.uint64)
+                    np.uint64)
                 text = buf[3:3 + x.size * stride]
                 if width <= 2:
                     text.reshape(x.size, stride)[:, :width] = \

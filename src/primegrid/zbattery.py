@@ -22,10 +22,10 @@ record, and the run then reports failure.
 from __future__ import annotations
 
 import json
-from fractions import Fraction as F
 
 import numpy as np
 
+from .constants import frac_json
 from .rng import _MASK, SplitMix64, derive_seed, index_u64_array, mix64_array
 from .zops import (
     FiniteSignal,
@@ -76,10 +76,8 @@ def random_signal(rng: SplitMix64, span_scale: int) -> FiniteSignal:
 
 
 def signal_json(sig: FiniteSignal) -> dict:
-    fs = [F(v).limit_denominator(10**9) if isinstance(v, float) else F(v)
-          for v in sig.values]
-    return {"lo": sig.lo, "values": [{"num": str(f.numerator),
-                                      "den": str(f.denominator)} for f in fs]}
+    """The signal with each value as its exact fraction (a float's too)."""
+    return {"lo": sig.lo, "values": [frac_json(v) for v in sig.values]}
 
 
 def shrink_signal(sig: FiniteSignal, still_fails) -> FiniteSignal:

@@ -38,10 +38,6 @@ from .primes import is_prime
 F = Fraction
 
 
-class LengthMismatch(Exception):
-    pass
-
-
 class NonpositiveLambda(Exception):
     pass
 
@@ -201,26 +197,24 @@ class Signals:
 
 @dataclass(frozen=True)
 class Spectrum:
-    p: int
     coeffs: np.ndarray     # coeffs[b] at frequency b/p
+
+    @property
+    def p(self) -> int:
+        return self.coeffs.size
 
 
 # ---------------------------------------------------------------------------
 # discrete Fourier transform on one grid interval
 
-def dft(block: np.ndarray | list, p: int | None = None) -> Spectrum:
-    """Forward transform with the 1/p normalization on the analysis side."""
+def dft(block: np.ndarray | list) -> Spectrum:
+    """Forward transform with the 1/p normalization on the analysis side,
+    where p is the number of samples."""
     block = np.asarray(block, dtype=complex)
-    if p is None:
-        p = block.size
-    if block.size != p:
-        raise LengthMismatch(f"need exactly {p} samples, got {block.size}")
-    return Spectrum(p, np.fft.fft(block) / p)
+    return Spectrum(np.fft.fft(block) / block.size)
 
 
 def idft(spec: Spectrum) -> np.ndarray:
-    if spec.coeffs.size != spec.p:
-        raise LengthMismatch("spectrum length must equal its period")
     return np.fft.ifft(spec.coeffs) * spec.p
 
 
@@ -260,11 +254,6 @@ def smeared_at(sig: FiniteSignal, ctx: GridContext, j: int, x: int):
         y = x + k * q
         total = total + sig(y - (ctx.t(y) - t) * p)
     return _div(total, ctx.qtil[j])
-
-
-def smear_minus(sig: FiniteSignal, ctx: GridContext, j: int, x: int):
-    """Own-block smear minus the grid-interval mean at x."""
-    return smeared_at(sig, ctx, j, x) - block_average(sig, ctx, x)
 
 
 # ---------------------------------------------------------------------------
@@ -310,58 +299,50 @@ def progression_deviation_j(sig: FiniteSignal, ctx: GridContext, n: int, N: int,
     return _div(total, (t1 - t0 + 1) * ctx.qtil[j])
 
 
-def progression_deviation(sig: FiniteSignal, ctx: GridContext, n: int, N: int):
-    """nu-weighted combination of the per-progression deviations."""
+def _combined(ctx: GridContext, value_j):
+    """The nu-weighted combination sum_j qtil_j value_j(j) / pQ of per-j values."""
     num = 0
     for j in range(ctx.K):
-        num = num + ctx.qtil[j] * progression_deviation_j(sig, ctx, n, N, j)
+        num = num + ctx.qtil[j] * value_j(j)
     return _div(num, ctx.pQ)
+
+
+def progression_deviation(sig: FiniteSignal, ctx: GridContext, n: int, N: int):
+    """nu-weighted combination of the per-progression deviations."""
+    return _combined(ctx, lambda j: progression_deviation_j(sig, ctx, n, N, j))
 
 
 # lattice representations ----------------------------------------------------
 
-def lattice_mean_j(sig: FiniteSignal, ctx: GridContext, n: int, N: int, j: int):
-    """Plain lattice average of the own-block smear; equals the j-mean."""
+def _lattice_average(ctx: GridContext, n: int, N: int, value):
+    """Plain average of value(x) over the window's lattice points x = n + kp."""
     Np = ctx.nprime(n, N)
     total = 0
     for k in range(Np):
-        total = total + smeared_at(sig, ctx, j, n + k * ctx.p)
+        total = total + value(n + k * ctx.p)
     return _div(total, Np)
+
+
+def lattice_mean_j(sig: FiniteSignal, ctx: GridContext, n: int, N: int, j: int):
+    """Plain lattice average of the own-block smear; equals the j-mean."""
+    return _lattice_average(ctx, n, N, lambda x: smeared_at(sig, ctx, j, x))
 
 
 def lattice_deviation_j(sig: FiniteSignal, ctx: GridContext, n: int, N: int, j: int):
-    """Plain lattice average of |smear minus block mean|; equals the j-deviation."""
-    Np = ctx.nprime(n, N)
-    total = 0
-    for k in range(Np):
-        total = total + abs(smear_minus(sig, ctx, j, n + k * ctx.p))
-    return _div(total, Np)
+    """Plain lattice average of |own-block smear minus grid-interval mean|;
+    equals the j-deviation."""
+    return _lattice_average(ctx, n, N, lambda x: abs(
+        smeared_at(sig, ctx, j, x) - block_average(sig, ctx, x)))
 
 
 def lattice_deviation(sig: FiniteSignal, ctx: GridContext, n: int, N: int):
     """Combined deviation through the lattice kernel (representation route)."""
-    Np = ctx.nprime(n, N)
-    total = 0
-    for k in range(Np):
-        x = n + k * ctx.p
-        acc = 0
-        for j in range(ctx.K):
-            acc = acc + ctx.qtil[j] * abs(smear_minus(sig, ctx, j, x))
-        total = total + _div(acc, ctx.pQ)
-    return total / Np
+    return _combined(ctx, lambda j: lattice_deviation_j(sig, ctx, n, N, j))
 
 
 def lattice_mean(sig: FiniteSignal, ctx: GridContext, n: int, N: int):
     """Combined mean through the lattice kernel (representation route)."""
-    Np = ctx.nprime(n, N)
-    total = 0
-    for k in range(Np):
-        x = n + k * ctx.p
-        acc = 0
-        for j in range(ctx.K):
-            acc = acc + ctx.qtil[j] * smeared_at(sig, ctx, j, x)
-        total = total + _div(acc, ctx.pQ)
-    return total / Np
+    return _combined(ctx, lambda j: lattice_mean_j(sig, ctx, n, N, j))
 
 
 def mean_over_j(sig: FiniteSignal, ctx: GridContext, n: int, N: int):

@@ -142,6 +142,26 @@ def test_tracer_finds_its_names(tmp_path):
             "zbattery.deviation_l2"} <= set(spans.split())
 
 
+def test_traced_pipeline_worker_runs(tmp_path):
+    # the benchmark's own traced run: every hook tracing.install sets must
+    # still resolve and see its stage, or --trace breaks while the untraced
+    # benchmark runs on
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"),
+         "--workload", "pipeline", "--seed", "20250809",
+         "--workdir", str(tmp_path / "run"), "--trace", "t"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    result = json.loads((tmp_path / "run" / "result.json").read_text())
+    assert set(result["codes"].values()) == {0}, result["codes"]
+    stages = {f"{step}_s" for step in result["codes"]}
+    assert {"cli.gen-params_s", "cli.build-seq_s", "cli.verify_s",
+            "cli.ops-test_s", "cli.simulate.rotation_s"} <= stages
+    assert stages | {"ledger.build_s", "sequence.build_store_s",
+                     "zbattery.deviation_l2_s"} <= set(result["trace"])
+
+
 def test_gen_params_faithful_two_blocks(tmp_path):
     out = tmp_path / "faithful.json"
     assert main(["gen-params", "--profile", "faithful", "--horizon", "2",

@@ -409,6 +409,21 @@ def test_average_type_follows_sample_dtype():
         assert type(got) is type(want) and got == want, (got, want)
 
 
+@pytest.mark.parametrize("table, want", [
+    # (2^54 + 1)/2 and 2^53 round to the same double; the later, larger
+    # mean is the maximum
+    ((2**53, 2**53 + 1), F(2**54 + 1, 2)),
+    # 2^53 + 3 rounds up to 2^53 + 4, while (3 * 2^53 + 10)/3 rounds down
+    # to 2^53 + 2: the floats order the two means the wrong way round
+    ((2**53 + 3, 2**53 - 3, 2**53 + 10), F(3 * 2**53 + 10, 3)),
+])
+def test_subseq_max_exact_where_floats_tie_or_invert(table, want):
+    P = len(table)
+    orb = sample_orbit(CyclicSystem(P, table), 0, P)
+    store = SequenceStore((0, P), np.arange(P))
+    assert subseq_max(orb, store, P) == want
+
+
 # ---------------------------------------------------------------------------
 # convergence reports
 
@@ -529,6 +544,36 @@ def test_transfer_window_guard():
     tower = build_tower(1000, 250, F(9, 10))
     with pytest.raises(TowerTooShort):
         tower_transfer_check(tower, sysc, ctx, trials=5, horizon=200, seed=1)
+
+
+def _halves_tower():
+    ctx = GridContext((2, 3))
+    table = tuple(F(1, 2) if r % 3 else F(5, 2) for r in range(200))
+    return ctx, table, build_tower(200, 100, F(1, 2))
+
+
+def test_transfer_reads_the_table_it_is_given(monkeypatch):
+    # a table of halves reaches both routes as halves, not truncated to ints
+    ctx, table, tower = _halves_tower()
+    seen = set()
+    grid_mean_j = dynsim.progression_mean_j
+
+    def spy(phi, *args):
+        seen.update(phi.values)
+        return grid_mean_j(phi, *args)
+
+    monkeypatch.setattr(dynsim, "progression_mean_j", spy)
+    rep = tower_transfer_check(tower, CyclicSystem(200, table), ctx, trials=20,
+                               horizon=20, seed=3)
+    assert seen == {F(1, 2), F(5, 2)}
+    assert rep["ok"] and rep["exact_matches"] == 20
+
+
+def test_transfer_rejects_a_float_table():
+    ctx, table, tower = _halves_tower()
+    sysc = CyclicSystem(200, tuple(float(v) for v in table))
+    with pytest.raises(TypeError):
+        tower_transfer_check(tower, sysc, ctx, trials=5, horizon=20, seed=3)
 
 
 def test_dynamical_mean_matches_brute():

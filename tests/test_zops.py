@@ -11,7 +11,6 @@ from primegrid.zops import (
     FiniteSignal,
     GridContext,
     Signals,
-    LengthMismatch,
     NonpositiveLambda,
     _lattice_tables,
     _n_for_nprime,
@@ -108,11 +107,6 @@ def test_dft_constant_is_spike():
     spec = dft([3.0] * 5)
     assert abs(spec.coeffs[0] - 3.0) < 1e-12
     assert np.abs(spec.coeffs[1:]).max() < 1e-12
-
-
-def test_dft_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        dft([1, 2, 3], p=4)
 
 
 def test_roundtrip_and_parseval_200_random():
