@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -22,26 +23,23 @@ from .dynsim import (
     CyclicSystem,
     RotationSystem,
     convergence_report,
-    count_bounds_check,
     indicator,
     sample_orbit,
 )
 from .ledger import (
-    InfeasibleAtScale,
     LedgerError,
-    NoPrimeWindow,
     extend_ledger,
     full_report,
     ledger_to_json,
     load_ledger,
     new_ledger,
-    save_ledger,
 )
 from .rng import SplitMix64, derive_seed
 from .sequence import (
     banach_density,
     block_summaries,
     build_store,
+    count_bounds_check,
     gap_profile,
     verify_block,
     write_elements,
@@ -54,7 +52,7 @@ def _err(msg: str) -> None:
 
 
 def _emit_json(obj, path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n", path)
+    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -131,20 +129,10 @@ def cmd_gen_params(args) -> int:
         ledger = new_ledger(table)
         while len(ledger.blocks) < args.horizon:
             ledger = extend_ledger(ledger)
-    except InfeasibleAtScale as exc:
-        _err(f"InfeasibleAtScale: block {exc.m} needs {exc.what} >= {exc.required} "
-             f"(cap {exc.cap})")
-        return 1
-    except NoPrimeWindow as exc:
-        _err(f"NoPrimeWindow: {exc}")
-        return 1
     except LedgerError as exc:
-        _err(f"ledger check failed: {exc}")
+        _err(f"{type(exc).__name__}: {exc}")
         return 1
-    if args.out:
-        save_ledger(ledger, args.out)
-    else:
-        _emit_json(ledger_to_json(ledger), None)
+    _emit_json(ledger_to_json(ledger), args.out)
     _err(f"ledger: {len(ledger.blocks)} blocks, "
          f"{ledger.complete_horizon} closed, profile {ledger.constants.profile}")
     return 0
@@ -308,23 +296,34 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _read_rows(path: str) -> list[dict]:
+    """The rows of a JSON array, a JSON-lines file or a CSV file.
+
+    A .jsonl or .ndjson name, or a first character past any whitespace of
+    '{', means JSON lines; a '[' one JSON array; anything else CSV.  Every
+    JSON row must be an object.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    head = text.lstrip()[:1]
+    if head == "{" or path.endswith((".jsonl", ".ndjson")):
+        rows = [(f"{path}:{lineno}", json.loads(line))
+                for lineno, line in enumerate(text.split("\n"), start=1)
+                if line.strip()]
+    elif head == "[":
+        rows = [(f"{path}: element {i}", row)
+                for i, row in enumerate(json.loads(text))]
+    else:
+        return [dict(r) for r in csv.DictReader(io.StringIO(text))]
+    for where, row in rows:
+        if not isinstance(row, dict):
+            raise ValueError(f"{where}: a row is a JSON object, not "
+                             f"{type(row).__name__}")
+    return [row for _, row in rows]
+
+
 def cmd_export(args) -> int:
-    rows: list[dict] = []
-    with open(args.infile, encoding="utf-8") as fh:
-        head = fh.read(1)
-        fh.seek(0)
-        if head == "{" or args.infile.endswith((".jsonl", ".ndjson")):
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
-                    row = json.loads(line)
-                    if not isinstance(row, dict):
-                        raise ValueError(f"{args.infile}:{lineno}: a row is a "
-                                         f"JSON object, not "
-                                         f"{type(row).__name__}")
-                    rows.append(row)
-        else:
-            rows.extend(dict(r) for r in csv.DictReader(fh))
+    rows = _read_rows(args.infile)
     if not rows:
         _err("no rows to export")
         return 2

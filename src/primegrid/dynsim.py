@@ -8,8 +8,8 @@ forms), and i.i.d. 0/1 symbol streams from the package's stateless generator.
 The subsequence average at horizon N is the mean of the observable over the
 orbit positions picked out by the constructed sequence below N.  The module
 also houses the threshold decomposition of an observable against a ledger's
-cumulative counts, Rokhlin-style towers on Z_P with the exact transfer check
-onto the grid operators, and the per-block count-bound records.
+cumulative counts, and Rokhlin-style towers on Z_P with the exact transfer
+check onto the grid operators.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .ledger import Ledger
-from .rng import index_u64_array
-from .sequence import SequenceStore, _find
+from .rng import SplitMix64, index_u64_array
+from .sequence import SequenceStore
 from .zops import FiniteSignal, GridContext, progression_mean, progression_mean_j
 
 F = Fraction
@@ -522,7 +522,6 @@ def tower_transfer_check(tower: Tower, system: CyclicSystem, ctx: GridContext,
     Both routes read `system.table` as given, so a table of floats fails
     with a TypeError instead of passing as some other table.
     """
-    from .rng import SplitMix64
     p = ctx.p
     if system.P != tower.P:
         raise BadSpec("tower and system disagree on P")
@@ -551,62 +550,3 @@ def tower_transfer_check(tower: Tower, system: CyclicSystem, ctx: GridContext,
             mismatches.append({"col": col, "level": level, "N": N})
     return {"trials": checked, "exact_matches": checked - len(mismatches),
             "mismatches": mismatches, "ok": not mismatches}
-
-
-# ---------------------------------------------------------------------------
-# per-block count bounds
-
-def count_bounds_check(ledger: Ledger, store: SequenceStore) -> list[dict]:
-    """The count estimates every block must satisfy, in exact rationals.
-
-    For each block: the ledger's count equals the block's size, the
-    full-block two-sided bounds, a grid of horizons N inside the block (its
-    sixths, its first point and its first point past d) with the windowed
-    two-sided bounds, and the global lower bound count(0, N) > (3/5) Q(m) N.
-    Each block forms its rational coefficients (1 - gamma) Q, p Q, Q and
-    (3/5) Q once, and takes the counts below beta_{m-1} and below all its
-    horizons N from one binary search of the elements.
-    """
-    tab = ledger.constants
-    out = []
-    for m in range(1, store.n_blocks + 1):
-        beta_prev, beta = store.betas[m - 1], store.betas[m]
-        params = ledger.block(m)
-        gamma, Q, p = params.gamma, params.Q, params.p
-        kept_Q, pQ, global_Q = (1 - gamma) * Q, p * Q, F(3, 5) * Q
-        blk_count = store.block(m).size
-        length = beta - beta_prev
-        P_full = length // p
-        rec = {
-            "m": m,
-            "f4aa": blk_count > kept_Q * (1 - tab.gamma_beta) * beta,
-            # outer form needs p_m below the previous endpoint; block 1 only
-            # supports the (P_m + 1) p Q form
-            "f4ab": blk_count < (P_full + 1) * pQ if m == 1
-            else blk_count < beta * Q,
-            "grid": [],
-        }
-        Ns = {beta_prev + 1, beta_prev + params.d + 1, beta}
-        for i in range(1, 7):
-            Ns.add(beta_prev + max(1, (length * i) // 6))
-        Ns = sorted(N for N in Ns if beta_prev < N <= beta)
-        # no element is negative: the count below N is count(0, N)
-        below = _find(store.elements, np.array(
-            [beta_prev, *Ns], dtype=store.elements.dtype)).tolist()
-        for N, n_below in zip(Ns, below[1:]):
-            cnt = n_below - below[0]
-            P_N = (N - beta_prev) // p
-            g = {
-                "N": N,
-                "f6aa_inner": cnt >= P_N * p * kept_Q,
-                "f6aa": cnt > (N - beta_prev - p) * kept_Q,
-                "f6ab_inner": cnt < (P_N + 1) * pQ,
-                "f6ab": cnt < (N - beta_prev + p) * Q,
-                "f4bb": n_below > global_Q * N,
-            }
-            g["ok"] = all(v for k, v in g.items() if k != "N")
-            rec["grid"].append(g)
-        rec["ok"] = (params.count == blk_count and rec["f4aa"] and rec["f4ab"]
-                     and all(g["ok"] for g in rec["grid"]))
-        out.append(rec)
-    return out

@@ -9,6 +9,11 @@ positions of beta_{m-1} and beta_m, found by binary search in the elements
 themselves, so every count read from the store reflects the array it holds.
 Range counts are binary searches too.
 
+The checks measure the built blocks against their ledger rows:
+`verify_block` the aligned windows, the least gap and the empty leading
+gap, `count_bounds_check` the count estimates 4aa, 4ab, 6aa, 6ab and 4bb
+at a grid of horizons in each block.
+
 The kernels that touch every element avoid per-element Python work.
 `banach_density` prunes window starts exactly: a bucket of starts [s, e) is
 skipped when the smaller of L and the count of [s, e - 1 + L), which holds
@@ -261,6 +266,64 @@ def verify_block(ledger: Ledger, store: SequenceStore, m: int) -> BlockReport:
         lower_ok=lower_ok, upper_ok=upper_ok, k1_edge=k1_edge,
         min_gap=min_gap, gap_ok=gap_ok, spacing_ok=spacing_ok,
     )
+
+
+def count_bounds_check(ledger: Ledger, store: SequenceStore) -> list[dict]:
+    """The count estimates every block must satisfy, in exact rationals.
+
+    For each block: the ledger's count equals the block's size, the
+    full-block two-sided bounds, a grid of horizons N inside the block (its
+    sixths, its first point and its first point past d) with the windowed
+    two-sided bounds, and the global lower bound count(0, N) > (3/5) Q(m) N.
+    Each block forms its rational coefficients (1 - gamma) Q, p Q, Q and
+    (3/5) Q once, reads its size and the count below beta_{m-1} from the
+    store's offsets, and takes the counts below all its horizons N from one
+    binary search of the elements.
+    """
+    tab = ledger.constants
+    bounds = store.offsets.tolist()
+    out = []
+    for m in range(1, store.n_blocks + 1):
+        beta_prev, beta = store.betas[m - 1], store.betas[m]
+        params = ledger.block(m)
+        gamma, Q, p = params.gamma, params.Q, params.p
+        kept_Q, pQ, global_Q = (1 - gamma) * Q, p * Q, F(3, 5) * Q
+        blk_count = bounds[m] - bounds[m - 1]
+        length = beta - beta_prev
+        P_full = length // p
+        rec = {
+            "m": m,
+            "f4aa": blk_count > kept_Q * (1 - tab.gamma_beta) * beta,
+            # outer form needs p_m below the previous endpoint; block 1 only
+            # supports the (P_m + 1) p Q form
+            "f4ab": blk_count < (P_full + 1) * pQ if m == 1
+            else blk_count < beta * Q,
+            "grid": [],
+        }
+        Ns = {beta_prev + 1, beta_prev + params.d + 1, beta}
+        for i in range(1, 7):
+            Ns.add(beta_prev + max(1, (length * i) // 6))
+        Ns = sorted(N for N in Ns if beta_prev < N <= beta)
+        # no element is negative: the count below N is count(0, N)
+        below = _find(store.elements, np.array(
+            Ns, dtype=store.elements.dtype)).tolist()
+        for N, n_below in zip(Ns, below):
+            cnt = n_below - bounds[m - 1]
+            P_N = (N - beta_prev) // p
+            g = {
+                "N": N,
+                "f6aa_inner": cnt >= P_N * p * kept_Q,
+                "f6aa": cnt > (N - beta_prev - p) * kept_Q,
+                "f6ab_inner": cnt < (P_N + 1) * pQ,
+                "f6ab": cnt < (N - beta_prev + p) * Q,
+                "f4bb": n_below > global_Q * N,
+            }
+            g["ok"] = all(v for k, v in g.items() if k != "N")
+            rec["grid"].append(g)
+        rec["ok"] = (params.count == blk_count and rec["f4aa"] and rec["f4ab"]
+                     and all(g["ok"] for g in rec["grid"]))
+        out.append(rec)
+    return out
 
 
 def gap_profile(store: SequenceStore) -> list[tuple[int, int, int]]:

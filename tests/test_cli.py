@@ -42,11 +42,15 @@ def demo_ledger_file(tmp_path_factory):
     return path
 
 
-def test_gen_params_deterministic(tmp_path, demo_ledger_file):
+def test_gen_params_deterministic(tmp_path, capsys, demo_ledger_file):
     other = tmp_path / "ledger2.json"
     assert main(["gen-params", "--profile", "demo", "--horizon", "6",
                  "--out", str(other)]) == 0
     assert other.read_bytes() == demo_ledger_file.read_bytes()
+    # stdout gets the same bytes as the file
+    capsys.readouterr()
+    assert main(["gen-params", "--profile", "demo", "--horizon", "6"]) == 0
+    assert capsys.readouterr().out.encode() == demo_ledger_file.read_bytes()
 
 
 def test_parser_is_built_once_and_survives_bad_argv(tmp_path, capsys):
@@ -70,6 +74,12 @@ def test_gen_params_faithful_infeasible(capsys):
     err = capsys.readouterr().err
     assert "InfeasibleAtScale" in err
     assert "128424079523840001" in err      # the exact K bound for block 3
+
+
+def test_emit_json_fails_on_values_json_cannot_hold(tmp_path):
+    # a stray Fraction must fail, not be written as a quoted string
+    with pytest.raises(TypeError):
+        cli._emit_json({"x": F(1, 3)}, str(tmp_path / "out.json"))
 
 
 def test_gen_params_constant_overrides(tmp_path, capsys):
@@ -142,24 +152,31 @@ def test_tracer_finds_its_names(tmp_path):
             "zbattery.deviation_l2"} <= set(spans.split())
 
 
-def test_traced_pipeline_worker_runs(tmp_path):
+@pytest.mark.parametrize("workload, spans", [
+    pytest.param("pipeline", {"cli.ops-test_s", "cli.simulate.rotation_s",
+                              "zbattery.deviation_l2_s"}, id="pipeline"),
+    pytest.param("construct-h10", {
+        "dynsim.count_bounds_s", "sequence.verify_block_s",
+        "sequence.banach_density_s", "sequence.write_elements_s",
+        "ledger.report_s"}, id="construct-h10"),
+])
+def test_traced_pipeline_worker_runs(tmp_path, workload, spans):
     # the benchmark's own traced run: every hook tracing.install sets must
     # still resolve and see its stage, or --trace breaks while the untraced
     # benchmark runs on
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     res = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "worker.py"),
-         "--workload", "pipeline", "--seed", "20250809",
+         "--workload", workload, "--seed", "20250809",
          "--workdir", str(tmp_path / "run"), "--trace", "t"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     result = json.loads((tmp_path / "run" / "result.json").read_text())
     assert set(result["codes"].values()) == {0}, result["codes"]
     stages = {f"{step}_s" for step in result["codes"]}
-    assert {"cli.gen-params_s", "cli.build-seq_s", "cli.verify_s",
-            "cli.ops-test_s", "cli.simulate.rotation_s"} <= stages
-    assert stages | {"ledger.build_s", "sequence.build_store_s",
-                     "zbattery.deviation_l2_s"} <= set(result["trace"])
+    assert {"cli.gen-params_s", "cli.build-seq_s", "cli.verify_s"} <= stages
+    assert stages | spans | {"ledger.build_s", "sequence.build_store_s"} \
+        <= set(result["trace"])
 
 
 def test_gen_params_faithful_two_blocks(tmp_path):
@@ -738,6 +755,47 @@ def test_export_rejects_non_object_line(tmp_path, capsys):
     assert main(["export", "--in", str(src), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"config error: {src}:2: a row is a JSON object, not list" in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def battery_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("export") / "battery.jsonl"
+    assert main(["ops-test", "--seed", "5", "--trials", "4",
+                 "--out", str(path)]) == 0
+    return path
+
+
+def test_export_json_output_exports_again(tmp_path, battery_file):
+    # export's own JSON array reads back as the rows it was written from
+    direct, array, again = (tmp_path / n for n in ("d.csv", "a.json", "a.csv"))
+    for src, fmt, out in ((battery_file, "csv", direct),
+                          (battery_file, "json", array),
+                          (array, "csv", again)):
+        assert main(["export", "--in", str(src), "--format", fmt,
+                     "--out", str(out)]) == 0
+    assert again.read_bytes() == direct.read_bytes()
+    assert direct.read_text().count("\n") == \
+        battery_file.read_text().count("\n") + 1
+
+
+def test_export_reads_json_lines_after_blank_lines(tmp_path, battery_file):
+    src, out = tmp_path / "rows.txt", tmp_path / "rows.csv"
+    src.write_text("\n  \n" + battery_file.read_text())
+    assert main(["export", "--in", str(src), "--out", str(out)]) == 0
+    direct = tmp_path / "direct.csv"
+    assert main(["export", "--in", str(battery_file), "--out",
+                 str(direct)]) == 0
+    assert out.read_bytes() == direct.read_bytes()
+
+
+def test_export_rejects_non_object_element(tmp_path, capsys):
+    src, out = tmp_path / "r.json", tmp_path / "r.csv"
+    src.write_text('  [{"a": 1}, {"a": 2}, 3]')
+    assert main(["export", "--in", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {src}: element 2: a row is a JSON object, " \
+        "not int" in err
     assert not out.exists()
 
 

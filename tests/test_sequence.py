@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from primegrid import blocksets, sequence
 from primegrid.blocksets import Block, block_count, survivors_by_progression
 from primegrid.constants import demo_constants
-from primegrid.dynsim import count_bounds_check
 from primegrid.ledger import MAX_BETA, BlockParams, Ledger, build_ledger
 from primegrid.rng import SplitMix64
 from primegrid.sequence import (
@@ -20,6 +19,7 @@ from primegrid.sequence import (
     banach_density,
     block_summaries,
     build_store,
+    count_bounds_check,
     gap_profile,
     verify_block,
     write_elements,
@@ -398,6 +398,48 @@ def test_spacing_flags_element_near_left_endpoint():
         elems = np.concatenate([np.arange(15), [first, 27, 33, 42]])
         rep = verify_block(led, SequenceStore((0, 15, 45), elems), 2)
         assert rep.spacing_ok is ok, first
+
+
+# ---------------------------------------------------------------------------
+# per-block count bounds
+
+
+def test_count_bounds_demo(demo_ledger, demo_store):
+    recs = count_bounds_check(demo_ledger, demo_store)
+    assert len(recs) == 5
+    assert all(r["ok"] for r in recs)
+    assert all(g["f4bb"] for r in recs for g in r["grid"])
+
+
+def test_window_count_estimates_every_horizon(demo_ledger, demo_store):
+    # (1-gamma)(N - beta_prev - p) Q < count(beta_prev, N) < (N - beta_prev + p) Q
+    # for every single N in every block, via integer cross-multiplication
+    for m in range(1, demo_store.n_blocks + 1):
+        blk = demo_ledger.blocks[m - 1]
+        lo, hi = demo_store.betas[m - 1], demo_store.betas[m]
+        elems = demo_store.block(m)
+        S = sum(blk.p // q for q in blk.primes)   # p * Q, an integer
+        gnum, gden = (1 - blk.gamma).numerator, (1 - blk.gamma).denominator
+        Ns = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        counts = np.searchsorted(elems, Ns, side="left") \
+            - np.searchsorted(elems, lo, side="left")
+        rel = Ns - lo
+        lower_ok = gnum * S * (rel - blk.p) < gden * blk.p * counts
+        upper_ok = blk.p * counts < S * (rel + blk.p)
+        assert lower_ok.all(), m
+        assert upper_ok.all(), m
+
+
+def test_count_bounds_flag_corruption(demo_ledger, demo_store):
+    # deleting two thirds of a block must break its lower density records
+    blocks = [demo_store.block(m) for m in range(1, demo_store.n_blocks + 1)]
+    blocks[2] = blocks[2][::3]
+    corrupt = SequenceStore(demo_store.betas, np.concatenate(blocks))
+    recs = count_bounds_check(demo_ledger, corrupt)
+    assert not recs[2]["f4aa"]
+    assert not recs[2]["ok"]
+    assert any(not g["f6aa"] for g in recs[2]["grid"])
+    assert recs[1]["ok"]
 
 
 # ---------------------------------------------------------------------------
