@@ -349,13 +349,25 @@ def subseq_max(orbit: Orbit, store: SequenceStore, n_max: int):
     k_top = pref.size - 1
     if k_top == 0:
         return _mean(pref, 0)
+    ratio = np.abs(pref[1:]) / np.arange(1, k_top + 1)
+    if pref.dtype.kind != "i":
+        return ratio.max().item()       # each |mean| is its float quotient
     # |pref[k]| / k is each |mean| rounded at most twice (an int64 sum past
     # 2^53, then the quotient), so it can invert two means' order by a
     # relative 2^-51 at most: the exact means of the k within 2^-50 of the
-    # float maximum decide
-    ratio = np.abs(pref[1:]) / np.arange(1, k_top + 1)
+    # float maximum decide.  They are compared in integers, by the floor
+    # of |pref[k]| / k, then by its remainder r over k: r/k > r0/k0 iff
+    # r*k0 > r0*k, products taken as Python ints
     near = np.flatnonzero(ratio >= ratio.max() * (1 - 2.0 ** -50)) + 1
-    return max(abs(_mean(pref, int(k))) for k in near)
+    floor, rem = np.divmod(np.abs(pref[near]), near)
+    top = floor == floor.max()
+    near, rem = near[top].astype(object), rem[top].astype(object)
+    k = 0
+    # step to the largest float remainder quotient among the k that beat
+    # the current one exactly, until none does
+    while (better := np.flatnonzero(rem * near[k] > rem[k] * near)).size:
+        k = better[np.argmax(rem[better] / near[better])]
+    return abs(_mean(pref, int(near[k])))
 
 
 def default_checkpoints(store: SequenceStore) -> list[int]:

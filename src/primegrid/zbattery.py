@@ -113,6 +113,14 @@ def _kept_max(span):
     return top - (top % span + np.uint64(1)) % span
 
 
+def _mod(x: np.ndarray, c: int) -> np.ndarray:
+    """x % c for a uint64 array x, taken as x - (x // c) * c: numpy
+    divides by a scalar about three times faster than it takes the
+    remainder, and for unsigned integers the two are equal."""
+    c = np.uint64(c)
+    return x - x // c * c
+
+
 def _draw_seeded(seeds: np.ndarray, span_scale: int, levels: bool) -> tuple:
     """Each seed's `random_signal(SplitMix64(seed), span_scale)`, then its
     level from the generator's next `uniform()`, for all seeds at once: the
@@ -129,8 +137,8 @@ def _draw_seeded(seeds: np.ndarray, span_scale: int, levels: bool) -> tuple:
     """
     head = index_u64_array(seeds[:, None], np.arange(2))
     span, lo_span = 4 * span_scale, 3 * span_scale + 1
-    lengths = (head[:, 0] % np.uint64(span)).astype(np.int64) + 1
-    los = (head[:, 1] % np.uint64(lo_span)).astype(np.int64) - 2 * span_scale
+    lengths = _mod(head[:, 0], span).astype(np.int64) + 1
+    los = _mod(head[:, 1], lo_span).astype(np.int64) - 2 * span_scale
     redo = (head[:, 0] > _kept_max(span)) | (head[:, 1] > _kept_max(lo_span))
 
     # trial t's values sit at flat places start[t] .. start[t] + L - 1, and
@@ -140,8 +148,8 @@ def _draw_seeded(seeds: np.ndarray, span_scale: int, levels: bool) -> tuple:
     words = index_u64_array(seeds[owner],
                             np.arange(owner.size) - 2 * start[owner] + 2)
     redo[owner[words == np.uint64(_REJECTED)]] = True
-    nums = (words[0::2] % np.uint64(17)).astype(np.int64) - 8
-    dens = np.array([1, 2, 4])[(words[1::2] % np.uint64(3)).astype(np.intp)]
+    nums = _mod(words[0::2], 17).astype(np.int64) - 8
+    dens = np.array([1, 2, 4])[_mod(words[1::2], 3).astype(np.intp)]
     vals = nums / dens
 
     next_word = 2 * lengths + 2

@@ -180,10 +180,16 @@ class Signals:
     def __len__(self) -> int:
         return self.lo.size
 
-    def __getitem__(self, part: slice) -> "Signals":
-        a, b, _ = part.indices(len(self))           # a slice a:b
-        return Signals(self.lo[part], self.lengths[part],
-                       self.values[self.bounds[a]:self.bounds[b]],
+    def __getitem__(self, part: slice | np.ndarray) -> "Signals":
+        """The signals of a slice a:b (their values a view) or, in its
+        order, of an integer index array."""
+        if isinstance(part, slice):
+            a, b, _ = part.indices(len(self))
+            values = self.values[self.bounds[a]:self.bounds[b]]
+        else:
+            values = self.values[_ranges(self.bounds[:-1][part],
+                                         self.bounds[1:][part] - 1)[1]]
+        return Signals(self.lo[part], self.lengths[part], values,
                        self.l1[part], self.bound_M[part], self.l2sq[part])
 
     @property
@@ -774,6 +780,48 @@ def _levels(lams) -> np.ndarray:
     return lams
 
 
+def _level_counts(fn, rows, sigs: Signals, lams, m, *args) -> np.ndarray:
+    """Per signal s, how many of the rows[s] sup values fn(sigs, *args)
+    gives (through `_grouped`) exceed lams[s].  A level above the threshold
+    M + (m + 3) 2^-51 l1 + 2^-1000 counts 0 without a sweep: no value the
+    sweep can give exceeds it (m[s] as the route's docstring derives it).
+
+    Each value is |an average of phi's values| (weights summing to 1), so
+    at most M = max|phi| in exact arithmetic.  In binary64 (u = 2^-53,
+    gamma_k = k u / (1 - k u)) the route's sums carry relative errors only;
+    its products and quotients also an absolute 2^-1075 each where they
+    underflow.  Each value the sweep gives is therefore at most
+
+        (1 + u)^2 (M + 2 gamma_m ||phi||_1) + E,   E << 2^-1000,
+
+    with E as the route's docstring states it.  The threshold is evaluated
+    with three roundings (the factor (m + 3) 2^-51 is exact), and l1 is
+    ||phi||_1 within a relative gamma_{L-1} (L samples summed in any
+    order), so it is at least
+
+        (1 - u)^2 M + (1 - u)^3 (1 - gamma_{L-1}) 4 (m + 3) u ||phi||_1
+            - 2^-1075 + (1 - u) 2^-1000.
+
+    When (m + L + 3) u <= 2^-10, as for any signal that fits in memory, the
+    threshold is the larger: the M terms differ by 4u M <= 4u ||phi||_1,
+    the bound's other relative part is at most 2m (1 + 2^-8) u ||phi||_1
+    while the threshold's is at least (4m + 12)(1 - 2^-9) u ||phi||_1, and
+    2^-1000 covers E and 2^-1075.  No running sum overflows while
+    l1 < 2^1023; a larger or non-finite l1, or a NaN level, decides
+    nothing.
+    """
+    count = np.zeros(len(sigs), dtype=np.intp)
+    decided = (lams > sigs.bound_M + (m + 3) * 2.0 ** -51 * sigs.l1
+               + 2.0 ** -1000) & (sigs.l1 < 2.0 ** 1023)
+    swept = np.flatnonzero(~decided)
+    if swept.size:
+        rows = rows[swept]
+        count[swept] = _count_above(
+            _grouped(fn, rows, sigs[swept], *(a[swept] for a in args)),
+            rows, lams[swept])
+    return count
+
+
 def level_count_progression_sup_batch(sigs: Signals, ctx: GridContext,
                                       lams) -> dict:
     """#{n : sup_N |progression mean| > lam} and its weak (1,1) bound, per
@@ -781,15 +829,33 @@ def level_count_progression_sup_batch(sigs: Signals, ctx: GridContext,
 
     The scan window is lossless: left of it the supremum is at most
     l1 * max(q) / distance < lam, right of it the operator vanishes.
+
+    A level above max|phi| plus a float margin counts 0 without a sweep
+    (`_level_counts`).  The sweep's values are |CH[b] - CH[a]| / N, CH the
+    running sums of the lattice kernel down one residue's T lattice
+    blocks; the kernel at x is sum_j (q~_j / pQ) smear_j(x), a convex
+    combination of averages of q~_j values, so |kernel| <= M.  Charged to
+    each value of phi in x's class mod q_j, the binary64 kernel carries a
+    relative gamma_{q~_j - 1} from the class sum, one rounding each for
+    the division by q~_j, the weighting by q~_j and the division by pQ,
+    and gamma_{K-1} from adding the K progressions: gamma_{max q~ + K + 1}
+    at most.  The running sum over T blocks adds gamma_{T-1}.  The points
+    of one residue column lie in distinct blocks, so their classes mod q_j
+    hold each value at most once for each j, and every CH entry is off by
+    at most gamma_m (K / pQ) ||phi||_1 <= gamma_m ||phi||_1 with
+    m = max q~ + K + T.  The difference and the division by N are the two
+    roundings of (1 + u)^2.  Underflow adds at most 3 * 2^-1075 to a
+    kernel entry (the q~_j quotients are weighted by q~_j / pQ, which sum
+    to 1), so E = (6T + 1) 2^-1075.
     """
     lams = _levels(lams)
     reach = np.ceil(sigs.l1 * max(ctx.primes) / lams).astype(np.int64)
     n_lo, n_hi = sigs.lo - reach - ctx.p, sigs.hi + ctx.p
-    rows = n_hi - n_lo + 1
-    count = _count_above(_grouped(
+    T = sigs.hi // ctx.p + 1 - sigs.lo // ctx.p
+    count = _level_counts(
         lambda group, lo, hi: sup_profile(_lattice_tables(group, ctx, "plus"),
                                           ctx, lo, hi),
-        rows, sigs, n_lo, n_hi), rows, lams)
+        n_hi - n_lo + 1, sigs, lams, max(ctx.qtil) + ctx.K + T, n_lo, n_hi)
     bound = 4 * (sigs.l1 / lams)
     return {"count": count, "bound": bound, "ok": count <= bound,
             "window": np.stack([n_lo, n_hi], axis=1)}
@@ -842,11 +908,20 @@ def _window_sups(sigs: Signals, W: np.ndarray) -> np.ndarray:
 
 def level_count_window_sup_batch(sigs: Signals, lams) -> dict:
     """#{n : sup_N |avg of phi over [n, n+N)| > lam} vs 2*l1/lam, per signal
-    and its level."""
+    and its level.
+
+    A level above max|phi| plus a float margin counts 0 without a sweep
+    (`_level_counts`).  The sweep's values are |P[b] - P[a]| / N, P the
+    sequential running sums of phi (frozen past its end, 0 before it):
+    each P[k] is off by at most gamma_{k-1} times the l1 norm of its
+    terms, so by gamma_m ||phi||_1 with m = L - 1.  The difference and the
+    division by N are the two roundings of (1 + u)^2; only the division
+    can underflow, so E = 2^-1075.
+    """
     lams = _levels(lams)
     W = np.ceil(sigs.l1 / lams).astype(np.int64) + 1
-    rows = sigs.lengths + W
-    count = _count_above(_grouped(_window_sups, rows, sigs, W), rows, lams)
+    count = _level_counts(_window_sups, sigs.lengths + W, sigs, lams,
+                          sigs.lengths - 1, W)
     bound = 2 * (sigs.l1 / lams)
     return {"count": count, "bound": bound, "ok": count <= bound}
 

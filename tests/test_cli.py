@@ -259,6 +259,17 @@ def test_ops_test_matches_recorded_digests(tmp_path, seed):
     assert hashlib.sha256(data).hexdigest() == OPS_TEST_DIGESTS[seed]
 
 
+def test_ops_test_readme_run_matches_recorded_digest(tmp_path):
+    # the README's acceptance run, recorded at commit b0140be
+    out = tmp_path / "battery.jsonl"
+    assert main(["ops-test", "--seed", "20250809", "--trials", "1000",
+                 "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 4002
+    assert hashlib.sha256(data).hexdigest() == \
+        "04903b192324fe90839a6a580c6f1b7b054e49141b3f9517cedd211e12584870"
+
+
 def test_ops_test_seeds_cover_the_benchmark_pool():
     assert set(OPS_TEST_DIGESTS) == set(WORKLOADS.PROGRAM_SEEDS)
 

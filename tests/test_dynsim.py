@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction as F
 
@@ -421,6 +422,39 @@ def test_subseq_max_exact_where_floats_tie_or_invert(table, want):
     orb = sample_orbit(CyclicSystem(P, table), 0, P)
     store = SequenceStore((0, P), np.arange(P))
     assert subseq_max(orb, store, P) == want
+
+
+def test_subseq_max_builds_one_fraction_for_tied_means(monkeypatch):
+    # every mean of a constant orbit is exactly 1, so all 10^5 float
+    # quotients tie; they are compared in integers, and only the orbit's
+    # start x0 (read once by the sampler) and the answer become Fractions
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return F(*args)
+
+    n = 10**5
+    orb = sample_orbit(CyclicSystem(2, (1, 1)), 0, n)
+    store = SequenceStore((0, n), np.arange(n))
+    monkeypatch.setattr(dynsim, "F", counted)
+    assert subseq_max(orb, store, n) == F(1)
+    assert len(made) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-2**56, 2**56) | st.integers(-3, 3),
+                min_size=1, max_size=8),
+       st.integers(1, 40))
+def test_subseq_max_equals_fraction_maximum(table, n):
+    # near-tied means: large values the float quotients cannot order, and
+    # small ones whose means repeat; the result is the exact maximum
+    P = len(table)
+    orb = sample_orbit(CyclicSystem(P, tuple(table)), 0, n)
+    store = SequenceStore((0, n), np.arange(n))
+    pref = itertools.accumulate(int(v) for v in orb.at(np.arange(n)))
+    want = max(abs(F(s, k)) for k, s in enumerate(pref, start=1))
+    assert subseq_max(orb, store, n) == want
 
 
 # ---------------------------------------------------------------------------

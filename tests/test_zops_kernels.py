@@ -139,6 +139,128 @@ def test_window_kernels_equal_per_n_loops(block_entries):
         assert strong_l2_window_sup(sig)["lhs"] == strong_l2_lhs_by_n(sig)
 
 
+# the shortcut: a level above M + (m + 3) 2^-51 l1 + 2^-1000 counts 0 without
+# a sweep (when l1 < 2^1023), with m = L - 1 on the window route and
+# max q~ + K + T on the progression route (zops._level_counts).  Constant
+# signals make every average M (and their float running sums overshoot it),
+# deltas have one nonzero sample, the long signals hold doubles of every
+# sign and of magnitudes 1e-8 to 1e8, and one signal is subnormal
+def _shortcut_signals():
+    rng = np.random.default_rng(2024)
+    sigs = [FiniteSignal(0, [0.1] * 37), FiniteSignal(-5, [1 / 3] * 50),
+            FiniteSignal(3, [-0.7] * 50), FiniteSignal(-9, [2.5]),
+            FiniteSignal(1, [0.0, 0.0, -3.0, 0.0]),
+            FiniteSignal(-2, [-1.0, -2.0, -0.5, -1e-3]),
+            FiniteSignal(4, [7 * 2.0 ** -1074, -2.0 ** -1074, 3 * 2.0 ** -1074])]
+    for L in (300, 700):
+        vals = rng.standard_normal(L) * 10.0 ** rng.integers(-8, 9, L)
+        sigs.append(FiniteSignal(int(rng.integers(-50, 50)), vals.tolist()))
+    return sigs
+
+
+def _shortcut_levels(M, threshold):
+    """M and a few ulps either side, then the threshold, one ulp under it
+    (both swept) and one and two ulps over it (decided)."""
+    def step(x, k):
+        for _ in range(abs(k)):
+            x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+        return float(x)
+    return [step(M, k) for k in (-3, -1, 0, 1, 3)] + \
+        [step(threshold, k) for k in (-1, 0, 1, 2)]
+
+
+def _shortcut_trials(m_of, shift):
+    """Each shortcut signal at each of its levels, shifted by `shift` per
+    trial so that every trial has its own start; the threshold of each."""
+    trials = []
+    for sig in _shortcut_signals():
+        one = Signals.of([sig])
+        threshold = (one.bound_M + (m_of(one) + 3) * 2.0 ** -51 * one.l1
+                     + 2.0 ** -1000)[0]
+        assert threshold > sig.bound_M
+        for lam in _shortcut_levels(sig.bound_M, threshold):
+            trials.append((FiniteSignal(sig.lo + shift * len(trials),
+                                        sig.values), lam,
+                           bool(lam > threshold)))
+    return trials
+
+
+def _spy_grouped(monkeypatch):
+    """The starts of the signals that reach zops._grouped."""
+    reached, grouped = set(), zops._grouped
+
+    def spy(fn, rows, sigs, *args):
+        reached.update(sigs.lo.tolist())
+        return grouped(fn, rows, sigs, *args)
+
+    monkeypatch.setattr(zops, "_grouped", spy)
+    return reached
+
+
+def _check_shortcut(trials, counts, want, reached):
+    decided = [t for t in trials if t[2]]
+    assert decided and len(decided) < len(trials)
+    assert counts == want
+    for sig, lam, is_decided in trials:
+        assert (sig.lo in reached) is not is_decided, (sig.lo, lam)
+    # the levels inside the margin include counted ones: constant signals'
+    # averages overshoot M
+    assert any(c for c, t in zip(counts, trials) if t[1] >= t[0].bound_M)
+
+
+def test_window_shortcut_decides_only_levels_above_the_margin(monkeypatch):
+    trials = _shortcut_trials(lambda one: one.lengths - 1, 10**4)
+    reached = _spy_grouped(monkeypatch)
+    res = level_count_window_sup_batch(Signals.of([t[0] for t in trials]),
+                                       [t[1] for t in trials])
+    want = [window_count_by_n(sig, lam) for sig, lam, _ in trials]
+    _check_shortcut(trials, res["count"].tolist(), want, reached)
+
+
+@pytest.mark.parametrize("primes", WEAK_CONTEXTS)
+def test_progression_shortcut_decides_only_levels_above_the_margin(
+        primes, monkeypatch):
+    ctx = GridContext(primes)
+    trials = _shortcut_trials(
+        lambda one: max(ctx.qtil) + ctx.K + one.hi // ctx.p + 1
+        - one.lo // ctx.p, 10**4 * ctx.p)
+    reached = _spy_grouped(monkeypatch)
+    res = level_count_progression_sup_batch(
+        Signals.of([t[0] for t in trials]), ctx, [t[1] for t in trials])
+    want = []
+    for (sig, lam, _), (n_lo, n_hi) in zip(trials, res["window"].tolist()):
+        profile = sup_profile_by_residue(sig, ctx, n_lo, n_hi, "plus")
+        want.append(int(np.sum(profile > lam)))
+    _check_shortcut(trials, res["count"].tolist(), want, reached)
+
+
+def test_shortcut_decides_nothing_where_running_sums_may_overflow(
+        monkeypatch):
+    # l1 = 2^1023: the level is far above the threshold, yet the signal is
+    # swept.  The batch is built by hand: a FiniteSignal's l2sq overflows
+    sig = FiniteSignal(0, [2.0 ** 1022, -2.0 ** 1022])
+    sigs = Signals(np.array([0]), np.array([2]), np.array(sig.values),
+                   np.array([2.0 ** 1023]), np.array([2.0 ** 1022]),
+                   np.array([np.inf]))
+    reached = _spy_grouped(monkeypatch)
+    lam = 2.0 ** 1022 * 1.5
+    assert level_count_window_sup_batch(sigs, [lam])["count"].tolist() == \
+        [window_count_by_n(sig, lam)]
+    assert reached == {0}
+
+
+def test_signals_index_array_selects_in_its_order():
+    rng = SplitMix64(derive_seed(2024, "select"))
+    sigs = [random_signal(rng, 5) for _ in range(9)]
+    batch = Signals.of(sigs)
+    for idx in ([4, 0, 7], [8], [], [2, 2, 5]):
+        part = batch[np.array(idx, dtype=np.intp)]
+        assert [part.signal(i) for i in range(len(part))] == \
+            [sigs[i] for i in idx]
+        assert part.bound_M.tolist() == [sigs[i].bound_M for i in idx]
+        assert part.l1.tolist() == [sigs[i].l1 for i in idx]
+
+
 def _rows(res):
     """A batch's result arrays as one dict of Python values per signal."""
     cols = {k: [tuple(x) if v.ndim > 1 else x for x in v.tolist()]
