@@ -42,6 +42,10 @@ class NonpositiveLambda(Exception):
     pass
 
 
+class LevelTooSmall(ValueError):
+    """A level whose scan window binary64 cannot count exactly."""
+
+
 def _div(total, den: int):
     """Exact division for rational accumulators, float division otherwise."""
     if isinstance(total, (float, complex)):
@@ -421,17 +425,23 @@ def lattice_sup_j(sig: FiniteSignal, ctx: GridContext, n: int, j: int):
 # fast float profiles over batches of signals (shared by the inequality
 # batteries)
 #
-# Each float kernel takes a `Signals` batch and evaluates the rows of all its
-# signals at once: a row is one (signal, n) pair of a profile, or one (signal,
-# residue) pair of the lattice tables.  Signals of unequal length are stacked
-# zero-padded on the right, which freezes every prefix sum and cumulative
-# table past a signal's end, so no row reads a value that differs from its
-# own signal's.  Every float maximum over window lengths goes through one
-# sweep, `_sweep`, the float counterpart of the exact `window_sup`: it takes
-# the prefix-difference averages (table[c + N] - table[c]) / N of each row
-# for exactly its own N = 1..width, in one pass per N over the rows at least
-# N wide.  Sums keep the order of the row-at-a-time evaluation, so a signal's
-# results are bit-for-bit the same in every batch, the batch of one included.
+# Each float kernel takes a `Signals` batch and evaluates all its signals at
+# once, stacked zero-padded on the right, which freezes every prefix sum and
+# cumulative table past a signal's end.  The supremum at a start n is a
+# maximum of prefix-difference averages (table[c + N] - table[c]) / N, in
+# one of two shapes.  Near the support the lattice routes shift a whole
+# (signal, residue, column) frame per N (`sup_profile`), and the window
+# routes' triangular rows (n on the support, N up to its end) go through
+# `_sweep`, one pass per N over the rows at least N wide.  Each shape is
+# the faster one where it is used (in-process, 2-core host, 8 program
+# seeds): on 63 (5, 7, 11) deviation signals a frame takes 0.43 ms and
+# `_sweep` 2.8 ms, on 250 `window_strong` signals, whose rows fill half a
+# frame, a frame 2.9 ms and `_sweep` 1.2 ms.  Left of the support the
+# table row is 0 up to it, so the value k places off is max over c of
+# |S_c| / (k + c): the weak counts take it in closed form (`_far_count`),
+# the square sums as hyperbola tails (`sup_sq_tail`).  Sums keep the order
+# of the row-at-a-time evaluation, so a signal's results are bit-for-bit
+# the same in every batch.
 
 # groups of signals hold at most _BLOCK_ENTRIES // 8 rows, and runs of
 # sup_sq_tail's finite terms fewer than twice as many; the tracemalloc peak
@@ -447,14 +457,6 @@ def _padded(sigs: Signals, width: int, offsets) -> np.ndarray:
     out.flat[np.repeat(first, sigs.lengths) + np.arange(sigs.values.size)] = \
         sigs.values
     return out
-
-
-def _prefix_sums(sigs: Signals) -> np.ndarray:
-    """Row s: 0, then the running sums of signal s, frozen past its end."""
-    vals = _padded(sigs, int(sigs.lengths.max()), 0)
-    P = np.zeros((len(sigs), vals.shape[1] + 1))
-    P[:, 1:] = np.cumsum(vals, axis=1)
-    return P
 
 
 def _ranges(n_lo, n_hi):
@@ -482,17 +484,15 @@ def _grouped(fn, rows, sigs: Signals, *args) -> np.ndarray:
 
 
 def _sweep(flat: np.ndarray, row0: np.ndarray, start: np.ndarray,
-           widths: np.ndarray, end: int, absolute: bool = True,
-           skip_first: np.ndarray | None = None) -> np.ndarray:
+           widths: np.ndarray, end: int, absolute: bool = True) -> np.ndarray:
     """Per row i, the maximum over exactly N = 1..widths[i] (widths >= 1) of
     the window average (table[c + N] - table[c]) / N along the table row at
     flat[row0[i]:], where c = start[i] and table indices are clipped to
     [0, end].
 
-    The average is taken in absolute value unless `absolute` is false; N = 1
-    is left out of the rows where `skip_first` is true.  The rows are sorted
-    by width once, so the rows at least N wide are one suffix, and each N is
-    one gather and one divide over that suffix.
+    The average is taken in absolute value unless `absolute` is false.  The
+    rows are sorted by width once, so the rows at least N wide are one
+    suffix, and each N is one gather and one divide over that suffix.
     """
     order = np.argsort(widths, kind="stable")
     lo = row0[order]
@@ -511,8 +511,6 @@ def _sweep(flat: np.ndarray, row0: np.ndarray, start: np.ndarray,
         vals /= N
         if absolute:
             np.abs(vals, out=vals)
-        if N == 1 and skip_first is not None:
-            vals[skip_first[order]] = -np.inf
         np.maximum(best[a:], vals, out=best[a:])
     out = np.empty(order.size)
     out[order] = best
@@ -552,11 +550,23 @@ def _run_sums(flat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _count_above(values: np.ndarray, lengths: np.ndarray,
-                 levels: np.ndarray) -> np.ndarray:
-    """Per run of lengths[i] consecutive values, how many exceed levels[i]."""
-    owner = np.repeat(np.arange(lengths.size), lengths)
-    return np.bincount(owner[values > levels[owner]], minlength=lengths.size)
+def _far_count(S: np.ndarray, K: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Per signal s, the starts k in [1, K[s, i]] of each row i of S[s] with
+    max_c fl(|S[s, i, c-1]| / (k + c)) > lams[s], summed over its rows.
+
+    Rounding is monotone, so each c keeps a prefix k = 1..k_c and a row
+    counts min(K, max_c k_c).  fl(|S_c| / m) > lam implies |S_c| / lam > m
+    exactly, so floor(fl(|S_c| / lam)) - c never undershoots k_c, and exact
+    comparisons step it down to the float boundary (a NaN S_c keeps
+    nothing, an infinite one everything).  K + C must stay below 2^53."""
+    A = np.abs(S)
+    c = np.arange(1.0, S.shape[2] + 1)
+    lam = lams[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.fmin(np.fmax(np.floor(A / lam) - c, 0.0), K[:, :, None])
+        while (down := (k > 0) & ~(A / (k + c) > lam)).any():
+            k -= down
+    return k.max(axis=2, initial=0.0).sum(axis=1).astype(np.int64)
 
 
 def _lattice_tables(sigs: Signals, ctx: GridContext, kind: str):
@@ -565,10 +575,11 @@ def _lattice_tables(sigs: Signals, ctx: GridContext, kind: str):
     Returns (blk_lo, T, CH): for signal s, the first point blk_lo[s] of the
     grid intervals its support meets, their number T[s], and CH[s, r, c] the
     sum of the first c kernel values at blk_lo[s] + r + j*p, j = 0..T[s]-1
-    (frozen for c > T[s]).  The kernel at a point is the cofactor-weighted
-    combination over progressions of the own-block smear ("plus") or of
-    |smear minus block mean| ("minus"); lattice averages of it reproduce the
-    combined operators exactly.
+    (frozen for c > T[s]), added in j order one lattice block at a time.
+    The kernel at a point is the cofactor-weighted combination over
+    progressions of the own-block smear ("plus") or of |smear minus block
+    mean| ("minus"); lattice averages of it reproduce the combined
+    operators exactly.
     """
     p, lo = ctx.p, sigs.lo
     blk_lo = lo // p * p
@@ -586,34 +597,37 @@ def _lattice_tables(sigs: Signals, ctx: GridContext, kind: str):
         view = kernel.reshape(smear.shape[:2] + (qtil, q))
         view += (qtil * smear)[:, :, None]
     kernel /= ctx.pQ
-    # the running sums down each residue's column, then one row per residue
-    CH = np.zeros((len(sigs), grid.shape[1] + 1, p))
-    np.cumsum(kernel, axis=1, out=CH[:, 1:])
-    return blk_lo, T, np.ascontiguousarray(CH.transpose(0, 2, 1))
+    # the running sums down each residue's column (the kernel holds no -0.0)
+    CH = np.zeros((len(sigs), p, grid.shape[1] + 1))
+    for t in range(grid.shape[1]):
+        np.add(CH[:, :, t], kernel[:, t], out=CH[:, :, t + 1])
+    return blk_lo, T, CH
 
 
-def sup_profile(tables, ctx: GridContext, n_lo, n_hi) -> np.ndarray:
-    """Float suprema at n in [n_lo[s], n_hi[s]] for each signal s of `tables`,
-    joined signal by signal (n_lo and n_hi may be ints for a batch of one).
+def sup_profile(tables, ctx: GridContext) -> np.ndarray:
+    """Float suprema on the support's blocks, entry [s, r, j0] at
+    n = blk_lo[s] + j0*p + r (0 for j0 >= T[s], right of the support), of
+    the combined progression mean for tables of kind "plus", of the
+    combined deviation for "minus".
 
-    `tables` is `_lattice_tables(sigs, ctx, kind)`: the suprema of the
-    combined progression mean for kind "plus", of the combined deviation for
-    "minus".  For each n the supremum over window block counts N' reduces to
-    a maximum over the cumulative kernel table row r = n mod p from lattice
-    offset j0 = (n - blk_lo - r)/p: values with the window beyond the support
-    keep a frozen numerator and only dilute, so columns past the support
-    never raise the maximum and the finite range of N' is exact.  N' = 1 is
-    unreachable at r = p - 1 and is masked there.
+    The supremum over window block counts N' is the maximum of
+    |CH[r, j0 + N'] - CH[r, j0]| / N'.  Past the table's end the numerator
+    is frozen and only dilutes, so the N' with j0 + N' within the table
+    suffice, each one shift of the whole frame.  N' = 1 is unreachable at
+    r = p - 1, whose last offset takes N' = 2 instead, past the end.
     """
-    p = ctx.p
-    blk_lo, T, CH = tables
+    CH, p = tables[2], ctx.p
     end = CH.shape[2] - 1
-    owner, n = _ranges(np.atleast_1d(n_lo), np.atleast_1d(n_hi))
-    r = n % p
-    j0 = (n - blk_lo[owner]) // p
-    row0 = (owner * p + r) * (end + 1)      # each row's table row in CH.flat
-    return _sweep(CH.ravel(), row0, j0, np.maximum(T[owner] - j0, 2), end,
-                  skip_first=r == p - 1)
+    best = np.abs(CH[:, :, 1:] - CH[:, :, :end])
+    best[:, p - 1] = -np.inf
+    best[:, p - 1, end - 1] = np.abs((CH[:, p - 1, end]
+                                      - CH[:, p - 1, end - 1]) / 2)
+    for N in range(2, end + 1):
+        vals = CH[:, :, N:] - CH[:, :, :end + 1 - N]
+        vals /= N
+        np.abs(vals, out=vals)
+        np.maximum(best[:, :, :end + 1 - N], vals, out=best[:, :, :end + 1 - N])
+    return best
 
 
 # finite terms summed per row of sup_sq_tail before its bound takes over
@@ -691,22 +705,29 @@ def sup_sq_tail(S, k_start: int) -> np.ndarray:
     n_rows, C = S.shape
     if k_start < 0 or C == 0:
         return np.zeros(n_rows)
-    # one pass per column: best is each row's last kept value (0 before
-    # any), at column c_max; top the largest floor of a crossing, k_star - 1
-    kept = np.empty((C, n_rows), dtype=bool)
-    np.greater(S[:, 0], 0.0, out=kept[0])
-    best = np.where(kept[0], S[:, 0], 0.0)
-    c_max = kept[0] * 1.0
-    top = np.full(n_rows, k_start - 1.0)
+    # whole columns: hi[c] is each row's last kept value before column c + 1
+    # (0 before any) and at[c] its column (0), each a running np.fmax, which
+    # skips a NaN; top, the largest floor of a crossing of a kept column
+    # with the last kept one before it, is k_star - 1
+    St, c_of = S.T, np.arange(1.0, C + 1)[:, None]
+    hi, at = np.empty((2, C + 1, n_rows))
+    hi[0] = at[0] = 0.0
+    for c in range(C):
+        np.fmax(hi[c], St[c], out=hi[c + 1])
+    kept = St > hi[:-1]
+    cols = kept * c_of
+    for c in range(C):
+        np.fmax(at[c], cols[c], out=at[c + 1])
+    h, a = hi[1:-1], at[1:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for c in range(2, C + 1):
-            s = S[:, c - 1]
-            np.greater(s, best, out=kept[c - 1])
-            cross = (best * c - s * c_max) / (s - best)
-            np.maximum(top, np.floor(cross), out=top,
-                       where=kept[c - 1] & (c_max > 0))
-            np.copyto(best, s, where=kept[c - 1])
-            np.copyto(c_max, c, where=kept[c - 1])
+        cross = h * c_of[1:]
+        cross -= St[1:] * a
+        cross /= St[1:] - h
+    top = np.max(np.floor(cross, out=cross), axis=0, initial=k_start - 1.0,
+                 where=kept[1:] & (a > 0))
+    # copied, so the columns are freed before the finite terms are built
+    best, c_max = hi[-1].copy(), at[-1].copy()
+    del St, hi, at, cols, h, a, cross
     # clipping keeps the int conversion in range and the cap test unchanged
     k_star = np.minimum(top, k_start + _TAIL_CAP + 1).astype(np.int64) + 1
     capped = k_star - k_start > _TAIL_CAP
@@ -773,24 +794,35 @@ def _one(res: dict) -> dict:
             for k, v in res.items()}
 
 
-def _levels(lams) -> np.ndarray:
+def _levels(lams, l1: np.ndarray, scale: int) -> np.ndarray:
+    """The levels in binary64, each positive and with the scan window's
+    reach l1 * scale / lam below 2^52, so that every start, window length
+    and count of a weak check is an integer binary64 holds exactly."""
     lams = np.asarray(lams, dtype=float)
     if (lams <= 0).any():
         raise NonpositiveLambda(lams[lams <= 0][0].item())
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = l1 * scale / lams
+    bad = np.flatnonzero(~(reach < 2.0 ** 52))
+    if bad.size:
+        raise LevelTooSmall(f"level {lams[bad[0]].item()!r}: the scan window "
+                            f"reaches l1 * {scale} / level = "
+                            f"{reach[bad[0]].item()!r} starts, not below 2^52")
     return lams
 
 
 def _level_counts(fn, rows, sigs: Signals, lams, m, *args) -> np.ndarray:
-    """Per signal s, how many of the rows[s] sup values fn(sigs, *args)
-    gives (through `_grouped`) exceed lams[s].  A level above the threshold
+    """Per signal s, the count fn(sigs, lams, *args) gives (through
+    `_grouped`, rows[s] the signal's share of a group) of starts whose
+    supremum exceeds lams[s].  A level above the threshold
     M + (m + 3) 2^-51 l1 + 2^-1000 counts 0 without a sweep: no value the
-    sweep can give exceeds it (m[s] as the route's docstring derives it).
+    route can give exceeds it (m[s] as the route's docstring derives it).
 
     Each value is |an average of phi's values| (weights summing to 1), so
     at most M = max|phi| in exact arithmetic.  In binary64 (u = 2^-53,
     gamma_k = k u / (1 - k u)) the route's sums carry relative errors only;
     its products and quotients also an absolute 2^-1075 each where they
-    underflow.  Each value the sweep gives is therefore at most
+    underflow.  Each value the route gives is therefore at most
 
         (1 + u)^2 (M + 2 gamma_m ||phi||_1) + E,   E << 2^-1000,
 
@@ -807,18 +839,15 @@ def _level_counts(fn, rows, sigs: Signals, lams, m, *args) -> np.ndarray:
     the bound's other relative part is at most 2m (1 + 2^-8) u ||phi||_1
     while the threshold's is at least (4m + 12)(1 - 2^-9) u ||phi||_1, and
     2^-1000 covers E and 2^-1075.  No running sum overflows while
-    l1 < 2^1023; a larger or non-finite l1, or a NaN level, decides
-    nothing.
+    l1 < 2^1023; a larger l1 decides nothing.
     """
     count = np.zeros(len(sigs), dtype=np.intp)
     decided = (lams > sigs.bound_M + (m + 3) * 2.0 ** -51 * sigs.l1
                + 2.0 ** -1000) & (sigs.l1 < 2.0 ** 1023)
     swept = np.flatnonzero(~decided)
     if swept.size:
-        rows = rows[swept]
-        count[swept] = _count_above(
-            _grouped(fn, rows, sigs[swept], *(a[swept] for a in args)),
-            rows, lams[swept])
+        count[swept] = _grouped(fn, rows[swept], sigs[swept], lams[swept],
+                                *(a[swept] for a in args))
     return count
 
 
@@ -827,11 +856,13 @@ def level_count_progression_sup_batch(sigs: Signals, ctx: GridContext,
     """#{n : sup_N |progression mean| > lam} and its weak (1,1) bound, per
     signal and its level.
 
-    The scan window is lossless: left of it the supremum is at most
-    l1 * max(q) / distance < lam, right of it the operator vanishes.
+    The support's T blocks are one `sup_profile` frame; at n = blk_lo + r
+    - k*p left of them the supremum is max_c |CH[r, c]| / (k + c), counted
+    in closed form (`_far_count`) down to the window's left edge lo -
+    ceil(l1 max(q) / lam) - p, past which it is below lam.
 
     A level above max|phi| plus a float margin counts 0 without a sweep
-    (`_level_counts`).  The sweep's values are |CH[b] - CH[a]| / N, CH the
+    (`_level_counts`).  The route's values are |CH[b] - CH[a]| / N, CH the
     running sums of the lattice kernel down one residue's T lattice
     blocks; the kernel at x is sum_j (q~_j / pQ) smear_j(x), a convex
     combination of averages of q~_j values, so |kernel| <= M.  Charged to
@@ -848,14 +879,22 @@ def level_count_progression_sup_batch(sigs: Signals, ctx: GridContext,
     kernel entry (the q~_j quotients are weighted by q~_j / pQ, which sum
     to 1), so E = (6T + 1) 2^-1075.
     """
-    lams = _levels(lams)
+    p = ctx.p
+    lams = _levels(lams, sigs.l1, max(ctx.primes))
     reach = np.ceil(sigs.l1 * max(ctx.primes) / lams).astype(np.int64)
-    n_lo, n_hi = sigs.lo - reach - ctx.p, sigs.hi + ctx.p
-    T = sigs.hi // ctx.p + 1 - sigs.lo // ctx.p
-    count = _level_counts(
-        lambda group, lo, hi: sup_profile(_lattice_tables(group, ctx, "plus"),
-                                          ctx, lo, hi),
-        n_hi - n_lo + 1, sigs, lams, max(ctx.qtil) + ctx.K + T, n_lo, n_hi)
+    n_lo, n_hi = sigs.lo - reach - p, sigs.hi + p
+    T = sigs.hi // p + 1 - sigs.lo // p
+
+    def counts(group, lams, n_lo):
+        tables = _lattice_tables(group, ctx, "plus")
+        # row r's starts left of the support: blk_lo + r - k*p, k = 1..K
+        K = (tables[0][:, None] + np.arange(p) - n_lo[:, None]) // p
+        return np.count_nonzero(sup_profile(tables, ctx) > lams[:, None, None],
+                                axis=(1, 2)) + \
+            _far_count(tables[2][:, :, 1:], K, lams)
+
+    count = _level_counts(counts, T * p, sigs, lams,
+                          max(ctx.qtil) + ctx.K + T, n_lo)
     bound = 4 * (sigs.l1 / lams)
     return {"count": count, "bound": bound, "ok": count <= bound,
             "window": np.stack([n_lo, n_hi], axis=1)}
@@ -876,12 +915,13 @@ def deviation_sup_l2_bound_batch(sigs: Signals, ctx: GridContext) -> dict:
 
     def lhs(group):
         tables = _lattice_tables(group, ctx, "minus")
-        blk_lo, T, CH = tables
-        sups = sup_profile(tables, ctx, blk_lo, blk_lo + T * p - 1)
-        # the near sum, then row r's tail (n = blk_lo + r - k*p, k >= 1)
-        # residue by residue: cumsum adds along a row in order
+        _, T, CH = tables
+        sups = sup_profile(tables, ctx)
+        # the near sum in n order (j0, then r), then row r's tail (n =
+        # blk_lo + r - k*p, k >= 1): cumsum adds along a row in order
+        near = sups.transpose(0, 2, 1)[np.arange(sups.shape[2]) < T[:, None]]
         terms = np.empty((len(group), p + 1))
-        terms[:, 0] = _run_sums(sups ** 2, T * p)
+        terms[:, 0] = _run_sums(near.ravel() ** 2, T * p)
         terms[:, 1:] = sup_sq_tail(CH[:, :, 1:].reshape(-1, CH.shape[2] - 1),
                                    1).reshape(-1, p)
         return np.cumsum(terms, axis=1)[:, -1]
@@ -896,32 +936,46 @@ def deviation_sup_l2_bound(sig: FiniteSignal, ctx: GridContext) -> dict:
     return _one(deviation_sup_l2_bound_batch(Signals.of([sig]), ctx))
 
 
-def _window_sups(sigs: Signals, W: np.ndarray) -> np.ndarray:
-    """sup_N |avg of phi over [n, n+N)| for n in [lo - W[s], hi], signal by
-    signal."""
+def _window_sups(sigs: Signals, absolute: bool) -> tuple:
+    """P, row s 0 and then the running sums of signal s (frozen past its
+    end), and (owner, o, sup) for each offset o = 0..L[s]-1, signal by
+    signal: the maximum over N = 1..L[s] - o of (P[s, o + N] - P[s, o]) / N,
+    in absolute value if `absolute`."""
     lens = sigs.lengths
-    P = _prefix_sums(sigs)
-    end = P.shape[1] - 1
-    owner, off = _ranges(-W, lens - 1)      # off = n - lo
-    return _sweep(P.ravel(), owner * (end + 1), off, lens[owner] - off, end)
+    P = np.zeros((len(sigs), lens.max() + 1))
+    P[:, 1:] = np.cumsum(_padded(sigs, lens.max(), 0), axis=1)
+    owner, off = _ranges(np.zeros_like(lens), lens - 1)
+    return P, owner, off, _sweep(P.ravel(), owner * P.shape[1], off,
+                                 lens[owner] - off, P.shape[1] - 1, absolute)
 
 
 def level_count_window_sup_batch(sigs: Signals, lams) -> dict:
     """#{n : sup_N |avg of phi over [n, n+N)| > lam} vs 2*l1/lam, per signal
     and its level.
 
+    The starts on the support go through `_sweep`; k places left of it the
+    supremum is max_c |P_c| / (k + c), counted in closed form (`_far_count`)
+    for k up to W = ceil(l1 / lam) + 1, past which it is below lam.
+
     A level above max|phi| plus a float margin counts 0 without a sweep
-    (`_level_counts`).  The sweep's values are |P[b] - P[a]| / N, P the
+    (`_level_counts`).  The route's values are |P[b] - P[a]| / N, P the
     sequential running sums of phi (frozen past its end, 0 before it):
     each P[k] is off by at most gamma_{k-1} times the l1 norm of its
     terms, so by gamma_m ||phi||_1 with m = L - 1.  The difference and the
     division by N are the two roundings of (1 + u)^2; only the division
     can underflow, so E = 2^-1075.
     """
-    lams = _levels(lams)
+    lams = _levels(lams, sigs.l1, 1)
     W = np.ceil(sigs.l1 / lams).astype(np.int64) + 1
-    count = _level_counts(_window_sups, sigs.lengths + W, sigs, lams,
-                          sigs.lengths - 1, W)
+
+    def counts(group, lams, W):
+        P, _, _, sups = _window_sups(group, True)
+        lens = group.lengths
+        return np.add.reduceat(sups > np.repeat(lams, lens),
+                               np.cumsum(lens) - lens) + \
+            _far_count(P[:, None, 1:], W[:, None], lams)
+
+    count = _level_counts(counts, sigs.lengths, sigs, lams, sigs.lengths - 1, W)
     bound = 2 * (sigs.l1 / lams)
     return {"count": count, "bound": bound, "ok": count <= bound}
 
@@ -936,18 +990,13 @@ def _strong_lhs_sq(sigs: Signals) -> np.ndarray:
 
     Rows whose supremum is negative count as 0.
     """
-    lens = sigs.lengths
-    P = _prefix_sums(sigs)
-    end = P.shape[1] - 1
     # off = n + 1 - lo: the window [n+1, n+N] meets the support iff n < hi
-    owner, off = _ranges(np.zeros_like(lens), lens - 1)
-    sups = _sweep(P.ravel(), owner * (end + 1), off, lens[owner] - off, end,
-                  absolute=False)
+    P, owner, off, sups = _window_sups(sigs, False)
     # row s: the squares in n order, zeros past the signal's end, then the
     # far-left tail (n = lo - 1 - k, k >= 1; value max(0, max_c P_c/(k + c)));
     # cumsum adds them in that order.  np.float_power squares through libm
     # pow, the rounding the sum was defined with
-    terms = np.zeros((len(sigs), end + 1))
+    terms = np.zeros(P.shape)
     terms[owner, off] = np.float_power(np.maximum(sups, 0.0), 2.0)
     terms[:, -1] = sup_sq_tail(P[:, 1:], k_start=1)
     return np.cumsum(terms, axis=1)[:, -1]

@@ -164,12 +164,11 @@ def sup_profile_by_residue(sig, ctx, n_lo, n_hi, kind):
     return out
 
 
-def sweep_rows(flat, row0, start, widths, end, absolute=True, skip_first=None):
+def sweep_rows(flat, row0, start, widths, end, absolute=True):
     """zops._sweep's contract, one row and one window length at a time: per
-    row i the maximum over exactly N = 1..widths[i] (N = 1 left out where
-    skip_first[i]) of (table[c + N] - table[c]) / N, its absolute value if
-    `absolute`, on the table row at flat[row0[i]:] with c = start[i] and
-    indices clipped to [0, end]."""
+    row i the maximum over exactly N = 1..widths[i] of (table[c + N] -
+    table[c]) / N, its absolute value if `absolute`, on the table row at
+    flat[row0[i]:] with c = start[i] and indices clipped to [0, end]."""
     out = []
     for i, width in enumerate(widths.tolist()):
         row = flat[row0[i]:row0[i] + end + 1].tolist()
@@ -177,8 +176,6 @@ def sweep_rows(flat, row0, start, widths, end, absolute=True, skip_first=None):
         base = row[min(max(c, 0), end)]
         best = -np.inf
         for N in range(1, width + 1):
-            if N == 1 and skip_first is not None and skip_first[i]:
-                continue
             v = (row[min(max(c + N, 0), end)] - base) / N
             best = max(best, abs(v) if absolute else v)
         out.append(best)
@@ -235,9 +232,10 @@ def deviation_lhs_by_residue(sig, ctx):
     return lhs
 
 
-def window_count_by_n(sig, lam):
-    """Float level count of the two-sided window supremum, one n at a time."""
-    l1 = sig.l1
+def window_count_by_n(sig, lam, l1=None):
+    """Float level count of the two-sided window supremum, one n at a time,
+    over the scan window that l1 (the signal's by default) sets."""
+    l1 = sig.l1 if l1 is None else l1
     W = int(np.ceil(float(l1) / lam)) + 1
     vals = np.array([float(v) for v in sig.values])
     P = np.concatenate([[0.0], np.cumsum(vals)])
@@ -250,6 +248,34 @@ def window_count_by_n(sig, lam):
         if sup > float(lam):
             count += 1
     return count
+
+
+def far_count_by_k(S, lam, chunk=1 << 20):
+    """#{k >= 1 : max_c |S_c| / (k + c) > lam} for rational S_1..S_C and
+    lam, one start k at a time: |S_c| v > u (k + c) for lam = u/v, in
+    int64 over every k up to max_c |S_c| / lam."""
+    lam = F(lam)
+    S = [abs(F(s)) for s in S]
+    K = max(int(s / lam) for s in S)
+    nums = [s.numerator * lam.denominator for s in S]
+    dens = [s.denominator * lam.numerator for s in S]
+    assert max(nums + dens) * (K + len(S) + 1) < 2 ** 62
+    count = 0
+    for k0 in range(1, K + 1, chunk):
+        k = np.arange(k0, min(k0 + chunk, K + 1), dtype=np.int64)
+        above = np.zeros(k.size, dtype=bool)
+        for c, (a, b) in enumerate(zip(nums, dens), start=1):
+            above |= a > b * (k + c)
+        count += int(above.sum())
+    return count
+
+
+def far_count_exact(S, lam):
+    """The same count in closed form: k + c < |S_c| / lam, so each c gives
+    the starts 1..ceil(|S_c| / lam) - 1 - c."""
+    lam = F(lam)
+    return max([0] + [-(-abs(F(s)) // lam) - 1 - c
+                      for c, s in enumerate(S, start=1)])
 
 
 def window_count_exact(sig, lam):

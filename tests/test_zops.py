@@ -468,14 +468,33 @@ def test_strong_l2_rejects_complex():
         strong_l2_window_sup(FiniteSignal(0, [1 + 1j]))
 
 
+def _float_profile(sig, ctx, kind, lo, hi):
+    """The float suprema on [lo, hi] as the kernels take them: the
+    `sup_profile` frame on the support's blocks, max_c |CH[r, c]| / (k + c)
+    (the value `_far_count` counts) at n = blk_lo + r - k*p left of them,
+    and 0 right of them."""
+    tables = _lattice_tables(Signals.of([as_floats(sig)]), ctx, kind)
+    frame = sup_profile(tables, ctx)[0]
+    blk_lo, T, CH, p = int(tables[0][0]), int(tables[1][0]), tables[2][0], ctx.p
+    out = []
+    for n in range(lo, hi + 1):
+        r, j0 = (n - blk_lo) % p, (n - blk_lo) // p
+        if j0 < 0:
+            out.append(max(abs(CH[r, c]) / (c - j0) for c in range(1, T + 1)))
+        else:
+            out.append(frame[r, j0] if j0 < T else 0.0)
+    return out
+
+
 def test_sup_profile_matches_exact_sweeps():
+    # every n of [lo - 3p - 2, hi + 2p + 3]: the near zone, the far field
+    # left of it and the zeros right of it
     rng = SplitMix64(derive_seed(21, "profiles"))
     for ctx in CTXS:
         sig = rational_signal(rng, ctx)
         lo, hi = sig.lo - 3 * ctx.p - 2, sig.hi + 2 * ctx.p + 3
-        one = Signals.of([as_floats(sig)])
-        plus = sup_profile(_lattice_tables(one, ctx, "plus"), ctx, lo, hi)
-        minus = sup_profile(_lattice_tables(one, ctx, "minus"), ctx, lo, hi)
+        plus = _float_profile(sig, ctx, "plus", lo, hi)
+        minus = _float_profile(sig, ctx, "minus", lo, hi)
         for i, n in enumerate(range(lo, hi + 1)):
             assert abs(plus[i] - float(progression_mean_sup(sig, ctx, n))) < 1e-9
             assert abs(minus[i] - float(progression_deviation_sup(sig, ctx, n))) < 1e-9

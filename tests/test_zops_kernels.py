@@ -1,7 +1,9 @@
 """The batched float kernels of primegrid.zops against their row-at-a-time
 oracles: equal to the last bit (==, never approx), on the battery grids."""
 
+import itertools
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,6 +15,8 @@ from scipy.special import polygamma
 from _oracles import (
     as_floats,
     deviation_lhs_by_residue,
+    far_count_by_k,
+    far_count_exact,
     lattice_table,
     strong_l2_lhs_by_n,
     sup_profile_by_residue,
@@ -29,12 +33,15 @@ from primegrid.zops import (
     GridContext,
     Signals,
     _lattice_tables,
+    _n_for_nprime,
     deviation_sup_l2_bound,
     deviation_sup_l2_bound_batch,
     level_count_progression_sup,
     level_count_progression_sup_batch,
     level_count_window_sup,
     level_count_window_sup_batch,
+    progression_mean,
+    progression_mean_sup,
     strong_l2_window_sup,
     strong_l2_window_sup_batch,
     sup_profile,
@@ -65,13 +72,11 @@ def block_entries(request, monkeypatch):
 
 
 @pytest.mark.parametrize("absolute", [True, False])
-@pytest.mark.parametrize("skip", [False, True])
-def test_sweep_takes_each_rows_own_window_lengths(absolute, skip):
+def test_sweep_takes_each_rows_own_window_lengths(absolute):
     # rows of mixed widths in one call, starts left of the table and windows
-    # past its end (both clipped), N = 1 left out of some rows, and a signed
-    # row whose every average is negative: there a longer window than the
-    # row's own would give a larger (less negative) value, which must not
-    # count
+    # past its end (both clipped), and a signed row whose every average is
+    # negative: there a longer window than the row's own would give a larger
+    # (less negative) value, which must not count
     rng = np.random.default_rng(2024)
     end = 9
     table = np.zeros((5, end + 1))
@@ -81,36 +86,160 @@ def test_sweep_takes_each_rows_own_window_lengths(absolute, skip):
     row0 = rng.integers(0, 5, n) * (end + 1)
     start = rng.integers(-5, end + 1, n)
     widths = rng.integers(1, 14, n)
-    skip_first = None
-    if skip:
-        skip_first = rng.random(n) < 0.3
-        widths[skip_first] = np.maximum(widths[skip_first], 2)
-    got = zops._sweep(table.ravel(), row0, start, widths, end, absolute,
-                      skip_first)
-    want = sweep_rows(table.ravel(), row0, start, widths, end, absolute,
-                      skip_first)
+    got = zops._sweep(table.ravel(), row0, start, widths, end, absolute)
+    want = sweep_rows(table.ravel(), row0, start, widths, end, absolute)
     assert got.tolist() == want
     if not absolute:
         assert (got < 0).any()
     one = zops._sweep(table.ravel(), row0[:1], start[:1], widths[:1], end,
-                      absolute, None if skip_first is None else skip_first[:1])
+                      absolute)
     assert one.tolist() == want[:1]
 
 
 @pytest.mark.parametrize("primes", GRIDS)
 def test_sup_profile_equals_residue_loop(primes, block_entries):
+    # the near zone (j0 in [0, T), r = p - 1 included) of each signal's
+    # frame, alone and in a batch of signals of unequal T whose frame is
+    # padded past each T.  With test_far_count_equals_residue_loop this
+    # covers every n of [blk_lo - 3p - 2, hi + 2p + 3]: right of the near
+    # zone the residue loop's supremum is 0, as the padding is
     ctx, sigs = _signals(primes)
+    p = ctx.p
+    for kind in ("plus", "minus"):
+        batch = sup_profile(_lattice_tables(Signals.of(sigs), ctx, kind), ctx)
+        assert batch.shape[1:] == (p, max(_T(sig, ctx) for sig in sigs))
+        for s, sig in enumerate(sigs):
+            blk_lo, T = lattice_table(sig, ctx, kind)[:2]
+            alone = sup_profile(_lattice_tables(Signals.of([sig]), ctx, kind),
+                                ctx)[0]
+            assert alone.shape == (p, T)
+            # frame entry [r, j0] is the supremum at n = blk_lo + j0*p + r
+            assert np.array_equal(alone.T.ravel(), sup_profile_by_residue(
+                sig, ctx, blk_lo, blk_lo + T * p - 1, kind))
+            assert np.array_equal(batch[s, :, :T], alone)
+            assert not batch[s, :, T:].any()
+            assert not sup_profile_by_residue(
+                sig, ctx, blk_lo + T * p, sig.hi + 2 * p + 3, kind).any()
+
+
+def _T(sig, ctx):
+    """The number of grid intervals the support of sig meets."""
+    return sig.hi // ctx.p - sig.lo // ctx.p + 1
+
+
+def _ulps(v):
+    """v and the doubles one ulp below and above it."""
+    return [float(np.nextafter(v, -np.inf)), float(v),
+            float(np.nextafter(v, np.inf))]
+
+
+def _far_signals(ctx):
+    """Signals for the far-field counts: the battery-style ones, a negative
+    one (every table entry <= 0), one inside a single grid interval (T = 1)
+    and one across four (T >= 3); fewer battery-style ones on (5, 7, 11),
+    whose residue loop costs most."""
+    p = ctx.p
+    _, sigs = _signals(ctx.primes, count=6 if p < 100 else 2)
+    sigs += [FiniteSignal(-p - 2, [-1.5, -0.25, -3.0]),
+             FiniteSignal(2 * p, [0.5, -2.0]),
+             FiniteSignal(-p + 1, [1.0, -0.75, 2.5] * p)]
+    assert min(map(lambda s: _T(s, ctx), sigs)) == 1
+    assert max(map(lambda s: _T(s, ctx), sigs)) >= 3
+    return sigs
+
+
+@pytest.mark.parametrize("primes", GRIDS)
+def test_far_count_equals_residue_loop(primes, block_entries):
+    # the progression count, far field included, at levels equal to a far
+    # value fl(|CH[r, c]| / (k + c)) of residue p - 1 or of the largest
+    # last column, and one ulp either side, against the residue loop over
+    # the whole scan window
+    ctx = GridContext(primes)
+    p = ctx.p
+    for sig in _far_signals(ctx):
+        blk_lo, T, CH = lattice_table(sig, ctx, "plus")
+        r_big = int(np.argmax(np.abs(CH[:, T])))
+        levels = []
+        for r, c, k in ((p - 1, 1, 1), (p - 1, T, 2), (r_big, T, 3)):
+            v = abs(CH[r, c]) / (k + c)
+            # the oracle's cost grows as the square of the reach
+            if v > 0 and sig.l1 * max(primes) / v < 200 * p:
+                levels += _ulps(v)
+        assert levels or sig.l1 == 0
+        for lam in levels:
+            res = level_count_progression_sup(sig, ctx, lam)
+            n_lo, n_hi = res["window"]
+            profile = sup_profile_by_residue(sig, ctx, n_lo, n_hi, "plus")
+            assert res["count"] == int(np.sum(profile > lam)), (sig, lam)
+
+
+def test_far_counts_stop_at_the_scan_windows_left_edge(block_entries):
+    # a batch built by hand with l1 understated 8-fold: its scan window is
+    # too short to hold every start above the level, so both counts must
+    # stop exactly at the window's left edge, as the row loops over the
+    # window do
+    sig, lam = FiniteSignal(3, [4.0, -1.0, 2.5]), 0.05
+
+    def short(sig):
+        return Signals(np.array([sig.lo]), np.array([3]),
+                       np.array(sig.values), np.array([sig.l1 / 8]),
+                       np.array([sig.bound_M]), np.array([0.0]))
+
+    for primes in WEAK_CONTEXTS:
+        ctx = GridContext(primes)
+        res = level_count_progression_sup_batch(short(sig), ctx, [lam])
+        n_lo, n_hi = res["window"][0]
+        want = int(np.sum(sup_profile_by_residue(sig, ctx, n_lo, n_hi, "plus")
+                          > lam))
+        assert res["count"][0] == want
+        assert want < level_count_progression_sup(sig, ctx, lam)["count"]
+    want = window_count_by_n(sig, lam, sig.l1 / 8)
+    assert level_count_window_sup_batch(short(sig), [lam])["count"][0] == want
+    assert want < level_count_window_sup(sig, lam)["count"]
+
+
+def test_window_far_count_equals_per_n_loop(block_entries):
+    # the window count at levels equal to a far value fl(|P_c| / (k + c))
+    # and one ulp either side, for signed, negative and one-sample signals
+    rng = SplitMix64(derive_seed(2024, "window-far"))
+    sigs = [random_signal(rng, 12) for _ in range(8)]
+    sigs += [FiniteSignal(-3, [-1.0, -2.0, -0.5]), FiniteSignal(5, [0.75]),
+             FiniteSignal(0, [1.0, -1.0, 3.0, -3.0])]
     for sig in sigs:
-        blk_lo = (ctx.t(sig.lo) - 1) * ctx.p
-        n_lo, n_hi = blk_lo - 3 * ctx.p - 2, sig.hi + 2 * ctx.p + 3
-        n = np.arange(n_lo, n_hi + 1)
-        # rows at r = p - 1 and rows left of the support (negative j0)
-        assert (n % ctx.p == ctx.p - 1).any() and (n < blk_lo).any()
-        for kind in ("plus", "minus"):
-            fast = sup_profile(_lattice_tables(Signals.of([sig]), ctx, kind),
-                               ctx, n_lo, n_hi)
-            assert np.array_equal(
-                fast, sup_profile_by_residue(sig, ctx, n_lo, n_hi, kind))
+        P = np.cumsum(sig.values)
+        for c in {1, len(P), int(np.argmax(np.abs(P))) + 1}:
+            for k in (1, 2, 5):
+                v = abs(P[c - 1]) / (k + c)
+                for lam in _ulps(v) if v > 0 else ():
+                    assert level_count_window_sup(sig, lam)["count"] == \
+                        window_count_by_n(sig, lam), (sig, lam)
+
+
+def test_far_count_takes_each_rows_cap():
+    # rows of mixed signs, with ties, zeros, NaN (a column that keeps no
+    # start) and infinity (one that keeps all); levels at a row's own values
+    # fl(|S_c| / (k + c)) and one ulp either side; caps K below, at and
+    # above the uncapped count, which each row reaches before k = 499
+    S = np.array([[1.5, -3.0, 2.0, 2.0],
+                  [-0.25, -0.25, -4.0, 1.0],
+                  [0.0, 0.0, 0.0, 0.0],
+                  [2.0, np.nan, 1.0, 0.5],
+                  [0.5, np.inf, -1.0, 0.0],
+                  [7.0, 7.0, 7.0, 7.0]])
+    rows, C = S.shape
+    with np.errstate(invalid="ignore"):
+        # the value at start k = 1..499, one division per (k, c)
+        vals = np.fmax.reduce(np.abs(S)[:, None, :] / (
+            np.arange(1, 500)[:, None] + np.arange(1, C + 1)), axis=2)
+    for k, c in ((1, 1), (2, 2), (4, 3), (9, 4)):
+        for v in np.abs(S[:, c - 1]) / (k + c):
+            for lam in _ulps(v) if 0 < v < np.inf else ():
+                above = vals > lam
+                assert not above[~np.isinf(S).any(axis=1), -1].any()
+                for K in (0, 1, 3, 12, 499):
+                    got = zops._far_count(S[:, None], np.full((rows, 1), K),
+                                          np.full(rows, lam))
+                    assert got.tolist() == above[:, :K].sum(axis=1).tolist()
 
 
 @pytest.mark.parametrize("primes", GRIDS)
@@ -483,6 +612,109 @@ def test_window_count_float_matches_exact():
     for lam in (F(3), F(2), F(4, 3), F(1)):
         assert window_count_exact(sig, lam) == \
             level_count_window_sup(as_floats(sig), float(lam))["count"]
+
+
+# tracemalloc peak of one weak count at a small level: the closed-form far
+# field sizes nothing by the level (about 14 KB at 1e-4); swept row by row,
+# the far field peaked at 12.9 MB (progression, (2, 3)) and 5.1 MB (window)
+SMALL_LEVEL_PEAK_MB = 0.5
+
+
+def _peak(fn):
+    fn()                              # imports and caches outside the count
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / 2**20
+
+
+def test_small_levels_count_without_sizing_the_far_field():
+    # at 1e-4 the far field holds about 10^4 starts per residue; the counts
+    # are the ones the row-by-row sweep gave
+    sig = FiniteSignal(0, [1.0, -0.5, 2.0])
+    ctx = GridContext((2, 3))
+    for fn, want in ((lambda: level_count_progression_sup(sig, ctx, 1e-4),
+                      28_994),
+                     (lambda: level_count_window_sup(sig, 1e-4), 24_999)):
+        res, peak = _peak(fn)
+        assert res["count"] == want
+        assert peak < SMALL_LEVEL_PEAK_MB, f"peak {peak:.2f} MB"
+
+
+def _near_window_count_exact(sig, lam):
+    """#{n in [lo, hi] : sup_N |avg of phi over [n, n+N)| > lam}, exactly."""
+    count = 0
+    for n in range(sig.lo, sig.hi + 1):
+        acc, best = 0, 0
+        for N in range(1, sig.hi - n + 2):
+            acc += sig(n + N - 1)
+            best = max(best, abs(F(acc, N)))
+        count += best > lam
+    return count
+
+
+def _progression_far_rows(sig, ctx):
+    """Per residue r, the exact numerators S_c (c = 1..T) of the combined
+    progression mean at the starts n = blk_lo + r - k*p left of the
+    support: |mean| = |S_c| / (k + c) at window block count k + c, read
+    from the definitional mean at k = 1."""
+    p, blk_lo = ctx.p, (ctx.t(sig.lo) - 1) * ctx.p
+    rows = []
+    for r in range(p):
+        n = blk_lo + r - p
+        rows.append([progression_mean(sig, ctx, n, _n_for_nprime(
+            ctx, n, 1 + c)) * (1 + c) for c in range(1, _T(sig, ctx) + 1)])
+    return rows
+
+
+def test_far_fields_count_exactly_at_tiny_levels():
+    # dyadic values and levels, so each float count is the exact one.  At
+    # 2^-20 (about 10^-6) every far start k is checked by exact integer
+    # comparisons, millions of them; nearer 2^52 starts (the largest scan
+    # windows a level may ask for) the prefix length ceil(|S_c| / lam) - 1
+    # - c is exact
+    sig = FiniteSignal(0, [1.0, -0.5, 2.0])
+    exact = FiniteSignal(0, [F(v) for v in sig.values])
+    ctx = GridContext((2, 3))
+    P = list(itertools.accumulate(exact.values))
+    rows = _progression_far_rows(exact, ctx)
+    near = sum(progression_mean_sup(exact, ctx, n) > F(2) ** -20
+               for n in range(0, _T(sig, ctx) * ctx.p))
+    assert level_count_window_sup(sig, 2.0 ** -20)["count"] == \
+        _near_window_count_exact(exact, F(2) ** -20) + \
+        far_count_by_k(P, F(2) ** -20)
+    assert level_count_progression_sup(sig, ctx, 2.0 ** -20)["count"] == \
+        near + sum(far_count_by_k(row, F(2) ** -20) for row in rows)
+    for e in (48, 50):
+        lam = F(2) ** -e
+        assert level_count_window_sup(sig, float(lam))["count"] == \
+            _near_window_count_exact(exact, lam) + far_count_exact(P, lam)
+    lam = F(2) ** -48
+    assert level_count_progression_sup(sig, ctx, float(lam))["count"] == \
+        sum(progression_mean_sup(exact, ctx, n) > lam
+            for n in range(0, _T(sig, ctx) * ctx.p)) + \
+        sum(far_count_exact(row, lam) for row in rows)
+
+
+@pytest.mark.parametrize("lam", [1e-30, 2.0 ** -50, 5e-324, float("nan")])
+def test_weak_kernels_reject_levels_their_window_cannot_hold(lam):
+    # l1 * max(q) / lam not below 2^52 (2^-50 reaches it on (2, 3), not on
+    # the window route): refused before any array is sized, without the
+    # int64 overflow of the scan window and its warning
+    sig = FiniteSignal(0, [1.0, -0.5, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(zops.LevelTooSmall, match=f"level {lam!r}"):
+            level_count_progression_sup(sig, GridContext((2, 3)), lam)
+        if lam == 2.0 ** -50:
+            assert level_count_window_sup(sig, lam)["count"] > 2 ** 51
+        else:
+            with pytest.raises(zops.LevelTooSmall, match=f"level {lam!r}"):
+                level_count_window_sup(sig, lam)
+    assert issubclass(zops.LevelTooSmall, ValueError)
 
 
 def test_float_power_squares_as_python_floats(monkeypatch):
