@@ -15,12 +15,14 @@ gap, `count_bounds_check` the count estimates 4aa, 4ab, 6aa, 6ab and 4bb
 at a grid of horizons in each block.
 
 The kernels that touch every element avoid per-element Python work.
-`banach_density` prunes window starts exactly: a bucket of starts [s, e) is
-skipped when the smaller of L and the count of [s, e - 1 + L), which holds
-every window starting in the bucket, is no more than an exact window count
-already in hand, so no skipped window can be the maximum.  Block 1 holds
-every integer of [0, beta_1), so for L <= beta_1 its first window reaches L
-and every bucket is skipped at once.  `write_elements` formats a run of
+`banach_density` prunes window starts exactly, over one level of
+ceil(sqrt(n)) buckets of ceil(sqrt(n)) element starts each: a bucket is
+skipped when the smaller of L and the count of [its first start, its last
+start + L), which holds every window starting in the bucket, is no more
+than an exact window count already in hand, so no skipped window can be
+the maximum.  Block 1 holds every integer of [0, beta_1), so for
+L <= beta_1 the window [0, L) holds L elements, no other can hold more,
+and no bucket is made.  `write_elements` formats a run of
 elements with the same number of digits four digits at a time, through a
 table of the 10,000 four-byte texts 0000 to 9999, each group stored straight
 into one byte buffer at its place in the text.  The gaps of each block are
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -349,30 +352,25 @@ def gap_profile(store: SequenceStore) -> list[tuple[int, int, int]]:
     return out
 
 
-# banach_density halves its hot buckets only while the binary searches of
-# the halving levels stay below 1/_LEVEL_BUDGET of the element starts left
-_LEVEL_BUDGET = 8
-
-
 def banach_density(store: SequenceStore, L: int) -> Fraction:
     """Exact max over windows [a, a+L) within [0, beta_M) of count/L.
 
     A best window starts at an element or is the last window [beta_M - L,
     beta_M), because sliding a window right to its first element loses
-    nothing.  The valid starts [0, beta_M - L] are cut into buckets [s, e),
-    first one bucket, then each hot bucket halved.  The window at each
-    bucket start and the last window are counted exactly; their maximum
-    `lb` is a lower bound.  Every window starting in [s, e) lies inside
-    [s, e - 1 + L), and no window holds more than L integers, so the
-    smaller of L and the count of [s, e - 1 + L) bounds the bucket from
-    above.  A bucket is dropped when that bound is at most `lb`, or when it
-    holds no element start: none of its windows can beat `lb`, so dropping
-    it keeps the maximum exact.  Halving stops before the binary searches
-    made by the levels exceed 1/_LEVEL_BUDGET of the element starts in the
-    hot buckets; the windows at those starts are then counted one by one.
-    So at most every element start is counted, and where nothing is dropped
-    the levels add at most 1/_LEVEL_BUDGET more binary searches than
-    counting every start.
+    nothing.  The window [0, L) and the last window are counted first; when
+    one holds L elements, as [0, L) does for L <= beta_1 (block 1 holds
+    every integer below beta_1), nothing can beat it.  Otherwise the n
+    element starts at or below beta_M - L are cut into buckets of
+    b = ceil(sqrt(n)) consecutive starts.  The windows at the buckets'
+    first starts are counted exactly, and the largest count so far, `lb`,
+    is a lower bound.  Every window starting in a bucket lies inside [its
+    first start, its last start + L), and no window holds more than L
+    integers, so the smaller of L and the count of that range bounds the
+    bucket from above.  Each bucket whose bound still exceeds `lb` is then
+    counted start by start, one bucket at a time, each raising `lb`: no
+    skipped window can be the maximum.  That is 2 ceil(n / b) <= 2b binary
+    searches and at most b more per bucket counted, never more than 2b keys
+    at a time.
     """
     if L < 1:
         raise ValueError("window length must be positive")
@@ -380,33 +378,24 @@ def banach_density(store: SequenceStore, L: int) -> Fraction:
         raise WindowTooLarge(f"L={L} exceeds horizon {store.horizon}")
     elems, horizon = store.elements, store.horizon
     last = horizon - L
-    lb = store.count_range(last, horizon)
-    # buckets [s, e) of window starts, e <= last + 1, halved while hot
-    s = np.zeros(1, dtype=elems.dtype)
-    e = np.full(1, last + 1, dtype=elems.dtype)
-    searches = 0
-    while True:
-        # elements below s, e, s + L and e - 1 + L, all at most beta_M
-        c = _find(elems, np.stack((s, e, s + L, e - 1 + L)))
-        searches += c.size
-        lb = max(lb, int((c[2] - c[0]).max()))
-        hot = (np.minimum(c[3] - c[0], L) > lb) & (c[1] > c[0])
-        lo, hi = c[0, hot], c[1, hot]
-        # the next level makes 4 searches in each half of each hot bucket
-        if _LEVEL_BUDGET * (searches + 8 * lo.size) > int((hi - lo).sum()):
-            break
-        s, e = s[hot], e[hot]
-        mid = (s + e) // 2
-        # interleaved, so that the buckets stay sorted
-        s, e = np.stack((s, mid), 1).ravel(), np.stack((mid, e), 1).ravel()
-    if lo.size:
-        # count the windows at the element starts of the hot buckets
-        sizes = hi - lo
-        idx = np.arange(int(sizes.sum()), dtype=np.int64) \
-            + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-        # below 2 * beta_M, so in the elements' dtype
-        counts = _find(elems, elems[idx] + L) - idx
-        lb = max(lb, int(counts.max(initial=0)))
+    # elements below L, last + 1 (the n element starts), last and beta_M
+    below_L, n, below_last, total = _find(
+        elems, np.array([L, last + 1, last, horizon])).tolist()
+    lb = max(below_L, total - below_last)
+    if lb == L or not n:
+        return F(lb, L)
+    b = math.isqrt(n - 1) + 1
+    first = np.arange(0, n, b)
+    # elements below each bucket's first start + L and last start + L, all
+    # below 2 * beta_M, so in the elements' dtype
+    ends = _find(elems, elems[np.stack((first, np.minimum(first + b, n) - 1))]
+                 + L)
+    lb = max(lb, int((ends[0] - first).max()))
+    bound = np.minimum(ends[1] - first, L)
+    for k in np.flatnonzero(bound > lb).tolist():
+        if bound[k] > lb:
+            idx = np.arange(first[k], min(first[k] + b, n))
+            lb = max(lb, int((_find(elems, elems[idx] + L) - idx).max()))
     return F(lb, L)
 
 

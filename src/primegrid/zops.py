@@ -192,7 +192,7 @@ class Signals:
             values = self.values[self.bounds[a]:self.bounds[b]]
         else:
             values = self.values[_ranges(self.bounds[:-1][part],
-                                         self.bounds[1:][part] - 1)[1]]
+                                         self.bounds[1:][part] - 1)]
         return Signals(self.lo[part], self.lengths[part], values,
                        self.l1[part], self.bound_M[part], self.l2sq[part])
 
@@ -428,20 +428,21 @@ def lattice_sup_j(sig: FiniteSignal, ctx: GridContext, n: int, j: int):
 # Each float kernel takes a `Signals` batch and evaluates all its signals at
 # once, stacked zero-padded on the right, which freezes every prefix sum and
 # cumulative table past a signal's end.  The supremum at a start n is a
-# maximum of prefix-difference averages (table[c + N] - table[c]) / N, in
-# one of two shapes.  Near the support the lattice routes shift a whole
-# (signal, residue, column) frame per N (`sup_profile`), and the window
-# routes' triangular rows (n on the support, N up to its end) go through
-# `_sweep`, one pass per N over the rows at least N wide.  Each shape is
-# the faster one where it is used (in-process, 2-core host, 8 program
-# seeds): on 63 (5, 7, 11) deviation signals a frame takes 0.43 ms and
-# `_sweep` 2.8 ms, on 250 `window_strong` signals, whose rows fill half a
-# frame, a frame 2.9 ms and `_sweep` 1.2 ms.  Left of the support the
-# table row is 0 up to it, so the value k places off is max over c of
-# |S_c| / (k + c): the weak counts take it in closed form (`_far_count`),
-# the square sums as hyperbola tails (`sup_sq_tail`).  Sums keep the order
-# of the row-at-a-time evaluation, so a signal's results are bit-for-bit
-# the same in every batch.
+# maximum of prefix-difference averages (table[c + N] - table[c]) / N.  Near
+# the support every route takes it the same way (`_frame_sups`): one shift
+# of the whole frame of tables per N, over (signal, residue, column) for the
+# lattice routes (`sup_profile`) and over (signal, column) for the window
+# routes (`_window_sups`).  Past a table's end a longer N only dilutes the
+# frozen difference, so running N to the frame's end changes no count and
+# no square (`_window_sups` says why).  The window rows go longest first, so
+# each N shifts only the rows that reach it: on the 250 `window_strong`
+# signals of each of the 8 program seeds (in-process, 2-core host) a frame
+# took 1.2 ms that way and 1.5 ms with every row shifted.  Left of the
+# support the table row is 0 up to it, so the value k places off is max
+# over c of |S_c| / (k + c): the weak counts take it in closed form
+# (`_far_count`), the square sums as hyperbola tails (`sup_sq_tail`).  Sums
+# keep the order of the row-at-a-time evaluation, so a signal's results are
+# bit-for-bit the same in every batch.
 
 # groups of signals hold at most _BLOCK_ENTRIES // 8 rows, and runs of
 # sup_sq_tail's finite terms fewer than twice as many; the tracemalloc peak
@@ -460,12 +461,10 @@ def _padded(sigs: Signals, width: int, offsets) -> np.ndarray:
 
 
 def _ranges(n_lo, n_hi):
-    """Rows (owner s, n) for n in [n_lo[s], n_hi[s]], signal by signal."""
+    """The integers n_lo[s]..n_hi[s], signal by signal."""
     lengths = n_hi - n_lo + 1
-    owner = np.repeat(np.arange(lengths.size), lengths)
-    n = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths - n_lo,
-                                          lengths)
-    return owner, n
+    return np.arange(lengths.sum()) - np.repeat(
+        np.cumsum(lengths) - lengths - n_lo, lengths)
 
 
 def _grouped(fn, rows, sigs: Signals, *args) -> np.ndarray:
@@ -481,40 +480,6 @@ def _grouped(fn, rows, sigs: Signals, *args) -> np.ndarray:
         total += n
     out.append(fn(sigs[start:], *(a[start:] for a in args)))
     return np.concatenate(out)
-
-
-def _sweep(flat: np.ndarray, row0: np.ndarray, start: np.ndarray,
-           widths: np.ndarray, end: int, absolute: bool = True) -> np.ndarray:
-    """Per row i, the maximum over exactly N = 1..widths[i] (widths >= 1) of
-    the window average (table[c + N] - table[c]) / N along the table row at
-    flat[row0[i]:], where c = start[i] and table indices are clipped to
-    [0, end].
-
-    The average is taken in absolute value unless `absolute` is false.  The
-    rows are sorted by width once, so the rows at least N wide are one
-    suffix, and each N is one gather and one divide over that suffix.
-    """
-    order = np.argsort(widths, kind="stable")
-    lo = row0[order]
-    hi = lo + end
-    pos = lo + start[order]                     # unclipped flat index of c
-    base = flat.take(np.minimum(np.maximum(pos, lo), hi))
-    best = np.full(order.size, -np.inf)
-    firsts = np.searchsorted(widths[order],
-                             np.arange(1, widths.max(initial=0) + 1))
-    for N, a in enumerate(firsts.tolist(), start=1):
-        idx = pos[a:] + N
-        np.maximum(idx, lo[a:], out=idx)
-        np.minimum(idx, hi[a:], out=idx)
-        vals = flat.take(idx)
-        vals -= base[a:]
-        vals /= N
-        if absolute:
-            np.abs(vals, out=vals)
-        np.maximum(best[a:], vals, out=best[a:])
-    out = np.empty(order.size)
-    out[order] = best
-    return out
 
 
 def _run_bounds(x: np.ndarray) -> np.ndarray:
@@ -604,6 +569,29 @@ def _lattice_tables(sigs: Signals, ctx: GridContext, kind: str):
     return blk_lo, T, CH
 
 
+def _frame_sups(P: np.ndarray, best: np.ndarray, absolute: bool = True,
+                reach=None) -> np.ndarray:
+    """best, which holds the window length N = 1 values of each start c <
+    end along the last axis of the running sums P (end + 1 long), raised in
+    place to the maximum over N = 2..end - c of (P[..., c + N] - P[..., c])
+    / N, in absolute value if `absolute`: one shift of the whole frame per
+    N.  Given `reach`, non-increasing along P's first axis, each N shifts
+    only the leading rows i with reach[i] >= N; the others keep the maximum
+    over N <= reach[i]."""
+    end = P.shape[-1] - 1
+    Ns = np.arange(end + 1)
+    rows = np.full(end + 1, len(P)) if reach is None else \
+        np.searchsorted(-reach, -Ns, "right")
+    for N, a in zip(Ns[2:].tolist(), rows[2:].tolist()):
+        vals = P[:a, ..., N:] - P[:a, ..., :end + 1 - N]
+        vals /= N
+        if absolute:
+            np.abs(vals, out=vals)
+        np.maximum(best[:a, ..., :end + 1 - N], vals,
+                   out=best[:a, ..., :end + 1 - N])
+    return best
+
+
 def sup_profile(tables, ctx: GridContext) -> np.ndarray:
     """Float suprema on the support's blocks, entry [s, r, j0] at
     n = blk_lo[s] + j0*p + r (0 for j0 >= T[s], right of the support), of
@@ -622,12 +610,7 @@ def sup_profile(tables, ctx: GridContext) -> np.ndarray:
     best[:, p - 1] = -np.inf
     best[:, p - 1, end - 1] = np.abs((CH[:, p - 1, end]
                                       - CH[:, p - 1, end - 1]) / 2)
-    for N in range(2, end + 1):
-        vals = CH[:, :, N:] - CH[:, :, :end + 1 - N]
-        vals /= N
-        np.abs(vals, out=vals)
-        np.maximum(best[:, :, :end + 1 - N], vals, out=best[:, :, :end + 1 - N])
-    return best
+    return _frame_sups(CH, best)
 
 
 # finite terms summed per row of sup_sq_tail before its bound takes over
@@ -938,24 +921,38 @@ def deviation_sup_l2_bound(sig: FiniteSignal, ctx: GridContext) -> dict:
 
 def _window_sups(sigs: Signals, absolute: bool) -> tuple:
     """P, row s 0 and then the running sums of signal s (frozen past its
-    end), and (owner, o, sup) for each offset o = 0..L[s]-1, signal by
-    signal: the maximum over N = 1..L[s] - o of (P[s, o + N] - P[s, o]) / N,
-    in absolute value if `absolute`."""
+    end), and the frame of sups: [s, o] the maximum of (P[s, o + N] -
+    P[s, o]) / N, in absolute value if `absolute`, over N = 1..L[s] - o and
+    possibly longer N.
+
+    The longer N change no count and no square: past a signal's end P is
+    frozen, so a longer N only dilutes the same difference.  An absolute
+    average can only fall.  A signed one can only rise toward 0, never
+    above it, and the strong route squares max(sup, 0).  Right of a
+    signal's end (o >= L[s]) every difference is 0, which no positive level
+    counts.  The rows go through `_frame_sups` longest first, so each N
+    shifts only the rows that reach it."""
     lens = sigs.lengths
+    order = np.argsort(-lens, kind="stable")
     P = np.zeros((len(sigs), lens.max() + 1))
     P[:, 1:] = np.cumsum(_padded(sigs, lens.max(), 0), axis=1)
-    owner, off = _ranges(np.zeros_like(lens), lens - 1)
-    return P, owner, off, _sweep(P.ravel(), owner * P.shape[1], off,
-                                 lens[owner] - off, P.shape[1] - 1, absolute)
+    by_len = P[order]
+    best = by_len[:, 1:] - by_len[:, :-1]
+    if absolute:
+        np.abs(best, out=best)
+    sups = np.empty_like(best)
+    sups[order] = _frame_sups(by_len, best, absolute, lens[order])
+    return P, sups
 
 
 def level_count_window_sup_batch(sigs: Signals, lams) -> dict:
     """#{n : sup_N |avg of phi over [n, n+N)| > lam} vs 2*l1/lam, per signal
     and its level.
 
-    The starts on the support go through `_sweep`; k places left of it the
-    supremum is max_c |P_c| / (k + c), counted in closed form (`_far_count`)
-    for k up to W = ceil(l1 / lam) + 1, past which it is below lam.
+    The starts on the support are one `_window_sups` frame; k places left
+    of it the supremum is max_c |P_c| / (k + c), counted in closed form
+    (`_far_count`) for k up to W = ceil(l1 / lam) + 1, past which it is
+    below lam.
 
     A level above max|phi| plus a float margin counts 0 without a sweep
     (`_level_counts`).  The route's values are |P[b] - P[a]| / N, P the
@@ -969,10 +966,8 @@ def level_count_window_sup_batch(sigs: Signals, lams) -> dict:
     W = np.ceil(sigs.l1 / lams).astype(np.int64) + 1
 
     def counts(group, lams, W):
-        P, _, _, sups = _window_sups(group, True)
-        lens = group.lengths
-        return np.add.reduceat(sups > np.repeat(lams, lens),
-                               np.cumsum(lens) - lens) + \
+        P, sups = _window_sups(group, True)
+        return np.count_nonzero(sups > lams[:, None], axis=1) + \
             _far_count(P[:, None, 1:], W[:, None], lams)
 
     count = _level_counts(counts, sigs.lengths, sigs, lams, sigs.lengths - 1, W)
@@ -990,14 +985,14 @@ def _strong_lhs_sq(sigs: Signals) -> np.ndarray:
 
     Rows whose supremum is negative count as 0.
     """
-    # off = n + 1 - lo: the window [n+1, n+N] meets the support iff n < hi
-    P, owner, off, sups = _window_sups(sigs, False)
+    # column o = n + 1 - lo: the window [n+1, n+N] meets the support iff n < hi
+    P, sups = _window_sups(sigs, False)
     # row s: the squares in n order, zeros past the signal's end, then the
     # far-left tail (n = lo - 1 - k, k >= 1; value max(0, max_c P_c/(k + c)));
     # cumsum adds them in that order.  np.float_power squares through libm
-    # pow, the rounding the sum was defined with
+    # pow, the rounding the sum was defined with; a sup <= 0 squares to 0
     terms = np.zeros(P.shape)
-    terms[owner, off] = np.float_power(np.maximum(sups, 0.0), 2.0)
+    np.float_power(sups, 2.0, out=terms[:, :-1], where=~(sups <= 0.0))
     terms[:, -1] = sup_sq_tail(P[:, 1:], k_start=1)
     return np.cumsum(terms, axis=1)[:, -1]
 

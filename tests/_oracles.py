@@ -165,8 +165,8 @@ def sup_profile_by_residue(sig, ctx, n_lo, n_hi, kind):
 
 
 def sweep_rows(flat, row0, start, widths, end, absolute=True):
-    """zops._sweep's contract, one row and one window length at a time: per
-    row i the maximum over exactly N = 1..widths[i] of (table[c + N] -
+    """The window routes' supremum, one row and one window length at a time:
+    per row i the maximum over exactly N = 1..widths[i] of (table[c + N] -
     table[c]) / N, its absolute value if `absolute`, on the table row at
     flat[row0[i]:] with c = start[i] and indices clipped to [0, end]."""
     out = []

@@ -546,12 +546,7 @@ def random_store(rng):
     return SequenceStore(betas, np.array(elems, dtype=np.int64))
 
 
-@pytest.mark.parametrize("budget", [1e-9, 8, 10**9])
-def test_banach_density_matches_all_starts_on_random_stores(monkeypatch,
-                                                            budget):
-    # budget 1e-9 halves until no bucket is hot, so the maximum comes from
-    # the bucket bounds alone; 10**9 counts every hot start after one level
-    monkeypatch.setattr(sequence, "_LEVEL_BUDGET", budget)
+def test_banach_density_matches_all_starts_on_random_stores():
     rng = SplitMix64(0xB0C7)
     for _ in range(150):
         store = random_store(rng)
@@ -560,6 +555,92 @@ def test_banach_density_matches_all_starts_on_random_stores(monkeypatch,
                   max(1, h // 2), h}:
             assert banach_density(store, L) == \
                 banach_density_all_starts(store, L), (store.betas, L)
+
+
+def _spy_find(monkeypatch):
+    """The number of keys of each sequence._find call, in call order."""
+    sizes, find = [], sequence._find
+
+    def spy(elems, keys):
+        sizes.append(np.size(keys))
+        return find(elems, keys)
+
+    monkeypatch.setattr(sequence, "_find", spy)
+    return sizes
+
+
+def _buckets(store, L):
+    """banach_density's buckets, from np.searchsorted: the number of
+    element starts n, the bucket size ceil(sqrt(n)), the largest window at
+    [0, L), the last window or a bucket's first start, and each bucket's
+    bound min(L, count of [first start, last start + L))."""
+    elems, last = store.elements, store.horizon - L
+    n = int(np.searchsorted(elems, last, side="right"))
+    b = math.isqrt(n - 1) + 1
+    first = np.arange(0, n, b)
+    lasts = np.minimum(first + b, n) - 1
+    lb = max(store.count_range(0, L), store.count_range(last, store.horizon),
+             int((np.searchsorted(elems, elems[first] + L) - first).max()))
+    bound = np.minimum(np.searchsorted(elems, elems[lasts] + L) - first, L)
+    return n, b, lb, bound
+
+
+@pytest.mark.parametrize("q", [2, 7, 30])
+def test_banach_density_counts_every_start_when_every_bucket_is_hot(
+        monkeypatch, q):
+    # on the multiples of q every bucket's range holds more than a window
+    # can, so every bucket is hot and every start is counted
+    sizes = _spy_find(monkeypatch)
+    store = SequenceStore((0, 5000), np.arange(0, 5000, q, dtype=np.int64))
+    for L in (q + 1, 3 * q - 1, 1000, 2501):
+        n, b, lb, bound = _buckets(store, L)
+        assert (bound > lb).all()
+        del sizes[:]
+        got = banach_density(store, L)
+        assert sizes[:2] == [4, 2 * bound.size] and sum(sizes[2:]) == n
+        assert got == banach_density_all_starts(store, L) == F(-(-L // q), L)
+
+
+@pytest.mark.parametrize("size,L", [(10, 20), (30, 31), (3, 5), (1, 2)])
+def test_banach_density_counts_no_bucket_when_none_is_hot(monkeypatch, size,
+                                                          L):
+    # `size` clusters of `size` consecutive integers, one per bucket and
+    # more than L apart: each bucket's range holds its cluster alone, as its
+    # first window does, so no bucket is hot and none is counted
+    sizes = _spy_find(monkeypatch)
+    elems = (100 * np.arange(size)[:, None] + np.arange(size)).ravel()
+    store = SequenceStore((0, 100 * size), elems)
+    n, b, lb, bound = _buckets(store, L)
+    assert (n, b, lb) == (elems.size, size, size) and (bound == lb).all()
+    del sizes[:]
+    got = banach_density(store, L)
+    assert sizes == [4, 2 * size]
+    assert got == banach_density_all_starts(store, L) == F(size, L)
+
+
+def test_banach_density_searches_only_hot_buckets(monkeypatch):
+    # every integer of [0, 10^6): the window [0, L) holds L, so no bucket is
+    # searched at any L; demo h10: two keys per bucket and one per start of
+    # each hot bucket, never more than 2 ceil(sqrt(n)) at a time
+    sizes = _spy_find(monkeypatch)
+    store = SequenceStore((0, 10**6), np.arange(10**6, dtype=np.int64))
+    for L in (1, 1000, 12345, 10**6):
+        del sizes[:]
+        assert banach_density(store, L) == 1 and sizes == [4]
+    store = build_store(build_ledger("demo", 10))
+    searched = 0
+    L = 1000
+    while L <= store.horizon:
+        n, b, lb, bound = _buckets(store, L)
+        hot = int(np.count_nonzero(bound > lb))
+        del sizes[:]
+        got = banach_density(store, L)
+        assert sum(sizes) <= 4 + 2 * b + b * hot, L
+        assert max(sizes) <= 2 * b, L
+        searched += len(sizes) > 2
+        assert got == banach_density_all_starts(store, L)
+        L *= 10
+    assert searched
 
 
 def test_banach_density_without_element_starts():

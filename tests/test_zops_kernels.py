@@ -72,28 +72,51 @@ def block_entries(request, monkeypatch):
 
 
 @pytest.mark.parametrize("absolute", [True, False])
-def test_sweep_takes_each_rows_own_window_lengths(absolute):
-    # rows of mixed widths in one call, starts left of the table and windows
-    # past its end (both clipped), and a signed row whose every average is
-    # negative: there a longer window than the row's own would give a larger
-    # (less negative) value, which must not count
+def test_frame_sups_match_each_rows_own_window_lengths(absolute):
+    # rows of mixed lengths in one frame of running sums, each frozen past
+    # its own end, a full row whose first start reaches its maximum only
+    # over the whole frame, and a signed row whose every average is
+    # negative: there the frame's windows past the row's end give larger
+    # (less negative) values than the row's own, which max(., 0) must hide.
+    # At every start inside a row the frame equals the row swept to its own
+    # end alone, whether every N shifts every row or, the rows longest
+    # first, only the rows that reach it
     rng = np.random.default_rng(2024)
-    end = 9
-    table = np.zeros((5, end + 1))
-    table[:4, 1:] = np.cumsum(rng.integers(-6, 7, size=(4, end)) / 4, axis=1)
-    table[4] = -1.5 * np.arange(end + 1)
-    n = 600
-    row0 = rng.integers(0, 5, n) * (end + 1)
-    start = rng.integers(-5, end + 1, n)
-    widths = rng.integers(1, 14, n)
-    got = zops._sweep(table.ravel(), row0, start, widths, end, absolute)
-    want = sweep_rows(table.ravel(), row0, start, widths, end, absolute)
-    assert got.tolist() == want
-    if not absolute:
-        assert (got < 0).any()
-    one = zops._sweep(table.ravel(), row0[:1], start[:1], widths[:1], end,
-                      absolute)
-    assert one.tolist() == want[:1]
+    end = 13
+    lengths = np.append(rng.integers(1, end + 1, 40), [end, 1, 9])
+    P = np.zeros((lengths.size, end + 1))
+    for i, L in enumerate(lengths.tolist()):
+        P[i, 1:L + 1] = np.cumsum(rng.integers(-6, 7, L) / 4)
+        P[i, L + 1:] = P[i, L]
+    P[-3, 1:] = 0.0
+    P[-3, end] = 1.0
+    P[-1, 1:] = -1.5 * np.minimum(np.arange(1, end + 1), 9)
+    best = P[:, 1:] - P[:, :-1]
+    if absolute:
+        np.abs(best, out=best)
+    order = np.argsort(-lengths, kind="stable")
+    by_len = np.empty_like(best)
+    by_len[order] = zops._frame_sups(P[order], best[order], absolute,
+                                     lengths[order])
+    full = zops._frame_sups(P, best.copy(), absolute)
+    for got in (full, by_len):
+        assert got.shape == (lengths.size, end)
+        for i, L in enumerate(lengths.tolist()):
+            c = np.arange(L)
+            want = sweep_rows(P.ravel(), np.full(L, i * (end + 1)), c, L - c,
+                              end, absolute)
+            if absolute:
+                assert got[i, :L].tolist() == want, i
+            else:
+                assert np.maximum(got[i, :L], 0.0).tolist() == \
+                    np.maximum(want, 0.0).tolist(), i
+        if not absolute:
+            want = sweep_rows(P.ravel(), np.full(9, P[:-1].size), np.arange(9),
+                              9 - np.arange(9), end, False)
+            assert max(want) < 0 and (got[-1, 1:9] > want[1:9]).all()
+    # one row alone, in a frame of its own
+    one = zops._frame_sups(P[:1], best[:1].copy(), absolute)
+    assert np.array_equal(one, full[:1])
 
 
 @pytest.mark.parametrize("primes", GRIDS)
@@ -728,7 +751,7 @@ def test_float_power_squares_as_python_floats(monkeypatch):
     float_power = np.float_power
 
     def spy(x, y, *args, **kwargs):
-        squared.append(np.array(x, dtype=float))
+        squared.append(np.array(x, dtype=float).ravel())
         return float_power(x, y, *args, **kwargs)
 
     monkeypatch.setattr(np, "float_power", spy)
