@@ -352,6 +352,15 @@ def gap_profile(store: SequenceStore) -> list[tuple[int, int, int]]:
     return out
 
 
+def _bucket_size(n: int) -> int:
+    """ceil(sqrt(n)), the starts per bucket of banach_density for n >= 1.
+
+    Any size in [1, n] gives the same exact maximum; this one keeps both
+    the bucket-first search and the count of one hot bucket near sqrt(n).
+    """
+    return math.isqrt(n - 1) + 1
+
+
 def banach_density(store: SequenceStore, L: int) -> Fraction:
     """Exact max over windows [a, a+L) within [0, beta_M) of count/L.
 
@@ -384,7 +393,7 @@ def banach_density(store: SequenceStore, L: int) -> Fraction:
     lb = max(below_L, total - below_last)
     if lb == L or not n:
         return F(lb, L)
-    b = math.isqrt(n - 1) + 1
+    b = _bucket_size(n)
     first = np.arange(0, n, b)
     # elements below each bucket's first start + L and last start + L, all
     # below 2 * beta_M, so in the elements' dtype

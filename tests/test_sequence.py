@@ -546,7 +546,16 @@ def random_store(rng):
     return SequenceStore(betas, np.array(elems, dtype=np.int64))
 
 
-def test_banach_density_matches_all_starts_on_random_stores():
+@pytest.mark.parametrize("scale", [1e-9, 1, 8, 10**9])
+def test_banach_density_matches_all_starts_on_random_stores(monkeypatch,
+                                                            scale):
+    # every bucket size in [1, n] must give the exact maximum: scale 1e-9
+    # makes each start its own bucket, so the maximum comes from the bucket
+    # bounds alone; 1 is the ceil(sqrt(n)) buckets banach_density takes; 10**9
+    # makes one bucket, whose every start is counted once it is hot
+    size = sequence._bucket_size
+    monkeypatch.setattr(sequence, "_bucket_size", lambda n: min(
+        n, max(1, math.ceil(scale * size(n)))))
     rng = SplitMix64(0xB0C7)
     for _ in range(150):
         store = random_store(rng)
